@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any
@@ -233,13 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if os.environ.get("TOTAL_COLOUR_SEED"):
-        print(
-            "warning: TOTAL_COLOUR_SEED is set but ignored; all algorithms "
-            "are deterministic (the variable is reserved for future "
-            "randomized search)",
-            file=sys.stderr,
-        )
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -32,7 +32,7 @@ from .errors import (
     OpenProblemError,
     PreconditionError,
 )
-from .graph_core import Edge, Element, Graph, Vertex, complete_graph
+from .graph_core import Graph, Pair, canonical_pair, complete_graph
 from .products import crown_graph, direct_product
 
 
@@ -58,17 +58,11 @@ def crown_total_colouring(m: int) -> CrownTotalColouring:
     removed edge's colour.  Remaining edges keep their square colours.
     """
     square, _, _ = rainbow_kmm(m)
-    assignment: dict[Element, int] = {}
-    for k in range(m):
-        shared = square.symbol(k, k)
-        assignment[Vertex(k)] = shared
-        assignment[Vertex(m + k)] = shared
-    for k in range(m):
-        for t in range(m):
-            if k != t:
-                assignment[Edge(k, m + t)] = square.symbol(k, t)
     diag = tuple(square.symbol(k, k) for k in range(m))
-    return CrownTotalColouring(m, TotalColouring(assignment), diag)
+    edges = {
+        (k, m + t): square.symbol(k, t) for k in range(m) for t in range(m) if k != t
+    }
+    return CrownTotalColouring(m, TotalColouring.from_parts(diag * 2, edges), diag)
 
 
 def kn_k2_total_colouring(n: int) -> TotalColouring:
@@ -80,18 +74,15 @@ def kn_k2_total_colouring(n: int) -> TotalColouring:
     """
     if n < 3:
         raise DomainError("K_n x K_2 is only type I for n >= 3")
-    crown = crown_total_colouring(n)
-    assignment: dict[Element, int] = {}
-    for k in range(n):
-        assignment[Vertex(2 * k)] = crown.colouring.vertex_colour(k)
-        assignment[Vertex(2 * k + 1)] = crown.colouring.vertex_colour(n + k)
-    for k in range(n):
-        for t in range(n):
-            if k != t:
-                assignment[Edge(2 * k, 2 * t + 1)] = crown.colouring.edge_colour(
-                    k, n + t
-                )
-    return TotalColouring(assignment)
+    crown = crown_total_colouring(n).colouring
+    vertex_colours = [crown.vertex_colour(x) for k in range(n) for x in (k, n + k)]
+    edges = {
+        (2 * k, 2 * t + 1): crown.edge_colour(k, n + t)
+        for k in range(n)
+        for t in range(n)
+        if k != t
+    }
+    return TotalColouring.from_parts(vertex_colours, edges)
 
 
 def lift_bipartite(
@@ -143,31 +134,30 @@ def lift_bipartite(
         # Edgeless H: the product is edgeless, and one colour is both enough
         # and exactly max_degree(g) * 0 + 1.
         bipartite_delta_edge_colouring(h, parts)  # still validates the parts
-        return TotalColouring({Vertex(p): 0 for p in range(prod.n)})
+        return TotalColouring.from_parts([0] * prod.n, {})
 
     f = normalize_total(f)
     left = set(parts.left)
-    assignment: dict[Element, int] = {}
-
-    for k in range(g.n):
-        c_left = f.vertex_colour(2 * k)
-        c_right = f.vertex_colour(2 * k + 1)
-        for w in range(h.n):
-            assignment[Vertex(pmap.index(k, w))] = c_left if w in left else c_right
+    vertex_colours = [
+        f.vertex_colour(2 * k if w in left else 2 * k + 1)
+        for k in range(g.n)
+        for w in range(h.n)
+    ]
+    edges: dict[Pair, int] = {}
 
     ec_h = bipartite_delta_edge_colouring(h, parts)
     cls = colour_class(ec_h, 0)
     for w1, w2 in sorted(cls):
         wx, wy = (w1, w2) if w1 in left else (w2, w1)
         for a, b in g.sorted_edges:
-            assignment[Edge(pmap.index(a, wx), pmap.index(b, wy))] = f.edge_colour(
-                2 * a, 2 * b + 1
+            edges[canonical_pair(pmap.index(a, wx), pmap.index(b, wy))] = (
+                f.edge_colour(2 * a, 2 * b + 1)
             )
-            assignment[Edge(pmap.index(b, wx), pmap.index(a, wy))] = f.edge_colour(
-                2 * b, 2 * a + 1
+            edges[canonical_pair(pmap.index(b, wx), pmap.index(a, wy))] = (
+                f.edge_colour(2 * b, 2 * a + 1)
             )
 
-    residual = [e for e in prod.sorted_edges if Edge(*e) not in assignment]
+    residual = [e for e in prod.sorted_edges if e not in edges]
     if residual:
         residual_graph = Graph(prod.n, frozenset(residual))
         residual_parts = Bipartition(
@@ -176,10 +166,10 @@ def lift_bipartite(
         )
         rec = bipartite_delta_edge_colouring(residual_graph, residual_parts)
         offset = dg + 1
-        for (u, v), c in rec.assignment.items():
-            assignment[Edge(u, v)] = offset + c
+        for e, c in rec.assignment.items():
+            edges[e] = offset + c
 
-    return TotalColouring(assignment)
+    return TotalColouring.from_parts(vertex_colours, edges)
 
 
 def _knm_even_first(n: int, m: int) -> TotalColouring:
@@ -191,23 +181,19 @@ def _knm_even_first(n: int, m: int) -> TotalColouring:
     kn = complete_graph(n)
     _, pmap = direct_product(kn, complete_graph(m))
 
-    assignment: dict[Element, int] = {}
-    for i in range(n):
-        for k in range(m):
-            assignment[Vertex(pmap.index(i, k))] = diag[k]
-
+    edges: dict[Pair, int] = {}
     for i, j in kn.sorted_edges:  # i < j: row side of the crown lookup
         c = l_ec.colour(i, j)
         for k in range(m):
             for t in range(m):
                 if k == t:
                     continue
-                e = Edge(pmap.index(i, k), pmap.index(j, t))
+                e = (pmap.index(i, k), pmap.index(j, t))
                 if c == 0:
-                    assignment[e] = crown.colouring.edge_colour(k, m + t)
+                    edges[e] = crown.colouring.edge_colour(k, m + t)
                 else:
-                    assignment[e] = c * (m - 1) + f_ec.colour(k, m + t) + 1
-    return TotalColouring(assignment)
+                    edges[e] = c * (m - 1) + f_ec.colour(k, m + t) + 1
+    return TotalColouring.from_parts(diag * n, edges)  # every fibre copies diag
 
 
 def knm_total_colouring(n: int, m: int) -> TotalColouring:
@@ -249,12 +235,10 @@ def knm_total_colouring(n: int, m: int) -> TotalColouring:
         return j * n + i
 
     prod, _ = direct_product(complete_graph(n), complete_graph(m))
-    assignment: dict[Element, int] = {}
-    for v in range(prod.n):
-        assignment[Vertex(v)] = tc.vertex_colour(back(v))
-    for u, v in prod.sorted_edges:
-        assignment[Edge(u, v)] = tc.edge_colour(back(u), back(v))
-    return TotalColouring(assignment)
+    return TotalColouring.from_parts(
+        [tc.vertex_colour(back(v)) for v in range(prod.n)],
+        {(u, v): tc.edge_colour(back(u), back(v)) for u, v in prod.sorted_edges},
+    )
 
 
 def kn_times_bipartite(
@@ -278,6 +262,6 @@ def kn_times_bipartite(
         parts = find_bipartition(h)
     if n == 1:
         prod, _ = direct_product(complete_graph(1), h)
-        return TotalColouring({Vertex(p): 0 for p in range(prod.n)})
+        return TotalColouring.from_parts([0] * prod.n, {})
     f = kn_k2_total_colouring(n)
     return lift_bipartite(complete_graph(n), f, h, parts)

@@ -47,12 +47,6 @@ Element = Vertex | Edge
 
 
 @dataclass(frozen=True)
-class DegreeProfile:
-    degrees: tuple[int, ...]
-    max_degree: int
-
-
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1."""
 
@@ -179,10 +173,6 @@ def edgeless_graph(n: int) -> Graph:
     if n < 0:
         raise GraphConstructionError(f"negative vertex count {n}")
     return Graph(n, frozenset())
-
-
-def degree_profile(g: Graph) -> DegreeProfile:
-    return DegreeProfile(g.degrees, g.max_degree)
 
 
 def _require_element(g: Graph, el: Element) -> None:

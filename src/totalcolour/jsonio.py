@@ -9,7 +9,6 @@ Schemas (all canonical, so serialize-parse round-trips are identity):
 * bundle:     {"graph": ..., "colouring": ..., "report": ..., "meta": {...}?}
 * oracle run: {"graph": ..., "chi_total": int|null, "lower": int, "upper": int,
                "nodes": int, "status": str}
-* latin:      {"rows": [[int, ...], ...], "transversal": [int, ...]}
 """
 
 from __future__ import annotations
@@ -18,10 +17,9 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .colouring import Edge, TotalColouring, VerificationReport, Vertex
-from .edge_colouring import LatinSquare
+from .colouring import TotalColouring, VerificationReport
 from .errors import ParseError, TotalColourError
-from .graph_core import Element, Graph, make_graph
+from .graph_core import Element, Graph, Vertex, canonical_pair, make_graph
 from .oracle import OracleResult
 
 # Fill colours for DOT export; colour indices beyond the table wrap.
@@ -86,15 +84,10 @@ def graph_from_obj(obj: Any) -> Graph:
 
 
 def colouring_to_obj(tc: TotalColouring) -> dict[str, Any]:
-    vertices = sorted(
-        (el.index, c) for el, c in tc.assignment.items() if isinstance(el, Vertex)
-    )
-    edges = sorted(
-        (el.u, el.v, c) for el, c in tc.assignment.items() if isinstance(el, Edge)
-    )
+    edges = sorted(tc.edges.assignment.items())
     return {
-        "vertex_colours": [c for _, c in vertices],
-        "edge_colours": [[u, v, c] for u, v, c in edges],
+        "vertex_colours": list(tc.vertex_colours),
+        "edge_colours": [[u, v, c] for (u, v), c in edges],
     }
 
 
@@ -121,7 +114,10 @@ def colouring_from_obj(obj: Any) -> TotalColouring:
         u, v, c = item
         if u == v:
             raise ParseError(f"bad edge colour entry {item!r}: self-loop")
-        edge_colours[(u, v)] = c
+        pair = canonical_pair(u, v)
+        if pair in edge_colours:
+            raise ParseError(f"edge ({pair[0]},{pair[1]}) is coloured more than once")
+        edge_colours[pair] = c
     return TotalColouring.from_parts(vcs, edge_colours)
 
 
@@ -177,13 +173,6 @@ def oracle_result_to_obj(g: Graph, result: OracleResult) -> dict[str, Any]:
         "upper": result.upper,
         "nodes": result.nodes,
         "status": result.status.value,
-    }
-
-
-def latin_to_obj(square: LatinSquare) -> dict[str, Any]:
-    return {
-        "rows": [list(row) for row in square.rows],
-        "transversal": list(square.transversal),
     }
 
 

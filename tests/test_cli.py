@@ -207,13 +207,6 @@ def test_export_dot_corrupted_bundle_exits_2(tmp_path):
     assert main(["export-dot", str(bad)]) == 2
 
 
-def test_seed_env_var_warns(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TOTAL_COLOUR_SEED", "42")
-    out = tmp_path / "bundle.json"
-    assert main(["colour", "crown", "3", "-o", str(out)]) == 0
-    assert "TOTAL_COLOUR_SEED" in capsys.readouterr().err
-
-
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "totalcolour.cli", "colour", "knm", "3", "3"],

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from totalcolour import (
     Edge,
     EdgeColouring,
+    GraphConstructionError,
     IncompleteColouringError,
     OutOfConjectureRangeError,
     TotalColouring,
@@ -20,13 +22,31 @@ from totalcolour import (
     edgeless_graph,
     knm_total_colouring,
     make_graph,
-    normalize_edge,
     normalize_total,
     path_graph,
-    restrict_to_edges,
+    star_graph,
     verify_edge,
     verify_total,
 )
+
+from conftest import random_graph
+
+
+def colour_of(tc, el):
+    if isinstance(el, Vertex):
+        return tc.vertex_colour(el.index)
+    return tc.edge_colour(el.u, el.v)
+
+
+def with_colour(tc, el, c):
+    """A copy of ``tc`` with one element recoloured."""
+    vertex_colours = list(tc.vertex_colours)
+    edge_colours = dict(tc.edges.assignment)
+    if isinstance(el, Vertex):
+        vertex_colours[el.index] = c
+    else:
+        edge_colours[el.pair] = c
+    return TotalColouring.from_parts(vertex_colours, edge_colours)
 
 
 def naive_conflict_scan(g, tc):
@@ -34,7 +54,7 @@ def naive_conflict_scan(g, tc):
     els = list(g.elements())
     bad = []
     for a, b in itertools.combinations(els, 2):
-        if tc.assignment[a] != tc.assignment[b]:
+        if colour_of(tc, a) != colour_of(tc, b):
             continue
         if isinstance(a, Vertex) and isinstance(b, Vertex):
             conflict = g.has_edge(a.index, b.index)
@@ -46,6 +66,21 @@ def naive_conflict_scan(g, tc):
         if conflict:
             bad.append((a, b))
     return bad
+
+
+def naive_edge_conflict_scan(g, ec):
+    """Independent quadratic check of an edge colouring."""
+    return [
+        (Edge(*e), Edge(*f))
+        for e, f in itertools.combinations(g.sorted_edges, 2)
+        if set(e) & set(f) and ec.colour(*e) == ec.colour(*f)
+    ]
+
+
+def reported_pairs(report):
+    pairs = [(a, b) for a, b, _ in report.violations]
+    assert len(set(pairs)) == len(pairs), "a conflict was reported twice"
+    return set(pairs)
 
 
 def test_verify_total_k2_valid():
@@ -70,6 +105,8 @@ def test_verify_total_missing_element_is_not_invalid():
         verify_total(k2, TotalColouring.from_parts([0, 1], {}))
     with pytest.raises(IncompleteColouringError):
         verify_total(k2, TotalColouring.from_parts([0, 1], {(0, 1): 2, (0, 2): 1}))
+    with pytest.raises(GraphConstructionError):
+        TotalColouring.from_parts([0, 1], {(0, 1): 2, (0, 0): 1})
 
 
 def test_verify_total_matches_naive_scan_on_knm_output():
@@ -80,7 +117,7 @@ def test_verify_total_matches_naive_scan_on_knm_output():
     assert rep.colours_used == 7  # (4-1)(3-1)+1
     assert naive_conflict_scan(g, tc) == []
     # restriction to edges is a proper edge colouring
-    assert verify_edge(g, restrict_to_edges(tc)).valid
+    assert verify_edge(g, tc.edges).valid
     # restriction to vertices is proper
     for u, v in g.edges:
         assert tc.vertex_colour(u) != tc.vertex_colour(v)
@@ -95,6 +132,52 @@ def test_verify_total_reports_all_violation_kinds():
     assert ("Edge", "Edge") in kinds  # both edges share vertex 1, both colour 2
     assert not rep.valid
     assert naive_conflict_scan(p3, tc) != []
+
+
+def test_verify_total_report_order_is_pinned():
+    """Vertex pairs, then edge pairs by shared vertex and incidence position,
+    then vertex-edge pairs, each by sorted edge."""
+    k3 = complete_graph(3)
+    tc = TotalColouring.from_parts([0, 0, 0], dict.fromkeys(k3.edges, 0))
+    rep = verify_total(k3, tc)
+    e01, e02, e12 = Edge(0, 1), Edge(0, 2), Edge(1, 2)
+    v0, v1, v2 = Vertex(0), Vertex(1), Vertex(2)
+    assert rep.violations == [
+        (v0, v1, 0), (v0, v2, 0), (v1, v2, 0),
+        (e01, e02, 0), (e01, e12, 0), (e02, e12, 0),
+        (v0, e01, 0), (v1, e01, 0), (v0, e02, 0), (v2, e02, 0),
+        (v1, e12, 0), (v2, e12, 0),
+    ]
+    # Interleaved colour classes at the centre still come out in (i, j) order.
+    star = star_graph(5)
+    tc = TotalColouring.from_parts(
+        [0, 3, 0, 1, 4, 5], {(0, 1): 1, (0, 2): 2, (0, 3): 1, (0, 4): 2, (0, 5): 1}
+    )
+    rep = verify_total(star, tc)
+    assert rep.violations == [
+        (Vertex(0), Vertex(2), 0),
+        (Edge(0, 1), Edge(0, 3), 1),
+        (Edge(0, 1), Edge(0, 5), 1),
+        (Edge(0, 2), Edge(0, 4), 2),
+        (Edge(0, 3), Edge(0, 5), 1),
+        (Vertex(3), Edge(0, 3), 1),
+    ]
+    assert verify_edge(star, tc.edges).violations == rep.violations[1:5]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_verifiers_match_naive_scans_on_random_colourings(seed, palette):
+    r = random.Random(seed)
+    g = random_graph(r, max_n=8, p=0.5)
+    tc = TotalColouring.from_parts(
+        [r.randrange(palette) for _ in range(g.n)],
+        {e: r.randrange(palette) for e in g.sorted_edges},
+    )
+    rep = verify_total(g, tc)
+    assert reported_pairs(rep) == set(naive_conflict_scan(g, tc))
+    assert rep.valid == (rep.violations == [])
+    edge_rep = verify_edge(g, tc.edges)
+    assert reported_pairs(edge_rep) == set(naive_edge_conflict_scan(g, tc.edges))
 
 
 def test_verify_edge_matching_single_colour():
@@ -147,17 +230,13 @@ def test_normalize_total_compacts_order_preserving():
     assert norm.palette_size == tc.palette_size == 3
 
 
-def test_normalize_edge():
-    ec = normalize_edge(EdgeColouring({(0, 1): 10, (2, 3): 4}))
-    assert ec.assignment == {(0, 1): 1, (2, 3): 0}
-
-
 @given(st.permutations(list(range(12))))
 def test_injective_relabelling_preserves_validity(perm):
     g, _ = direct_product(complete_graph(3), complete_graph(2))
     base = knm_colouring_of_c6()
-    relabelled = TotalColouring(
-        {el: perm[c] for el, c in base.assignment.items()}
+    relabelled = TotalColouring.from_parts(
+        [perm[c] for c in base.vertex_colours],
+        {e: perm[c] for e, c in base.edges.assignment.items()},
     )
     rep = verify_total(g, relabelled)
     assert rep.valid
@@ -188,7 +267,8 @@ def test_hand_built_c6_colouring_is_valid():
 
 def test_verifier_catches_planted_conflicts(rng):
     """Overwrite one element's colour with a conflicting neighbour's colour;
-    the report must become invalid and cite the mutated element."""
+    the report must become invalid, cite the mutated element, and list
+    exactly the pairs the naive scan finds."""
     g, _ = direct_product(complete_graph(4), complete_graph(3))
     base = knm_total_colouring(4, 3)
     els = list(g.elements())
@@ -201,11 +281,11 @@ def test_verifier_catches_planted_conflicts(rng):
             and _conflicts(g, victim, other)
         ]
         donor = rng.choice(neighbours)
-        mutated = TotalColouring(dict(base.assignment))
-        mutated.assignment[victim] = base.assignment[donor]
+        mutated = with_colour(base, victim, colour_of(base, donor))
         rep = verify_total(g, mutated)
         assert not rep.valid
         assert any(victim in (a, b) for a, b, _ in rep.violations)
+        assert reported_pairs(rep) == set(naive_conflict_scan(g, mutated))
 
 
 def _conflicts(g, a, b):

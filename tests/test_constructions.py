@@ -5,11 +5,9 @@ import pytest
 from totalcolour import (
     Bipartition,
     DomainError,
-    Edge,
     OpenProblemError,
     PreconditionError,
     TotalColouring,
-    Vertex,
     complete_bipartite,
     complete_graph,
     crown_graph,
@@ -86,7 +84,7 @@ def test_lift_over_k2_reproduces_the_input():
     prod, _ = direct_product(g, complete_graph(2))
     rep = verify_total(prod, tc)
     assert rep.valid and rep.colours_used == 3
-    assert tc.assignment == f.assignment  # identity case of the lift
+    assert tc == f  # identity case of the lift
 
 
 @pytest.mark.parametrize(
@@ -135,7 +133,10 @@ def test_lift_fresh_colours_occupy_the_block_above_f():
 def test_lift_accepts_noncontiguous_input_palette():
     g = complete_graph(3)
     f = kn_k2_total_colouring(3)
-    spread = TotalColouring({el: c * 7 + 2 for el, c in f.assignment.items()})
+    spread = TotalColouring.from_parts(
+        [c * 7 + 2 for c in f.vertex_colours],
+        {e: c * 7 + 2 for e, c in f.edges.assignment.items()},
+    )
     tc = lift_bipartite(g, spread, cycle_graph(6))
     prod, _ = direct_product(g, cycle_graph(6))
     rep = verify_total(prod, tc)
@@ -157,13 +158,13 @@ def test_lift_rejects_improper_or_over_palette_f():
     g = complete_graph(3)
     f = kn_k2_total_colouring(3)
     # corrupt one edge colour: improper
-    bad = TotalColouring(dict(f.assignment))
-    bad.assignment[Edge(0, 3)] = bad.vertex_colour(0)
+    bad = TotalColouring.from_parts(
+        f.vertex_colours, {**f.edges.assignment, (0, 3): f.vertex_colour(0)}
+    )
     with pytest.raises(PreconditionError):
         lift_bipartite(g, bad, cycle_graph(6))
     # valid but uses max_degree + 2 colours
-    wide = TotalColouring(dict(f.assignment))
-    wide.assignment[Edge(0, 3)] = 3
+    wide = TotalColouring.from_parts(f.vertex_colours, {**f.edges.assignment, (0, 3): 3})
     prod, _ = direct_product(g, complete_graph(2))
     assert verify_total(prod, wide).valid
     with pytest.raises(PreconditionError):
@@ -173,8 +174,7 @@ def test_lift_rejects_improper_or_over_palette_f():
 def test_lift_rejects_incomplete_f():
     g = complete_graph(3)
     f = kn_k2_total_colouring(3)
-    partial = TotalColouring(dict(f.assignment))
-    del partial.assignment[Vertex(0)]
+    partial = TotalColouring(f.vertex_colours[:-1], f.edges)
     with pytest.raises(PreconditionError):
         lift_bipartite(g, partial, cycle_graph(6))
 

@@ -12,7 +12,6 @@ from totalcolour import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    degree_profile,
     edgeless_graph,
     incidence_conflicts,
     make_graph,
@@ -109,10 +108,10 @@ def test_incidence_conflicts_rejects_foreign_elements():
 
 
 def test_degree_profile():
-    prof = degree_profile(path_graph(4))
-    assert prof.degrees == (1, 2, 2, 1)
-    assert prof.max_degree == 2
-    assert degree_profile(edgeless_graph(3)).max_degree == 0
+    p4 = path_graph(4)
+    assert p4.degrees == (1, 2, 2, 1)
+    assert p4.max_degree == 2
+    assert edgeless_graph(3).max_degree == 0
 
 
 @given(small_graphs())
