@@ -40,12 +40,12 @@ from .products import crown_graph, direct_product
 class CrownTotalColouring:
     """Total colouring of the crown graph on 2m vertices with palette 0..m-1.
 
-    ``vertex_permutation`` maps k to the shared colour of x_k and y_k; it is
-    a bijection onto 0..m-1, so vertices within each part are pairwise
-    distinctly coloured and x_k matches y_t in colour only when k = t.
+    ``vertex_permutation`` (of length m) maps k to the shared colour of x_k
+    and y_k; it is a bijection onto 0..m-1, so vertices within each part
+    are pairwise distinctly coloured and x_k matches y_t in colour only
+    when k = t.
     """
 
-    m: int
     colouring: TotalColouring
     vertex_permutation: tuple[int, ...]
 
@@ -62,7 +62,7 @@ def crown_total_colouring(m: int) -> CrownTotalColouring:
     edges = {
         (k, m + t): square.symbol(k, t) for k in range(m) for t in range(m) if k != t
     }
-    return CrownTotalColouring(m, TotalColouring.from_parts(diag * 2, edges), diag)
+    return CrownTotalColouring(TotalColouring.from_parts(diag * 2, edges), diag)
 
 
 def kn_k2_total_colouring(n: int) -> TotalColouring:
@@ -258,10 +258,10 @@ def kn_times_bipartite(
         )
     if n < 1:
         raise DomainError("K_n needs n >= 1")
-    if parts is None:
-        parts = find_bipartition(h)
     if n == 1:
-        prod, _ = direct_product(complete_graph(1), h)
-        return TotalColouring.from_parts([0] * prod.n, {})
-    f = kn_k2_total_colouring(n)
+        # K_1 x K_2 is two isolated vertices; lifting its one-colour
+        # colouring checks h and parts like any other n.
+        f = TotalColouring.from_parts([0, 0], {})
+    else:
+        f = kn_k2_total_colouring(n)
     return lift_bipartite(complete_graph(n), f, h, parts)

@@ -3,7 +3,9 @@
 Three builders live here: the exact max-degree edge colouring of bipartite
 graphs (Konig's alternating-path insertion), the circle-method one
 factorization of even complete graphs, and the rainbow-matched square
-colouring of K_{m,m} realised as a Latin square with a transversal.
+colouring of K_{m,m} realised as a Latin square with a transversal, in
+closed form: the cyclic square for odd m, the cyclic square of order m - 1
+prolonged along its diagonal for even m.
 
 All tie-breaking is lowest-colour / lowest-index first, so every output is
 deterministic.
@@ -15,12 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .colouring import EdgeColouring
-from .errors import (
-    DomainError,
-    NoRainbowError,
-    NotBipartiteError,
-    SearchExhaustedError,
-)
+from .errors import DomainError, NoRainbowError, NotBipartiteError
 from .graph_core import Graph, Pair, canonical_pair, complete_graph
 
 
@@ -184,113 +181,39 @@ class LatinSquare:
         return {self.rows[i][s] for i, s in enumerate(self.transversal)}
 
 
-def _cyclic_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
+def _rainbow_rows(m: int) -> tuple[tuple[int, ...], ...]:
+    """Latin square of order m >= 3 whose main diagonal carries m distinct symbols.
 
-
-def _has_sdr(masks: list[int], m: int) -> bool:
-    """Whether the bitmask sets admit a system of distinct representatives."""
-    owner = [-1] * m  # symbol -> mask index
-    visited = [False] * m
-
-    def augment(i: int) -> bool:
-        cand = masks[i]
-        while cand:
-            s = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            if not visited[s]:
-                visited[s] = True
-                if owner[s] < 0 or augment(owner[s]):
-                    owner[s] = i
-                    return True
-        return False
-
-    for i in range(len(masks)):
-        visited = [False] * m
-        if not augment(i):
-            return False
-    return True
-
-
-def _search_rainbow_square(m: int, max_nodes: int) -> tuple[tuple[int, ...], ...]:
-    """Backtrack row by row for a Latin square whose main diagonal is rainbow.
-
-    Candidate symbols at cell (i, j) are tried in the cyclic order starting
-    from (i+j) mod m, so the cyclic square is the seed pattern the search
-    deviates from as little as possible.  Two matching-based propagation
-    checks keep the search shallow: a partial row is kept only if its
-    remaining cells still admit a perfect column/symbol matching, and a
-    finished row only if the remaining diagonal cells still admit pairwise
-    distinct symbols.
+    Odd m: the cyclic square (i + j) mod m, whose diagonal carries 2i mod m.
+    Even m: prolong the cyclic square of odd order k = m - 1 along its main
+    diagonal (Denes & Keedwell, Latin Squares and their Applications, 1974):
+    symbol k replaces each cell (i, i), the displaced symbol 2i mod k moves
+    to cells (i, k) and (k, i), and k also fills the corner (k, k).  The
+    broken diagonal j = i + 1 mod k carries 2i + 1 mod k, so together with
+    the corner it is a transversal; permuting the columns moves it onto the
+    main diagonal.
     """
-    full = (1 << m) - 1
-    rows = [[-1] * m for _ in range(m)]
-    col_avail = [full] * m
-    diag_used = 0
-    nodes = 0
-
-    def place(i: int, j: int, row_used: int) -> bool:
-        nonlocal diag_used, nodes
-        if j == m:
-            future_diag = [col_avail[r] & ~diag_used for r in range(i + 1, m)]
-            if any(mask == 0 for mask in future_diag):
-                return False
-            if future_diag and not _has_sdr(future_diag, m):
-                return False
-            return i + 1 == m or place(i + 1, 0, 0)
-        nodes += 1
-        if nodes > max_nodes:
-            raise SearchExhaustedError(
-                f"rainbow square search exceeded {max_nodes} nodes for m={m}"
-            )
-        base = (i + j) % m
-        for k in range(m):
-            s = (base + k) % m
-            bit = 1 << s
-            if row_used & bit or not col_avail[j] & bit:
-                continue
-            if i == j and diag_used & bit:
-                continue
-            rest = []
-            feasible = True
-            for jj in range(j + 1, m):
-                avail = col_avail[jj] & ~(row_used | bit)
-                if jj == i:
-                    avail &= ~diag_used
-                if not avail:
-                    feasible = False
-                    break
-                rest.append(avail)
-            if not feasible or (rest and not _has_sdr(rest, m)):
-                continue
-            rows[i][j] = s
-            col_avail[j] &= ~bit
-            if i == j:
-                diag_used |= bit
-            if place(i, j + 1, row_used | bit):
-                return True
-            rows[i][j] = -1
-            col_avail[j] |= bit
-            if i == j:
-                diag_used &= ~bit
-        return False
-
-    if not place(0, 0, 0):
-        raise NoRainbowError(f"no Latin square of order {m} with a rainbow diagonal")
-    return tuple(tuple(r) for r in rows)
+    if m % 2:
+        return tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
+    k = m - 1
+    rows = [[(i + j) % k for j in range(k)] + [2 * i % k] for i in range(k)]
+    for i in range(k):
+        rows[i][i] = k
+    rows.append([2 * j % k for j in range(k)] + [k])
+    columns = [(i + 1) % k for i in range(k)] + [k]
+    return tuple(tuple(row[c] for c in columns) for row in rows)
 
 
-def rainbow_kmm(
-    m: int, max_nodes: int = 5_000_000
-) -> tuple[LatinSquare, EdgeColouring, set[Pair]]:
+def rainbow_kmm(m: int) -> tuple[LatinSquare, EdgeColouring, set[Pair]]:
     """m-edge-colouring of K_{m,m} with a perfect rainbow matching, for m >= 3.
 
     Returns the Latin square, the induced edge colouring of K_{m,m} (parts
     x_i = i and y_j = m + j), and the rainbow matching {x_i y_i}.  For odd m
-    the cyclic square works as-is: its diagonal carries 2i mod m, which are
-    pairwise distinct.  For even m the cyclic diagonal is constant, so a
-    square with a rainbow diagonal is found by bounded backtracking seeded
-    with the cyclic pattern.  The transversal is the main diagonal either way.
+    the square is cyclic: its diagonal carries 2i mod m, which are pairwise
+    distinct.  For even m the cyclic diagonal is constant, so the square is
+    the cyclic square of order m - 1 prolonged along its diagonal, with
+    columns permuted so that a transversal lies on the main diagonal.  The
+    transversal is the main diagonal either way.
 
     m = 2 fails for a reason, not by accident: both proper 2-edge-colourings
     of K_{2,2} make each perfect matching monochromatic.
@@ -299,10 +222,7 @@ def rainbow_kmm(
         raise NoRainbowError(
             f"K_{{{m},{m}}} has no {m}-edge-colouring with a rainbow perfect matching"
         )
-    if m % 2:
-        rows = _cyclic_rows(m)
-    else:
-        rows = _search_rainbow_square(m, max_nodes)
+    rows = _rainbow_rows(m)
     square = LatinSquare(rows, tuple(range(m)))
     colour_of = {(i, m + j): rows[i][j] for i in range(m) for j in range(m)}
     matching = {(i, m + i) for i in range(m)}

@@ -43,7 +43,3 @@ class OutOfConjectureRangeError(TotalColourError):
 
 class ParseError(TotalColourError):
     """A JSON document does not match the expected schema."""
-
-
-class SearchExhaustedError(TotalColourError):
-    """A bounded backtracking search ran out of its node budget."""

@@ -85,9 +85,6 @@ class Graph:
             return self.labels[v]
         return str(v)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def elements(self) -> Iterator[Element]:
         """All elements in canonical order: vertices by index, then edges sorted."""
         for i in range(self.n):

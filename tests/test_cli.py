@@ -85,6 +85,8 @@ def test_colour_crown(tmp_path):
     bundle = jsonio.load_json(out)
     assert bundle["graph"]["n"] == 10
     assert bundle["report"]["colours_used"] == 5
+    assert main(["colour", "crown", "32", "-o", str(out)]) == 0
+    assert jsonio.load_json(out)["report"]["colours_used"] == 32
 
 
 def test_colour_lift_and_verify_round_trip(k3_file, tmp_path):

@@ -46,7 +46,7 @@ def test_crown_total_m3_matches_cyclic_derivation():
     assert x_colours == y_colours
 
 
-@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8, 24, 32, 64])
 def test_crown_total_properties(m):
     crown = crown_total_colouring(m)
     g = crown_graph(m)
@@ -65,7 +65,7 @@ def test_crown_total_rejects_m2():
         crown_total_colouring(2)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 32])
 def test_kn_k2_total_colouring(n):
     prod, _ = direct_product(complete_graph(n), complete_graph(2))
     tc = kn_k2_total_colouring(n)
@@ -328,10 +328,15 @@ def test_kn_times_bipartite_k4_p4():
 
 
 def test_kn_times_bipartite_k1_is_trivial():
+    from totalcolour import NotBipartiteError
+
     tc = kn_times_bipartite(1, path_graph(3))
     prod, _ = direct_product(complete_graph(1), path_graph(3))
     rep = verify_total(prod, tc)
     assert rep.valid and rep.colours_used == 1
+    # the parts are checked against h even though the product is edgeless
+    with pytest.raises(NotBipartiteError):
+        kn_times_bipartite(1, complete_graph(3), Bipartition((0,), (1, 2)))
 
 
 def test_kn_times_bipartite_rejects_odd_cycle():

@@ -186,7 +186,7 @@ def test_rainbow_m2_error_justified_by_exhaustion():
     assert proper_count == 2
 
 
-@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8, 10, 12])
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 24, 32, 64])
 def test_rainbow_properties(m):
     square, ec, matching = rainbow_kmm(m)
     assert square.order == m
@@ -202,6 +202,13 @@ def test_rainbow_properties(m):
 def test_rainbow_is_deterministic():
     first = rainbow_kmm(6)[0].rows
     assert rainbow_kmm(6)[0].rows == first
+
+
+def test_rainbow_closed_form_for_every_order_up_to_64():
+    # LatinSquare validates rows, columns and the rainbow diagonal itself.
+    for m in range(3, 65):
+        square, _, _ = rainbow_kmm(m)
+        assert square.order == m and square.transversal == tuple(range(m))
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 8])
