@@ -2,7 +2,8 @@
 
 Exit codes are stable: 0 ok, 1 invalid colouring, 2 parse/IO failure,
 3 precondition failure, 4 open problem (both complete factors odd),
-5 oracle timeout.
+5 oracle timeout, 6 internal error (an exception that is not a library
+error; its type and message go to stderr).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_OPEN_PROBLEM = 4
 EXIT_TIMEOUT = 5
+EXIT_INTERNAL = 6
 
 ELEMENT_GUIDELINE = 60  # soft cap for the exact oracle
 
@@ -179,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Total colourings of direct product graphs.",
         epilog=(
             "exit codes: 0 ok, 1 invalid colouring, 2 parse failure, "
-            "3 precondition failure, 4 open problem, 5 oracle timeout"
+            "3 precondition failure, 4 open problem, 5 oracle timeout, "
+            "6 internal error"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -245,6 +248,9 @@ def main(argv: list[str] | None = None) -> int:
     except TotalColourError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception as exc:  # a bug must not exit 1, which reads as "invalid"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main_entry() -> None:

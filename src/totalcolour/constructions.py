@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
 )
 from .graph_core import Graph, Pair, canonical_pair, complete_graph
-from .products import crown_graph, direct_product
+from .products import ProductVertexMap, crown_graph, direct_product
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ def _knm_even_first(n: int, m: int) -> TotalColouring:
     f_ec = crown_edge_colouring(m)  # colours 0..m-2 on crown edges x_k y_t
     l_ec = one_factorization(n)  # colours 0..n-2 on K_n edges
     kn = complete_graph(n)
-    _, pmap = direct_product(kn, complete_graph(m))
+    pmap = ProductVertexMap(n, m)
 
     edges: dict[Pair, int] = {}
     for i, j in kn.sorted_edges:  # i < j: row side of the crown lookup
@@ -229,15 +229,17 @@ def knm_total_colouring(n: int, m: int) -> TotalColouring:
     if (a, b) == (n, m):
         return tc
 
-    # transpose (i,j) -> (j,i) back onto K_n x K_m indexing
-    def back(p: int) -> int:
-        i, j = divmod(p, m)
-        return j * n + i
+    # transpose vertex (j, i) of K_m x K_n to vertex (i, j) of K_n x K_m
+    def fwd(p: int) -> int:
+        j, i = divmod(p, n)
+        return i * m + j
 
-    prod, _ = direct_product(complete_graph(n), complete_graph(m))
+    vertex_colours = [0] * (n * m)
+    for p, c in enumerate(tc.vertex_colours):
+        vertex_colours[fwd(p)] = c
     return TotalColouring.from_parts(
-        [tc.vertex_colour(back(v)) for v in range(prod.n)],
-        {(u, v): tc.edge_colour(back(u), back(v)) for u, v in prod.sorted_edges},
+        vertex_colours,
+        {(fwd(u), fwd(v)): c for (u, v), c in tc.edges.assignment.items()},
     )
 
 

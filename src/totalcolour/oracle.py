@@ -13,6 +13,15 @@ runs a DSATUR-ordered branch and bound on T(G):
   restricted to (max used so far) + 1, and everything tie-broken on lowest
   index, so results are reproducible.
 
+The DSATUR greedy and the search share one bit-parallel core.  Each
+relabels T(G) by degree descending, then index, so the DSATUR choice is
+the lowest set bit of the most saturated vertices.  Per-colour masks
+``near[c]`` (the vertices adjacent to colour class c) and a bit-sliced
+saturation counter make colouring a vertex cost O(colours in use) big-int
+operations, with no loop over its neighbours.  The branch and bound keeps
+its frames on an explicit stack, so its depth (|T(G)|) is not limited by
+Python's recursion limit.
+
 ``chi_total_bruteforce`` is the deliberately dumber second oracle: plain
 enumeration of colourings directly over the elements, with the conflict
 relation recomputed from first principles rather than through T(G).
@@ -173,6 +182,58 @@ def _greedy_clique(masks: list[int]) -> list[int]:
     return best
 
 
+def _relabel(masks: list[int]) -> tuple[list[int], list[int]]:
+    """Relabel T(G) in DSATUR tie-break order: degree descending, then index.
+
+    Returns ``pos`` (the new label of each vertex) and the adjacency masks
+    over the new labels.  After relabelling, the DSATUR choice "highest
+    saturation, then highest degree, then lowest index" is the lowest set
+    bit of the most saturated vertices.
+    """
+    order = sorted(range(len(masks)), key=lambda v: (-masks[v].bit_count(), v))
+    pos = [0] * len(masks)
+    for i, v in enumerate(order):
+        pos[v] = i
+    adj = []
+    for v in order:
+        relabelled = 0
+        m = masks[v]
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            relabelled |= 1 << pos[u]
+        adj.append(relabelled)
+    return pos, adj
+
+
+def _pick(levels: list[int], uncoloured: int) -> int:
+    """The DSATUR vertex: lowest label among the most saturated."""
+    top = levels[-1] if levels else uncoloured
+    return (top & -top).bit_length() - 1
+
+
+def _saturate(levels: list[int], raised: int, bit: int) -> list[int]:
+    """Saturation levels after colouring the vertex ``bit``.
+
+    ``levels[j]`` is the set of uncoloured vertices whose saturation (count
+    of distinct colours on their coloured neighbours) is above j; empty
+    levels are dropped.  ``raised`` holds the uncoloured vertices whose
+    saturation the new colour increases by one.  Returns a new list, so a
+    caller can undo by keeping the old one.
+    """
+    keep = ~bit
+    out = []
+    below = raised
+    for level in levels:
+        out.append((level | below) & keep)
+        below &= level
+    if below:
+        out.append(below)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def _dsatur_greedy(masks: list[int], order_hint: list[int] | None = None) -> list[int]:
     """Greedy colouring; DSATUR selection unless an explicit order is given."""
     n = len(masks)
@@ -192,35 +253,37 @@ def _dsatur_greedy(masks: list[int], order_hint: list[int] | None = None) -> lis
             colours[v] = c
         return colours
 
-    degs = [m.bit_count() for m in masks]
-    forbid_mask = [0] * n
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if colours[u] < 0),
-            key=lambda u: (forbid_mask[u].bit_count(), degs[u], -u),
-        )
+    pos, adj = _relabel(masks)
+    near: list[int] = []  # near[c]: vertices adjacent to colour class c
+    levels: list[int] = []
+    uncoloured = (1 << n) - 1
+    while uncoloured:
+        v = _pick(levels, uncoloured)
         c = 0
-        while forbid_mask[v] >> c & 1:
+        while c < len(near) and near[c] >> v & 1:
             c += 1
+        if c == len(near):
+            near.append(0)
+        bit = 1 << v
+        uncoloured ^= bit
+        levels = _saturate(levels, adj[v] & uncoloured & ~near[c], bit)
+        near[c] |= adj[v]
         colours[v] = c
-        m = masks[v]
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            if colours[u] < 0:
-                forbid_mask[u] |= 1 << c
-    return colours
+    return [colours[p] for p in pos]
 
 
 def _iterated_greedy(
-    masks: list[int], colours: list[int], rounds: int, clock: _Clock
+    masks: list[int], colours: list[int], lb: int, rounds: int, clock: _Clock
 ) -> list[int]:
-    """Recolour by previous classes in varying orders; palette never grows."""
+    """Recolour by previous classes in varying orders; palette never grows.
+
+    Stops early once the palette reaches the lower bound ``lb``.
+    """
     rng = random.Random(_RNG_SEED)
     best = colours[:]
     k = max(best) + 1
     for r in range(rounds):
-        if clock.exhausted():
+        if k <= lb or clock.exhausted():
             break
         classes: list[list[int]] = [[] for _ in range(k)]
         for v, c in enumerate(best):
@@ -249,72 +312,68 @@ def _branch_and_bound(
     clique: list[int],
     clock: _Clock,
 ) -> tuple[bool, list[int]]:
-    """DSATUR branch and bound; returns (completed, best colouring found)."""
-    n = len(masks)
-    degs = [m.bit_count() for m in masks]
+    """DSATUR branch and bound; returns (completed, best colouring found).
+
+    The search runs on T(G) relabelled by :func:`_relabel`, with an explicit
+    stack of frames ``[v, colour tried, cmax, saved levels, saved near]``
+    instead of recursion, so its depth is not bounded by Python's recursion
+    limit.  ``near[c]`` is the set of vertices adjacent to colour class c;
+    colouring v with c raises the saturation of exactly the uncoloured
+    neighbours of v outside ``near[c]``.
+    """
     best_assign = start[:]
     best = max(start) + 1
     if best == lb:
         return True, best_assign
 
-    colours = [-1] * n
-    forbid = [0] * n
-    in_clique = [False] * n
-    for idx, v in enumerate(clique):
-        colours[v] = idx
-        in_clique[v] = True
-        m = masks[v]
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            forbid[u] |= 1 << idx
-    cmax0 = len(clique)
+    pos, adj = _relabel(masks)
+    colours = [0] * len(masks)  # valid for every vertex once none is uncoloured
+    near = [0] * best
+    levels: list[int] = []
+    uncoloured = (1 << len(masks)) - 1
+    for c, v in enumerate(clique):
+        v = pos[v]
+        uncoloured ^= 1 << v
+        levels = _saturate(levels, adj[v] & uncoloured & ~near[c], 1 << v)
+        near[c] |= adj[v]
+        colours[v] = c
 
-    class _Done(Exception):
-        pass
-
-    def rec(cmax: int, coloured: int) -> None:
-        nonlocal best, best_assign
-        if cmax >= best:
-            return
-        if coloured == n:
-            best = cmax
-            best_assign = colours[:]
-            if best == lb:
-                raise _Done
-            return
-        clock.tick()
-        v, v_key = -1, (-1, -1, 0)
-        for u in range(n):
-            if colours[u] < 0:
-                key = (forbid[u].bit_count(), degs[u], -u)
-                if key > v_key:
-                    v, v_key = u, key
-        limit = min(cmax + 1, best - 1)  # colour index cmax opens a new class
-        for c in range(limit):
-            if c == cmax and cmax + 1 >= best:
-                break
-            if forbid[v] >> c & 1:
-                continue
-            colours[v] = c
-            touched = []
-            bit = 1 << c
-            m = masks[v]
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                if colours[u] < 0 and not forbid[u] & bit:
-                    forbid[u] |= bit
-                    touched.append(u)
-            rec(max(cmax, c + 1), coloured + 1)
-            for u in touched:
-                forbid[u] &= ~bit
-            colours[v] = -1
-
+    # lb >= len(clique) and best > lb, so the root is a live inner node
+    stack: list[list] = []
     try:
-        rec(cmax0, len(clique))
-    except _Done:
-        return True, best_assign
+        clock.tick()
+        stack.append([_pick(levels, uncoloured), -1, len(clique), None, 0])
+        while stack:
+            frame = stack[-1]
+            v, c, cmax = frame[0], frame[1], frame[2]
+            bit = 1 << v
+            if c >= 0:  # undo the colour tried last
+                uncoloured |= bit
+                levels = frame[3]
+                near[c] = frame[4]
+            # colour cmax opens a new class; a child's palette max(cmax, c + 1)
+            # must stay below the best one found so far
+            top = min(cmax, best - 2) if cmax < best else -1
+            c += 1
+            while c <= top and near[c] >> v & 1:
+                c += 1
+            if c > top:
+                stack.pop()
+                continue
+            frame[1], frame[3], frame[4] = c, levels, near[c]
+            uncoloured ^= bit
+            levels = _saturate(levels, adj[v] & uncoloured & ~near[c], bit)
+            near[c] |= adj[v]
+            colours[v] = c
+            child_cmax = cmax if c < cmax else c + 1
+            if not uncoloured:
+                best = child_cmax
+                best_assign = [colours[p] for p in pos]
+                if best == lb:
+                    return True, best_assign
+                continue
+            clock.tick()
+            stack.append([_pick(levels, uncoloured), -1, child_cmax, None, 0])
     except _BudgetExhausted:
         return False, best_assign
     return True, best_assign
@@ -347,7 +406,7 @@ def exact_chi_total(g: Graph, budget: SearchBudget | None = None) -> OracleResul
     clique = _greedy_clique(masks)
     lb = max(len(clique), trivial_lower)
     greedy = _dsatur_greedy(masks)
-    greedy = _iterated_greedy(masks, greedy, rounds=24, clock=clock)
+    greedy = _iterated_greedy(masks, greedy, lb, rounds=24, clock=clock)
     ub = max(greedy) + 1
 
     if lb == ub or clock.exhausted():

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from totalcolour import jsonio, make_graph, complete_graph, edgeless_graph
+from totalcolour import cli
 from totalcolour.cli import main
 
 
@@ -147,6 +148,25 @@ def test_chi_exact_exit_0(tmp_path, capsys):
     line = capsys.readouterr().out.strip().splitlines()[-1]
     obj = json.loads(line)
     assert obj["status"] == "exact" and obj["chi_total"] == 3
+
+
+def test_chi_long_cycle_exits_0(tmp_path, capsys):
+    from totalcolour import cycle_graph
+
+    path = tmp_path / "c601.json"
+    jsonio.save_json(path, jsonio.graph_to_obj(cycle_graph(601)))
+    assert main(["chi", str(path), "--nodes", "150000"]) == 0
+    obj = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert (obj["status"], obj["chi_total"], obj["nodes"]) == ("exact", 4, 1198)
+
+
+def test_internal_error_exits_6(k2_file, monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("solver bug")
+
+    monkeypatch.setattr(cli, "cmd_product", boom)
+    assert main(["product", k2_file, k2_file]) == cli.EXIT_INTERNAL == 6
+    assert "internal error: RuntimeError: solver bug" in capsys.readouterr().err
 
 
 def test_chi_timeout_exit_5(tmp_path, capsys):

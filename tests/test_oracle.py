@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from totalcolour import (
     CertificationStatus,
@@ -12,6 +14,7 @@ from totalcolour import (
     TotalColouring,
     certify_construction,
     chi_total_bruteforce,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     direct_product,
@@ -21,6 +24,7 @@ from totalcolour import (
     make_graph,
     total_graph,
 )
+from totalcolour.oracle import _adjacency_masks, _dsatur_greedy
 
 from conftest import random_graph
 
@@ -107,11 +111,65 @@ def test_zero_budget_gives_lower_bound_only():
     assert res.upper == g.element_count()
 
 
+def _knm(n, m):
+    return direct_product(complete_graph(n), complete_graph(m))[0]
+
+
 def test_deterministic_given_fixed_budget():
-    g, _ = direct_product(complete_graph(4), complete_graph(3))
-    a = exact_chi_total(g, SearchBudget(max_nodes=10_000))
-    b = exact_chi_total(g, SearchBudget(max_nodes=10_000))
-    assert a == b
+    # (status, chi_total, lower, upper, nodes), recorded with the recursive
+    # search that the explicit-stack one replaced: the search tree must not
+    # change
+    pinned = [
+        (_knm(4, 3), 10_000, ("exact", 7, 7, 7, 0)),
+        (complete_bipartite(2, 3), 150_000, ("exact", 4, 4, 4, 0)),  # iterated greedy closes the gap
+        (complete_bipartite(4, 5), 150_000, ("exact", 6, 6, 6, 40367)),
+        (complete_graph(8), 20_000, ("timed_out", None, 8, 9, 20001)),
+        (_knm(6, 3), 20_000, ("timed_out", None, 11, 12, 20001)),
+        (_knm(5, 4), 5_000, ("timed_out", None, 13, 14, 5001)),
+        (cycle_graph(61), 150_000, ("exact", 4, 4, 4, 118)),
+    ]
+    for g, max_nodes, expected in pinned:
+        a = exact_chi_total(g, SearchBudget(max_nodes=max_nodes))
+        b = exact_chi_total(g, SearchBudget(max_nodes=max_nodes))
+        assert a == b
+        assert (a.status.value, a.chi_total, a.lower, a.upper, a.nodes) == expected
+
+
+def test_long_cycle_needs_no_deep_recursion():
+    # T(C_601) has 1202 vertices, deeper than Python's default recursion limit
+    res = exact_chi_total(cycle_graph(601), SearchBudget(max_nodes=150_000))
+    assert res.status is OracleStatus.EXACT
+    assert (res.chi_total, res.nodes) == (4, 1198)
+
+
+def naive_dsatur(masks):
+    """The O(n^2) DSATUR the bit-parallel greedy replaced: rescan every
+    uncoloured vertex for the max of (saturation, degree, -index)."""
+    n = len(masks)
+    degs = [m.bit_count() for m in masks]
+    colours = [-1] * n
+    forbid_mask = [0] * n
+    for _ in range(n):
+        v = max(
+            (u for u in range(n) if colours[u] < 0),
+            key=lambda u: (forbid_mask[u].bit_count(), degs[u], -u),
+        )
+        c = 0
+        while forbid_mask[v] >> c & 1:
+            c += 1
+        colours[v] = c
+        for u in range(n):
+            if masks[v] >> u & 1 and colours[u] < 0:
+                forbid_mask[u] |= 1 << c
+    return colours
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_dsatur_greedy_matches_naive_rescan(seed):
+    r = random.Random(seed)
+    g = random_graph(r, max_n=12, p=r.random())
+    masks = _adjacency_masks(g)
+    assert _dsatur_greedy(masks) == naive_dsatur(masks)
 
 
 def test_bruteforce_small_values():
