@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
 )
 from .graph_core import Graph, Pair, canonical_pair, complete_graph
-from .products import ProductVertexMap, crown_graph, direct_product
+from .products import direct_product
 
 
 @dataclass(frozen=True)
@@ -172,28 +172,28 @@ def lift_bipartite(
     return TotalColouring.from_parts(vertex_colours, edges)
 
 
-def _knm_even_first(n: int, m: int) -> TotalColouring:
-    """Colouring of K_n x K_m with n even; palette 0..(n-1)(m-1)."""
+def _knm_even_first(n: int, m: int) -> tuple[list[int], dict[Pair, int]]:
+    """Vertex and edge colours of K_n x K_m with n even; palette 0..(n-1)(m-1).
+
+    Product vertex (i, k) is i*m + k, and every edge is keyed by a canonical
+    pair.
+    """
     crown = crown_total_colouring(m)
-    diag = crown.vertex_permutation
-    f_ec = crown_edge_colouring(m)  # colours 0..m-2 on crown edges x_k y_t
+    crown_edges = crown.colouring.edges.assignment  # keyed (k, m + t), k != t
+    f = crown_edge_colouring(m).assignment  # colours 0..m-2 on the same keys
     l_ec = one_factorization(n)  # colours 0..n-2 on K_n edges
-    kn = complete_graph(n)
-    pmap = ProductVertexMap(n, m)
 
     edges: dict[Pair, int] = {}
-    for i, j in kn.sorted_edges:  # i < j: row side of the crown lookup
-        c = l_ec.colour(i, j)
+    for i, j in complete_graph(n).sorted_edges:  # i < j: row side of the crown
+        c = l_ec.assignment[(i, j)]
+        src, offset = (crown_edges, 0) if c == 0 else (f, c * (m - 1) + 1)
         for k in range(m):
+            u = i * m + k
             for t in range(m):
-                if k == t:
-                    continue
-                e = (pmap.index(i, k), pmap.index(j, t))
-                if c == 0:
-                    edges[e] = crown.colouring.edge_colour(k, m + t)
-                else:
-                    edges[e] = c * (m - 1) + f_ec.colour(k, m + t) + 1
-    return TotalColouring.from_parts(diag * n, edges)  # every fibre copies diag
+                if k != t:
+                    edges[(u, j * m + t)] = offset + src[(k, m + t)]
+    # every fibre copies the crown's vertex colours
+    return list(crown.vertex_permutation) * n, edges
 
 
 def knm_total_colouring(n: int, m: int) -> TotalColouring:
@@ -225,22 +225,16 @@ def knm_total_colouring(n: int, m: int) -> TotalColouring:
     a, b = n, m
     if a % 2 or (b % 2 == 0 and b > a):
         a, b = b, a
-    tc = _knm_even_first(a, b)
-    if (a, b) == (n, m):
-        return tc
-
-    # transpose vertex (j, i) of K_m x K_n to vertex (i, j) of K_n x K_m
-    def fwd(p: int) -> int:
-        j, i = divmod(p, n)
-        return i * m + j
-
-    vertex_colours = [0] * (n * m)
-    for p, c in enumerate(tc.vertex_colours):
-        vertex_colours[fwd(p)] = c
-    return TotalColouring.from_parts(
-        vertex_colours,
-        {(fwd(u), fwd(v)): c for (u, v), c in tc.edges.assignment.items()},
-    )
+    vertex_colours, edges = _knm_even_first(a, b)
+    if (a, b) != (n, m):
+        # fwd[p]: vertex (j, i) = j*n + i of K_m x K_n is (i, j) of K_n x K_m
+        fwd = [i * m + j for j in range(m) for i in range(n)]
+        transposed = [0] * (n * m)
+        for p, c in enumerate(vertex_colours):
+            transposed[fwd[p]] = c
+        vertex_colours = transposed
+        edges = {(fwd[u], fwd[v]): c for (u, v), c in edges.items()}
+    return TotalColouring.from_parts(vertex_colours, edges)
 
 
 def kn_times_bipartite(

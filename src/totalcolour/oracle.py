@@ -13,6 +13,24 @@ runs a DSATUR-ordered branch and bound on T(G):
   restricted to (max used so far) + 1, and everything tie-broken on lowest
   index, so results are reproducible.
 
+Two certificates can close the gap between the bounds before the search:
+
+* a seed colouring: ``certify_construction`` hands the colouring it checks
+  to the solver, and its palette becomes the first upper bound when it is
+  smaller than the greedy one.  A palette equal to the lower bound is
+  optimal with no search at all;
+* the parity (conformability) lower bound of Chetwynd and Hilton ("Some
+  refinements of the total chromatic number conjecture", Congr. Numer. 66,
+  1988).  In a (Δ+1)-total colouring each vertex v misses exactly
+  Δ - deg(v) colours, and every colour c splits V into the vertices
+  coloured c, the endpoints of the matching of edges coloured c, and the
+  vertices missing c.  So a class of vertex colour c whose size differs in
+  parity from |V| forces an odd, hence positive, number of vertices to miss
+  c, and the vertex colours form a (Δ+1)-vertex-colouring of G in which at
+  most def(G) = sum(Δ - deg(v)) classes, empty ones included, have the
+  wrong parity.  :func:`_conformable` searches for such a colouring of G;
+  when it proves there is none, the lower bound is Δ+2.
+
 The DSATUR greedy and the search share one bit-parallel core.  Each
 relabels T(G) by degree descending, then index, so the DSATUR choice is
 the lowest set bit of the most saturated vertices.  Per-colour masks
@@ -27,7 +45,8 @@ enumeration of colourings directly over the elements, with the conflict
 relation recomputed from first principles rather than through T(G).
 
 Nothing here assumes the conjectured upper bound max_degree + 2; the solver
-reports whatever it proves.
+reports whatever it proves, and a bound of max_degree + 2 comes only from
+the parity certificate or from the search.
 """
 
 from __future__ import annotations
@@ -37,11 +56,12 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .colouring import TotalColouring, verify_total
+from .colouring import TotalColouring, normalize_total, verify_total
 from .errors import DomainError, PreconditionError
 from .graph_core import Graph, make_graph
 
 _RNG_SEED = 0x5EEDC01
+_PARITY_CAP = 2000  # placements of the parity search, which ticks no nodes
 
 
 @dataclass(frozen=True)
@@ -379,35 +399,100 @@ def _branch_and_bound(
     return True, best_assign
 
 
-def exact_chi_total(g: Graph, budget: SearchBudget | None = None) -> OracleResult:
-    """Exact total chromatic number of g, within a search budget.
+def _conformable(g: Graph) -> bool | None:
+    """Whether g has a vertex colouring that a (Δ+1)-total colouring induces.
 
-    Returns Exact when the lower and upper bounds meet (or the search space
-    is exhausted), TimedOut with the best bounds otherwise.  A budget that
-    is spent before the first greedy colouring finishes yields
-    LowerBoundOnly with the trivial bounds.
+    Searches for a (Δ+1)-vertex-colouring of g in which at most def(g)
+    classes, empty ones included, have a size whose parity differs from
+    |V| (see the module docstring).  Vertices are placed in index order on
+    an explicit stack; restricted growth lets a vertex take an open class or
+    the next one, since classes are interchangeable.  A wrong-parity class
+    that no later vertex can join stays wrong, and each later vertex flips
+    the parity of one class, so a branch is cut when the stuck wrong classes
+    plus the other wrong classes beyond the vertices left exceed def(g).
+
+    Returns False when no such colouring exists, which proves
+    chi''(g) >= Δ+2, and None when ``_PARITY_CAP`` placements run out first.
     """
+    n, k = g.n, g.max_degree + 1
+    slack = sum(k - 1 - d for d in g.degrees)
+    masks = _adjacency_masks(g)
+    target = (1 << k) - 1 if n & 1 else 0  # parity that makes each class right
+    near = [0] * k  # near[c]: vertices adjacent to class c
+    parity = 0  # bit c: parity of the size of class c
+    colour, saved = [-1] * n, [0] * n
+    opened = [0] * (n + 1)  # classes open before vertex d is placed
+    placements, d = 0, 0
+    while d >= 0:
+        if d == n:
+            return True
+        c = colour[d]
+        if c >= 0:  # undo the class tried last
+            near[c] = saved[d]
+            parity ^= 1 << c
+        top = min(opened[d], k - 1)
+        c += 1
+        while c <= top and near[c] >> d & 1:
+            c += 1
+        if c > top:
+            colour[d] = -1
+            d -= 1
+            continue
+        placements += 1
+        if placements > _PARITY_CAP:
+            return None
+        saved[d], colour[d] = near[c], c
+        near[c] |= masks[d]
+        parity ^= 1 << c
+        later = (1 << n) - (2 << d)  # the vertices after d
+        wrong = parity ^ target
+        stuck = 0  # wrong classes that no later vertex can join
+        m = wrong
+        while m:
+            w = m & -m
+            m ^= w
+            stuck += not later & ~near[w.bit_length() - 1]
+        if stuck + max(0, wrong.bit_count() - stuck - (n - d - 1)) > slack:
+            continue
+        opened[d + 1] = max(opened[d], c + 1)
+        d += 1
+    return False
+
+
+def _solve(
+    g: Graph, budget: SearchBudget | None, seed: list[int] | None
+) -> OracleResult:
+    """:func:`exact_chi_total`, with ``seed`` (a proper colouring of T(G) on
+    colours 0..p-1, or None) as a candidate first upper bound."""
     if budget is None:
         budget = SearchBudget(max_seconds=60.0)
-    t = total_graph(g)
-    if t.n == 0:
+    if g.n == 0:
         return OracleResult(OracleStatus.EXACT, 0, 0, 0, 0)
 
-    trivial_lower = 1 if g.n else 0
-    if g.edges:
-        trivial_lower = g.max_degree + 1
+    trivial_lower = g.max_degree + 1
     clock = _Clock(budget)
     if clock.exhausted():
         return OracleResult(
-            OracleStatus.LOWER_BOUND_ONLY, None, trivial_lower, t.n, 0
+            OracleStatus.LOWER_BOUND_ONLY, None, trivial_lower, g.element_count(), 0
         )
+    if seed is not None and max(seed) + 1 == trivial_lower:
+        k = trivial_lower
+        return OracleResult(OracleStatus.EXACT, k, k, k, 0)
 
-    masks = _adjacency_masks(t)
+    masks = _adjacency_masks(total_graph(g))
     clique = _greedy_clique(masks)
     lb = max(len(clique), trivial_lower)
     greedy = _dsatur_greedy(masks)
     greedy = _iterated_greedy(masks, greedy, lb, rounds=24, clock=clock)
+    if seed is not None and max(seed) < max(greedy):
+        greedy = seed
     ub = max(greedy) + 1
+    if lb == trivial_lower < ub and _conformable(g) is False:
+        # parity certificate: no (Δ+1)-total colouring.  The rounds above
+        # could not reach Δ+1; give the recolouring longer to reach Δ+2.
+        lb += 1
+        greedy = _iterated_greedy(masks, greedy, lb, rounds=128, clock=clock)
+        ub = max(greedy) + 1
 
     if lb == ub or clock.exhausted():
         if lb == ub:
@@ -419,6 +504,17 @@ def exact_chi_total(g: Graph, budget: SearchBudget | None = None) -> OracleResul
     if completed:
         return OracleResult(OracleStatus.EXACT, best, best, best, clock.nodes)
     return OracleResult(OracleStatus.TIMED_OUT, None, lb, best, clock.nodes)
+
+
+def exact_chi_total(g: Graph, budget: SearchBudget | None = None) -> OracleResult:
+    """Exact total chromatic number of g, within a search budget.
+
+    Returns Exact when the lower and upper bounds meet (or the search space
+    is exhausted), TimedOut with the best bounds otherwise.  A budget that
+    is spent before the first greedy colouring finishes yields
+    LowerBoundOnly with the trivial bounds.
+    """
+    return _solve(g, budget, None)
 
 
 def chi_total_bruteforce(g: Graph, max_elements: int = 16) -> int:
@@ -479,8 +575,9 @@ def certify_construction(
 
     Optimal when the oracle proves the palette is the total chromatic number,
     Suboptimal when it proves a smaller one, ValidButUnproven when the budget
-    runs out first.  An invalid colouring is a precondition failure, not a
-    verdict.
+    runs out first.  The colouring is the oracle's first upper bound, so a
+    palette equal to the proven lower bound is Optimal without a search.  An
+    invalid colouring is a precondition failure, not a verdict.
     """
     report = verify_total(g, tc)
     if not report.valid:
@@ -489,7 +586,9 @@ def certify_construction(
             "nothing to certify"
         )
     used = report.colours_used
-    result = exact_chi_total(g, budget)
+    tc = normalize_total(tc)
+    seed = tc.vertex_colours + [tc.edges.assignment[e] for e in g.sorted_edges]
+    result = _solve(g, budget, seed)
     if result.status is OracleStatus.EXACT:
         assert result.chi_total is not None
         if result.chi_total == used:

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from totalcolour import (
@@ -24,7 +24,7 @@ from totalcolour import (
     make_graph,
     total_graph,
 )
-from totalcolour.oracle import _adjacency_masks, _dsatur_greedy
+from totalcolour.oracle import _adjacency_masks, _conformable, _dsatur_greedy
 
 from conftest import random_graph
 
@@ -118,12 +118,14 @@ def _knm(n, m):
 def test_deterministic_given_fixed_budget():
     # (status, chi_total, lower, upper, nodes), recorded with the recursive
     # search that the explicit-stack one replaced: the search tree must not
-    # change
+    # change where no certificate closes the gap before it
     pinned = [
         (_knm(4, 3), 10_000, ("exact", 7, 7, 7, 0)),
         (complete_bipartite(2, 3), 150_000, ("exact", 4, 4, 4, 0)),  # iterated greedy closes the gap
         (complete_bipartite(4, 5), 150_000, ("exact", 6, 6, 6, 40367)),
-        (complete_graph(8), 20_000, ("timed_out", None, 8, 9, 20001)),
+        # type II but conformable: the search, not the parity certificate, proves 6
+        (complete_bipartite(4, 4), 150_000, ("exact", 6, 6, 6, 2928)),
+        (complete_graph(8), 20_000, ("exact", 9, 9, 9, 0)),  # parity certificate
         (_knm(6, 3), 20_000, ("timed_out", None, 11, 12, 20001)),
         (_knm(5, 4), 5_000, ("timed_out", None, 13, 14, 5001)),
         (cycle_graph(61), 150_000, ("exact", 4, 4, 4, 118)),
@@ -133,6 +135,15 @@ def test_deterministic_given_fixed_budget():
         b = exact_chi_total(g, SearchBudget(max_nodes=max_nodes))
         assert a == b
         assert (a.status.value, a.chi_total, a.lower, a.upper, a.nodes) == expected
+
+
+def test_k6xk3_search_is_pinned():
+    # certify_construction proves K6 x K3's Δ+1 palette optimal without a
+    # search, so this keeps a long exact search under test
+    res = exact_chi_total(_knm(6, 3), SearchBudget(max_nodes=150_000))
+    assert (res.status.value, res.chi_total, res.lower, res.upper, res.nodes) == (
+        "exact", 11, 11, 11, 123482
+    )
 
 
 def test_long_cycle_needs_no_deep_recursion():
@@ -218,12 +229,74 @@ def test_certify_flags_suboptimal():
     assert verdict.colours_used == 4
 
 
+def _with_fresh_colour(tc):
+    """tc with vertex 0 moved to a colour no other element uses."""
+    vertex_colours = list(tc.vertex_colours)
+    vertex_colours[0] = max(tc.colours) + 1
+    return TotalColouring.from_parts(vertex_colours, tc.edges.assignment)
+
+
 def test_certify_timeout_is_unproven():
+    # a Δ+1 palette would be optimal without a search, so use one colour more
     g, _ = direct_product(complete_graph(6), complete_graph(5))
-    tc = knm_total_colouring(6, 5)
+    tc = _with_fresh_colour(knm_total_colouring(6, 5))
     verdict = certify_construction(g, tc, SearchBudget(max_nodes=5))
     assert verdict.status is CertificationStatus.VALID_BUT_UNPROVEN
-    assert verdict.colours_used == 21
+    assert verdict.colours_used == 22
+
+
+def test_certify_palette_at_lower_bound_needs_no_search():
+    g = _knm(6, 4)
+    verdict = certify_construction(
+        g, knm_total_colouring(6, 4), SearchBudget(max_nodes=150_000)
+    )
+    assert verdict.status is CertificationStatus.OPTIMAL
+    assert verdict.colours_used == 16 == g.max_degree + 1
+    assert verdict.oracle.nodes == 0
+
+
+def test_certify_palette_is_the_first_upper_bound():
+    # K6 x K4: lower bound 16, greedy palette 18; a 17-colouring must bound
+    # the answer even though one node cannot finish the search
+    g = _knm(6, 4)
+    assert exact_chi_total(g, SearchBudget(max_nodes=1)).upper == 18
+    tc = _with_fresh_colour(knm_total_colouring(6, 4))
+    verdict = certify_construction(g, tc, SearchBudget(max_nodes=1))
+    assert verdict.status is CertificationStatus.VALID_BUT_UNPROVEN
+    assert verdict.colours_used == 17
+    assert verdict.oracle.lower == 16
+    assert verdict.oracle.upper <= 17
+
+
+def test_parity_certificate_proves_type_ii_closed_forms():
+    cases = [(complete_graph(n), n + 1) for n in (2, 4, 6, 8, 10)]
+    cases += [(complete_bipartite(a, a), a + 2) for a in (1, 3, 5, 7)]
+    cases.append((cycle_graph(5), 4))
+    for g, chi in cases:
+        res = exact_chi_total(g, SearchBudget(max_nodes=150_000))
+        assert (res.status, res.chi_total, res.nodes) == (OracleStatus.EXACT, chi, 0)
+
+
+def test_parity_search_at_its_cap_gives_no_bound():
+    # K_{9,9} has no conformable colouring, but the capped search cannot
+    # show it, so the clique and greedy bounds stand and the search runs
+    g = complete_bipartite(9, 9)
+    assert _conformable(g) is None
+    res = exact_chi_total(g, SearchBudget(max_nodes=50))
+    assert (res.status.value, res.lower, res.upper, res.nodes) == (
+        "timed_out", 10, 12, 51
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_parity_refutation_is_sound(seed):
+    r = random.Random(seed)
+    n = r.randint(2, 8)
+    pool = list(itertools.combinations(range(n), 2))
+    g = make_graph(n, r.sample(pool, r.randint(1, min(len(pool), 14 - n))))
+    if _conformable(g) is False:
+        assert chi_total_bruteforce(g, max_elements=14) >= g.max_degree + 2
 
 
 def test_certify_rejects_invalid_colouring():
