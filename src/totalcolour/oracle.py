@@ -4,21 +4,21 @@ The main solver reduces total colouring to vertex colouring of the total
 graph T(G) (one vertex per element, adjacency = the conflict relation) and
 runs a DSATUR-ordered branch and bound on T(G):
 
-* lower bound: a deterministic greedy clique on T(G), never below
-  max_degree(G) + 1 (a max-degree vertex plus its incident edges is a clique);
-* upper bound: DSATUR greedy, then a few rounds of iterated-greedy
-  recolouring (processing previous colour classes as blocks never increases
-  the palette and often shrinks it);
-* search: DSATUR branching with the best clique pre-coloured, new colours
+* lower bound: ω(T(G)) = max(Δ+1, 3), or 1 when G has no edge, with a
+  maximum clique of T(G) in closed form (:func:`_clique`);
+* upper bound: DSATUR greedy, then a seeded, move-capped TabuCol local
+  search (:func:`_tabucol`) for exactly lb colours, and for lb + 1 when
+  that run fails and would still improve the bound;
+* search: DSATUR branching with that clique pre-coloured, new colours
   restricted to (max used so far) + 1, and everything tie-broken on lowest
   index, so results are reproducible.
 
 Two certificates can close the gap between the bounds before the search:
 
 * a seed colouring: ``certify_construction`` hands the colouring it checks
-  to the solver, and its palette becomes the first upper bound when it is
-  smaller than the greedy one.  A palette equal to the lower bound is
-  optimal with no search at all;
+  to the solver, and its palette becomes the first upper bound (and the
+  local search starts from it) when it is smaller than the greedy one.  A
+  palette equal to Δ+1 is optimal with no search at all;
 * the parity (conformability) lower bound of Chetwynd and Hilton ("Some
   refinements of the total chromatic number conjecture", Congr. Numer. 66,
   1988).  In a (Δ+1)-total colouring each vertex v misses exactly
@@ -29,7 +29,8 @@ Two certificates can close the gap between the bounds before the search:
   c, and the vertex colours form a (Δ+1)-vertex-colouring of G in which at
   most def(G) = sum(Δ - deg(v)) classes, empty ones included, have the
   wrong parity.  :func:`_conformable` searches for such a colouring of G;
-  when it proves there is none, the lower bound is Δ+2.
+  when it proves there is none, the lower bound is Δ+2, and the local
+  search that follows aims at Δ+2.
 
 The DSATUR greedy and the search share one bit-parallel core.  Each
 relabels T(G) by degree descending, then index, so the DSATUR choice is
@@ -45,8 +46,8 @@ enumeration of colourings directly over the elements, with the conflict
 relation recomputed from first principles rather than through T(G).
 
 Nothing here assumes the conjectured upper bound max_degree + 2; the solver
-reports whatever it proves, and a bound of max_degree + 2 comes only from
-the parity certificate or from the search.
+reports whatever it proves, and a lower bound of max_degree + 2 comes only
+from the parity certificate or from the search.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from .graph_core import Graph, make_graph
 
 _RNG_SEED = 0x5EEDC01
 _PARITY_CAP = 2000  # placements of the parity search, which ticks no nodes
+_TABU_CAP = 1000  # moves of one local-search run, which ticks no nodes
 
 
 @dataclass(frozen=True)
@@ -175,31 +177,22 @@ def _adjacency_masks(t: Graph) -> list[int]:
     return masks
 
 
-def _greedy_clique(masks: list[int]) -> list[int]:
-    """Deterministic greedy clique, grown from every vertex as a seed."""
-    n = len(masks)
-    degs = [m.bit_count() for m in masks]
-    best: list[int] = []
-    order = sorted(range(n), key=lambda v: (-degs[v], v))
-    for seed in order:
-        if degs[seed] + 1 <= len(best):
-            break  # seeds are degree-sorted; no later seed can beat best
-        clique = [seed]
-        cand = masks[seed]
-        while cand:
-            pick, pick_score = -1, (-1, 0)
-            m = cand
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                score = ((masks[v] & cand).bit_count(), -v)
-                if score > pick_score:
-                    pick, pick_score = v, score
-            clique.append(pick)
-            cand &= masks[pick]
-        if len(clique) > len(best):
-            best = clique
-    return best
+def _clique(g: Graph) -> list[int]:
+    """A maximum clique of T(G), in closed form, as T(G) vertex indices.
+
+    A clique of T(G) is a clique of G (at most Δ+1 vertices), a vertex with
+    some of its edges (at most Δ+1), an edge with its two ends (3), or edges
+    that pairwise meet: a star (at most Δ) or a triangle (3).  So a
+    max-degree vertex with its incident edges is maximum when Δ >= 2, an
+    edge with its two ends when Δ = 1, and one vertex when g has no edge.
+    """
+    if not g.edges:
+        return [0]
+    if g.max_degree == 1:
+        u, v = g.sorted_edges[0]
+        return [u, v, g.n]
+    v = g.degrees.index(g.max_degree)
+    return [v] + [g.n + i for i, e in enumerate(g.sorted_edges) if v in e]
 
 
 def _relabel(masks: list[int]) -> tuple[list[int], list[int]]:
@@ -254,25 +247,10 @@ def _saturate(levels: list[int], raised: int, bit: int) -> list[int]:
     return out
 
 
-def _dsatur_greedy(masks: list[int], order_hint: list[int] | None = None) -> list[int]:
-    """Greedy colouring; DSATUR selection unless an explicit order is given."""
+def _dsatur_greedy(masks: list[int]) -> list[int]:
+    """DSATUR greedy colouring."""
     n = len(masks)
     colours = [-1] * n
-    if order_hint is not None:
-        for v in order_hint:
-            forbid = 0
-            m = masks[v]
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                if colours[u] >= 0:
-                    forbid |= 1 << colours[u]
-            c = 0
-            while forbid >> c & 1:
-                c += 1
-            colours[v] = c
-        return colours
-
     pos, adj = _relabel(masks)
     near: list[int] = []  # near[c]: vertices adjacent to colour class c
     levels: list[int] = []
@@ -292,37 +270,91 @@ def _dsatur_greedy(masks: list[int], order_hint: list[int] | None = None) -> lis
     return [colours[p] for p in pos]
 
 
-def _iterated_greedy(
-    masks: list[int], colours: list[int], lb: int, rounds: int, clock: _Clock
-) -> list[int]:
-    """Recolour by previous classes in varying orders; palette never grows.
+def _tabucol(
+    masks: list[int], start: list[int], k: int, clock: _Clock
+) -> list[int] | None:
+    """TabuCol: a proper colouring of T(G) on colours 0..k-1, or None.
 
-    Stops early once the palette reaches the lower bound ``lb``.
+    Hertz and de Werra's local search ("Using tabu search techniques for
+    graph coloring", Computing 39, 1987) with the tabu tenure of Galinier
+    and Hao (J. Comb. Optim. 3, 1999).  Vertices of ``start`` coloured k or
+    above first take, in index order, the colour fewest of their placed
+    neighbours have.  Each move then recolours one conflicting vertex: the
+    non-tabu move that lowers the conflict count most, or a tabu one that
+    beats the best count seen, ties broken by a seeded RNG.  The vertex may
+    not take its old colour back for r + 0.6·(conflicting vertices) moves,
+    r uniform in 0..9.  ``gamma[v*k + c]`` counts the neighbours of v
+    coloured c, so a move updates the neighbours of one vertex, and the scan
+    reads the conflicting vertices (a bit mask) in index order.  Returns None
+    after ``_TABU_CAP`` moves or at the wall-clock deadline; ticks no nodes.
     """
+    n = len(masks)
+    nbrs: list[list[int]] = []
+    for m in masks:
+        nbrs.append([])
+        while m:
+            nbrs[-1].append((m & -m).bit_length() - 1)
+            m &= m - 1
+    colours = [0] * n
+    gamma = [0] * (n * k)
+    for v in range(n):
+        c = start[v]
+        if c >= k:  # gamma counts only the neighbours placed so far
+            row = gamma[v * k : v * k + k]
+            c = row.index(min(row))
+        colours[v] = c
+        for u in nbrs[v]:
+            gamma[u * k + c] += 1
+    conflicting = 0  # bit v: v has a neighbour of its own colour
+    for v in range(n):
+        if gamma[v * k + colours[v]]:
+            conflicting |= 1 << v
+    conflicts = best_seen = sum(gamma[v * k + colours[v]] for v in range(n)) // 2
+    tabu = [0] * (n * k)  # tabu[v*k + c]: the first move v may take c
     rng = random.Random(_RNG_SEED)
-    best = colours[:]
-    k = max(best) + 1
-    for r in range(rounds):
-        if k <= lb or clock.exhausted():
-            break
-        classes: list[list[int]] = [[] for _ in range(k)]
-        for v, c in enumerate(best):
-            classes[c].append(v)
-        strategy = r % 4
-        if strategy == 0:
-            classes.reverse()
-        elif strategy == 1:
-            classes.sort(key=len)
-        elif strategy == 2:
-            classes.sort(key=len, reverse=True)
+    moves = 0
+    while conflicting:
+        if moves == _TABU_CAP or (moves % 64 == 0 and clock.exhausted()):
+            return None
+        moves += 1
+        best_delta, ties = n, []
+        m = conflicting
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            row, cv = v * k, colours[v]
+            base = gamma[row + cv]
+            for c in range(k):
+                delta = gamma[row + c] - base
+                if delta > best_delta or c == cv:
+                    continue
+                if tabu[row + c] > moves and conflicts + delta >= best_seen:
+                    continue
+                if delta < best_delta:
+                    best_delta, ties = delta, [(v, c)]
+                else:
+                    ties.append((v, c))
+        if not ties:
+            continue
+        v, c = rng.choice(ties)
+        old = colours[v]
+        colours[v] = c
+        conflicts += best_delta
+        best_seen = min(best_seen, conflicts)
+        for u in nbrs[v]:
+            gamma[u * k + old] -= 1
+            gamma[u * k + c] += 1
+            if colours[u] == old and not gamma[u * k + old]:
+                conflicting &= ~(1 << u)
+            elif colours[u] == c and gamma[u * k + c] == 1:
+                conflicting |= 1 << u
+        if gamma[v * k + c]:
+            conflicting |= 1 << v
         else:
-            rng.shuffle(classes)
-        order = [v for cls in classes for v in cls]
-        candidate = _dsatur_greedy(masks, order_hint=order)
-        ck = max(candidate) + 1
-        if ck <= k:
-            best, k = candidate, ck
-    return best
+            conflicting &= ~(1 << v)
+        tenure = rng.randrange(10) + 6 * conflicting.bit_count() // 10
+        tabu[v * k + old] = moves + tenure
+    return colours
 
 
 def _branch_and_bound(
@@ -480,26 +512,28 @@ def _solve(
         return OracleResult(OracleStatus.EXACT, k, k, k, 0)
 
     masks = _adjacency_masks(total_graph(g))
-    clique = _greedy_clique(masks)
-    lb = max(len(clique), trivial_lower)
-    greedy = _dsatur_greedy(masks)
-    greedy = _iterated_greedy(masks, greedy, lb, rounds=24, clock=clock)
-    if seed is not None and max(seed) < max(greedy):
-        greedy = seed
-    ub = max(greedy) + 1
+    clique = _clique(g)
+    lb = len(clique)
+    start = _dsatur_greedy(masks)
+    if seed is not None and max(seed) < max(start):
+        start = seed
+    ub = max(start) + 1
     if lb == trivial_lower < ub and _conformable(g) is False:
-        # parity certificate: no (Δ+1)-total colouring.  The rounds above
-        # could not reach Δ+1; give the recolouring longer to reach Δ+2.
-        lb += 1
-        greedy = _iterated_greedy(masks, greedy, lb, rounds=128, clock=clock)
-        ub = max(greedy) + 1
+        lb += 1  # parity certificate: no (Δ+1)-total colouring
+    for k in (lb, lb + 1):  # one more colour only when the first run fails
+        if k >= ub:
+            break
+        found = _tabucol(masks, start, k, clock)
+        if found is not None:
+            start, ub = found, max(found) + 1
+            break
 
     if lb == ub or clock.exhausted():
         if lb == ub:
             return OracleResult(OracleStatus.EXACT, ub, lb, ub, clock.nodes)
         return OracleResult(OracleStatus.TIMED_OUT, None, lb, ub, clock.nodes)
 
-    completed, best_assign = _branch_and_bound(masks, lb, greedy, clique, clock)
+    completed, best_assign = _branch_and_bound(masks, lb, start, clique, clock)
     best = max(best_assign) + 1
     if completed:
         return OracleResult(OracleStatus.EXACT, best, best, best, clock.nodes)

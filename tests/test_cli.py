@@ -170,11 +170,12 @@ def test_internal_error_exits_6(k2_file, monkeypatch, capsys):
 
 
 def test_chi_timeout_exit_5(tmp_path, capsys):
-    from totalcolour import direct_product
+    from totalcolour import complete_bipartite
 
-    prod, _ = direct_product(complete_graph(6), complete_graph(5))
+    # type II yet past the parity test: no (Δ+1)-colouring for the local
+    # search to find, and too large for the search to prove Δ+2 in time
     path = tmp_path / "big.json"
-    jsonio.save_json(path, jsonio.graph_to_obj(prod))
+    jsonio.save_json(path, jsonio.graph_to_obj(complete_bipartite(8, 8)))
     assert main(["chi", str(path), "--seconds", "0.5"]) == 5
     captured = capsys.readouterr()
     assert "warning" in captured.err  # above the element guideline

@@ -23,8 +23,16 @@ from totalcolour import (
     knm_total_colouring,
     make_graph,
     total_graph,
+    verify_total,
 )
-from totalcolour.oracle import _adjacency_masks, _conformable, _dsatur_greedy
+from totalcolour.oracle import (
+    _adjacency_masks,
+    _clique,
+    _Clock,
+    _conformable,
+    _dsatur_greedy,
+    _tabucol,
+)
 
 from conftest import random_graph
 
@@ -94,7 +102,9 @@ def test_exact_edgeless():
 
 
 def test_timeout_reports_bounds():
-    g, _ = direct_product(complete_graph(6), complete_graph(5))
+    # K_{8,8} is type II yet passes the parity test, so the local search has
+    # no (Δ+1)-colouring to find and the search must prove Δ+2
+    g = complete_bipartite(8, 8)
     res = exact_chi_total(g, SearchBudget(max_seconds=0.5))
     assert res.status in (OracleStatus.TIMED_OUT, OracleStatus.LOWER_BOUND_ONLY)
     if res.status is OracleStatus.TIMED_OUT:
@@ -116,18 +126,20 @@ def _knm(n, m):
 
 
 def test_deterministic_given_fixed_budget():
-    # (status, chi_total, lower, upper, nodes), recorded with the recursive
-    # search that the explicit-stack one replaced: the search tree must not
-    # change where no certificate closes the gap before it
+    # (status, chi_total, lower, upper, nodes): the local search closes the
+    # gap on the type-I graphs with no node; C_61 and K_{4,4} keep the
+    # search trees the recursive search had
     pinned = [
         (_knm(4, 3), 10_000, ("exact", 7, 7, 7, 0)),
-        (complete_bipartite(2, 3), 150_000, ("exact", 4, 4, 4, 0)),  # iterated greedy closes the gap
-        (complete_bipartite(4, 5), 150_000, ("exact", 6, 6, 6, 40367)),
+        (complete_bipartite(2, 3), 150_000, ("exact", 4, 4, 4, 0)),
+        (complete_bipartite(4, 5), 150_000, ("exact", 6, 6, 6, 0)),
         # type II but conformable: the search, not the parity certificate, proves 6
         (complete_bipartite(4, 4), 150_000, ("exact", 6, 6, 6, 2928)),
+        # greedy palette 11: the local search brings the upper bound to Δ+2
+        (complete_bipartite(8, 8), 50, ("timed_out", None, 9, 10, 51)),
         (complete_graph(8), 20_000, ("exact", 9, 9, 9, 0)),  # parity certificate
-        (_knm(6, 3), 20_000, ("timed_out", None, 11, 12, 20001)),
-        (_knm(5, 4), 5_000, ("timed_out", None, 13, 14, 5001)),
+        (_knm(6, 3), 20_000, ("exact", 11, 11, 11, 0)),
+        (_knm(5, 4), 5_000, ("exact", 13, 13, 13, 0)),
         (cycle_graph(61), 150_000, ("exact", 4, 4, 4, 118)),
     ]
     for g, max_nodes, expected in pinned:
@@ -137,12 +149,12 @@ def test_deterministic_given_fixed_budget():
         assert (a.status.value, a.chi_total, a.lower, a.upper, a.nodes) == expected
 
 
-def test_k6xk3_search_is_pinned():
-    # certify_construction proves K6 x K3's Δ+1 palette optimal without a
-    # search, so this keeps a long exact search under test
-    res = exact_chi_total(_knm(6, 3), SearchBudget(max_nodes=150_000))
+def test_k44_search_is_pinned():
+    # the local search closes the type-I gaps of the small products, so
+    # K_{4,4}, type II but conformable, keeps an exact search under test
+    res = exact_chi_total(complete_bipartite(4, 4), SearchBudget(max_nodes=150_000))
     assert (res.status.value, res.chi_total, res.lower, res.upper, res.nodes) == (
-        "exact", 11, 11, 11, 123482
+        "exact", 6, 6, 6, 2928
     )
 
 
@@ -181,6 +193,66 @@ def test_dsatur_greedy_matches_naive_rescan(seed):
     g = random_graph(r, max_n=12, p=r.random())
     masks = _adjacency_masks(g)
     assert _dsatur_greedy(masks) == naive_dsatur(masks)
+
+
+def naive_max_clique(masks):
+    """Size of a maximum clique, by plain branch and bound on bit masks."""
+    best = 0
+
+    def grow(size, cand):
+        nonlocal best
+        best = max(best, size)
+        while cand and size + cand.bit_count() > best:
+            v = cand.bit_length() - 1
+            cand ^= 1 << v
+            grow(size + 1, cand & masks[v])
+
+    grow(0, (1 << len(masks)) - 1)
+    return best
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_closed_form_clique_is_maximum(seed):
+    r = random.Random(seed)
+    g = random_graph(r, max_n=8, p=r.random())
+    masks = _adjacency_masks(total_graph(g))
+    clique = _clique(g)
+    assert len(set(clique)) == len(clique)
+    assert all(masks[u] >> v & 1 for u, v in itertools.combinations(clique, 2))
+    assert len(clique) == (max(g.max_degree + 1, 3) if g.edges else 1)
+    assert naive_max_clique(masks) == len(clique)
+
+
+def _no_deadline():
+    return _Clock(SearchBudget(max_nodes=1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_local_search_colourings_verify(seed):
+    r = random.Random(seed)
+    g = random_graph(r, max_n=8, p=r.random())
+    masks = _adjacency_masks(total_graph(g))
+    start = _dsatur_greedy(masks)
+    lb = len(_clique(g))
+    for k in (lb, lb + 1):
+        found = _tabucol(masks, start, k, _no_deadline())
+        assert found == _tabucol(masks, start, k, _no_deadline())
+        if found is not None:
+            tc = TotalColouring.from_parts(
+                found[: g.n],
+                {e: found[g.n + i] for i, e in enumerate(g.sorted_edges)},
+            )
+            report = verify_total(g, tc)
+            assert report.valid and report.colours_used <= k
+
+
+def test_local_search_returns_none_where_no_colouring_exists():
+    # chi''(C_4) = 4 and chi''(K_{4,4}) = 6
+    for g, k in [(cycle_graph(4), 3), (complete_bipartite(4, 4), 5)]:
+        masks = _adjacency_masks(total_graph(g))
+        assert _tabucol(masks, _dsatur_greedy(masks), k, _no_deadline()) is None
 
 
 def test_bruteforce_small_values():
@@ -236,13 +308,33 @@ def _with_fresh_colour(tc):
     return TotalColouring.from_parts(vertex_colours, tc.edges.assignment)
 
 
+def _kaa_total_colouring(a):
+    """A (Δ+2)-total colouring of K_{a,a}: edge (i, a+j) gets (i+j) mod a,
+    and each part takes one colour of its own."""
+    return TotalColouring.from_parts(
+        [a] * a + [a + 1] * a,
+        {(i, a + j): (i + j) % a for i in range(a) for j in range(a)},
+    )
+
+
 def test_certify_timeout_is_unproven():
-    # a Δ+1 palette would be optimal without a search, so use one colour more
-    g, _ = direct_product(complete_graph(6), complete_graph(5))
-    tc = _with_fresh_colour(knm_total_colouring(6, 5))
+    # K_{8,8} has chi'' = 10 but passes the parity test, so the lower bound
+    # stays 9 and five nodes cannot prove the 10-colouring optimal
+    g, tc = complete_bipartite(8, 8), _kaa_total_colouring(8)
     verdict = certify_construction(g, tc, SearchBudget(max_nodes=5))
     assert verdict.status is CertificationStatus.VALID_BUT_UNPROVEN
+    assert verdict.colours_used == 10
+
+
+def test_certify_extra_colour_is_suboptimal():
+    # the local search recolours the 22-colouring with 21 colours, the
+    # lower bound, so one colour too many is proven with no search
+    g = _knm(6, 5)
+    tc = _with_fresh_colour(knm_total_colouring(6, 5))
+    verdict = certify_construction(g, tc, SearchBudget(max_nodes=5))
+    assert verdict.status is CertificationStatus.SUBOPTIMAL
     assert verdict.colours_used == 22
+    assert (verdict.oracle.chi_total, verdict.oracle.nodes) == (21, 0)
 
 
 def test_certify_palette_at_lower_bound_needs_no_search():
@@ -256,16 +348,24 @@ def test_certify_palette_at_lower_bound_needs_no_search():
 
 
 def test_certify_palette_is_the_first_upper_bound():
-    # K6 x K4: lower bound 16, greedy palette 18; a 17-colouring must bound
+    # K_{8,8}: lower bound 9, greedy palette 11; a 10-colouring must bound
     # the answer even though one node cannot finish the search
-    g = _knm(6, 4)
-    assert exact_chi_total(g, SearchBudget(max_nodes=1)).upper == 18
-    tc = _with_fresh_colour(knm_total_colouring(6, 4))
+    g, tc = complete_bipartite(8, 8), _kaa_total_colouring(8)
+    assert max(_dsatur_greedy(_adjacency_masks(total_graph(g)))) == 10
     verdict = certify_construction(g, tc, SearchBudget(max_nodes=1))
     assert verdict.status is CertificationStatus.VALID_BUT_UNPROVEN
-    assert verdict.colours_used == 17
-    assert verdict.oracle.lower == 16
-    assert verdict.oracle.upper <= 17
+    assert verdict.colours_used == 10
+    assert (verdict.oracle.lower, verdict.oracle.upper) == (9, 10)
+    # K8 x K5: started from the greedy colouring, the local search misses
+    # Δ+1 = 29; started from the seed (a 29-colouring with one vertex moved
+    # to a 30th colour), it finds 29 at once
+    g = _knm(8, 5)
+    res = exact_chi_total(g, SearchBudget(max_nodes=1))
+    assert (res.status, res.lower, res.upper) == (OracleStatus.TIMED_OUT, 29, 30)
+    tc = _with_fresh_colour(knm_total_colouring(8, 5))
+    verdict = certify_construction(g, tc, SearchBudget(max_nodes=1))
+    assert verdict.status is CertificationStatus.SUBOPTIMAL
+    assert (verdict.colours_used, verdict.oracle.chi_total) == (30, 29)
 
 
 def test_parity_certificate_proves_type_ii_closed_forms():
@@ -279,12 +379,13 @@ def test_parity_certificate_proves_type_ii_closed_forms():
 
 def test_parity_search_at_its_cap_gives_no_bound():
     # K_{9,9} has no conformable colouring, but the capped search cannot
-    # show it, so the clique and greedy bounds stand and the search runs
+    # show it, so the clique bound stands and the search runs; the local
+    # search still brings the upper bound to chi'' = Δ+2
     g = complete_bipartite(9, 9)
     assert _conformable(g) is None
     res = exact_chi_total(g, SearchBudget(max_nodes=50))
     assert (res.status.value, res.lower, res.upper, res.nodes) == (
-        "timed_out", 10, 12, 51
+        "timed_out", 10, 11, 51
     )
 
 
