@@ -63,7 +63,10 @@ print()
 
 # ----------------------------------------------------------------------
 # The bipartite lift: any max_degree+1 total colouring of G x K2 extends
-# to G x H for every bipartite H, keeping the optimal palette.
+# to G x H for every bipartite H, keeping the optimal palette.  Every band
+# comes from factor-sized colourings: edges over H's colour class 0 copy
+# the input, and those over class d >= 1 take d*max_degree(G) + 1 plus an
+# exact edge colouring of G x K2.
 # ----------------------------------------------------------------------
 
 g = complete_graph(4)

@@ -20,7 +20,6 @@ from .colouring import TotalColouring, normalize_total, verify_total
 from .edge_colouring import (
     Bipartition,
     bipartite_delta_edge_colouring,
-    colour_class,
     crown_edge_colouring,
     find_bipartition,
     one_factorization,
@@ -103,9 +102,11 @@ def lift_bipartite(
       part and f((v_k, z_2)) on the right;
     * product edges over colour class 0 of an exact bipartite edge colouring
       of h copy f's edge colours;
-    * all remaining product edges form a bipartite graph of maximum degree
-      max_degree(g) * (max_degree(h) - 1) and get that many fresh colours,
-      occupying the block starting right above f's palette.
+    * the edge (v_s, x)(v_t, y), x on the left, over an h-edge of colour
+      d >= 1 takes d * max_degree(g) + 1 + phi((v_s, z_1)(v_t, z_2)), where
+      phi is an exact bipartite edge colouring of G x K_2: h's colouring
+      keeps the bands of distinct d apart at every vertex, and phi keeps
+      the edges of one band apart.
 
     If h is edgeless so is the product, and the single colour 0 suffices.
     """
@@ -128,46 +129,37 @@ def lift_bipartite(
 
     if parts is None:
         parts = find_bipartition(h)
-    prod, pmap = direct_product(g, h)
-
+    ec_h = bipartite_delta_edge_colouring(h, parts)
     if not h.edges:
         # Edgeless H: the product is edgeless, and one colour is both enough
         # and exactly max_degree(g) * 0 + 1.
-        bipartite_delta_edge_colouring(h, parts)  # still validates the parts
-        return TotalColouring.from_parts([0] * prod.n, {})
+        return TotalColouring.from_parts([0] * (g.n * h.n), {})
 
     f = normalize_total(f)
+    phi = bipartite_delta_edge_colouring(
+        gk2, Bipartition(tuple(range(0, gk2.n, 2)), tuple(range(1, gk2.n, 2)))
+    )
+    # (s, t, f's colour, phi's colour) of each edge (v_s, z_1)(v_t, z_2)
+    arcs = [
+        (s, t, f.edge_colour(2 * s, 2 * t + 1), phi.colour(2 * s, 2 * t + 1))
+        for a, b in g.sorted_edges
+        for s, t in ((a, b), (b, a))
+    ]
     left = set(parts.left)
     vertex_colours = [
         f.vertex_colour(2 * k if w in left else 2 * k + 1)
         for k in range(g.n)
         for w in range(h.n)
     ]
+    # product vertex (v_k, w) is k * h.n + w, as in direct_product
     edges: dict[Pair, int] = {}
-
-    ec_h = bipartite_delta_edge_colouring(h, parts)
-    cls = colour_class(ec_h, 0)
-    for w1, w2 in sorted(cls):
+    for (w1, w2), d in ec_h.assignment.items():
         wx, wy = (w1, w2) if w1 in left else (w2, w1)
-        for a, b in g.sorted_edges:
-            edges[canonical_pair(pmap.index(a, wx), pmap.index(b, wy))] = (
-                f.edge_colour(2 * a, 2 * b + 1)
+        offset = d * dg + 1
+        for s, t, fc, pc in arcs:
+            edges[canonical_pair(s * h.n + wx, t * h.n + wy)] = (
+                fc if d == 0 else offset + pc
             )
-            edges[canonical_pair(pmap.index(b, wx), pmap.index(a, wy))] = (
-                f.edge_colour(2 * b, 2 * a + 1)
-            )
-
-    residual = [e for e in prod.sorted_edges if e not in edges]
-    if residual:
-        residual_graph = Graph(prod.n, frozenset(residual))
-        residual_parts = Bipartition(
-            tuple(pmap.index(k, w) for k in range(g.n) for w in parts.left),
-            tuple(pmap.index(k, w) for k in range(g.n) for w in parts.right),
-        )
-        rec = bipartite_delta_edge_colouring(residual_graph, residual_parts)
-        offset = dg + 1
-        for e, c in rec.assignment.items():
-            edges[e] = offset + c
 
     return TotalColouring.from_parts(vertex_colours, edges)
 

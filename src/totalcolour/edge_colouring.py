@@ -1,11 +1,12 @@
 """Edge-colouring primitives the total-colouring constructions consume.
 
-Three builders live here: the exact max-degree edge colouring of bipartite
+Four builders live here: the exact max-degree edge colouring of bipartite
 graphs (Konig's alternating-path insertion), the circle-method one
-factorization of even complete graphs, and the rainbow-matched square
+factorization of even complete graphs, the rainbow-matched square
 colouring of K_{m,m} realised as a Latin square with a transversal, in
 closed form: the cyclic square for odd m, the cyclic square of order m - 1
-prolonged along its diagonal for even m.
+prolonged along its diagonal for even m, and the closed-form (m-1)-edge
+colouring of the crown graph, x_k y_t -> (t - k - 1) mod m.
 
 All tie-breaking is lowest-colour / lowest-index first, so every output is
 deterministic.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 from .colouring import EdgeColouring
 from .errors import DomainError, NoRainbowError, NotBipartiteError
-from .graph_core import Graph, Pair, canonical_pair, complete_graph
+from .graph_core import Graph, Pair, canonical_pair
 
 
 @dataclass(frozen=True)
@@ -230,15 +231,13 @@ def rainbow_kmm(m: int) -> tuple[LatinSquare, EdgeColouring, set[Pair]]:
 
 
 def crown_edge_colouring(m: int) -> EdgeColouring:
-    """Proper (m-1)-edge colouring of the crown graph on 2m vertices.
+    """Proper (m-1)-edge colouring of the crown graph on 2m vertices, m >= 2.
 
-    The crown graph is (m-1)-regular bipartite, so the exact bound comes
-    straight from the bipartite colouring.
+    x_k y_t takes (t - k - 1) mod m: at x_k the m - 1 values of t != k give
+    every colour but m - 1, and likewise the values of k != t at y_t.
     """
-    from .products import crown_graph
-
     if m < 2:
         raise DomainError("crown edge colouring needs m >= 2")
-    crown = crown_graph(m)
-    parts = Bipartition(tuple(range(m)), tuple(range(m, 2 * m)))
-    return bipartite_delta_edge_colouring(crown, parts)
+    return EdgeColouring(
+        {(k, m + t): (t - k - 1) % m for k in range(m) for t in range(m) if k != t}
+    )

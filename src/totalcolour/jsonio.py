@@ -188,13 +188,13 @@ def to_dot(g: Graph, tc: TotalColouring | None = None, name: str = "G") -> str:
     """DOT text for a graph, with fills and edge colours when a colouring is given."""
     lines = [f"graph {name} {{", "  node [style=filled];"]
     for i in range(g.n):
+        # a DOT quoted string ends at an unescaped '"'
+        label = g.label(i).replace("\\", "\\\\").replace('"', '\\"')
         if tc is not None:
             fill, clabel = _dot_colour(tc.vertex_colour(i))
-            lines.append(
-                f'  {i} [label="{g.label(i)}\\n{clabel}", fillcolor="{fill}"];'
-            )
+            lines.append(f'  {i} [label="{label}\\n{clabel}", fillcolor="{fill}"];')
         else:
-            lines.append(f'  {i} [label="{g.label(i)}", fillcolor="#dddddd"];')
+            lines.append(f'  {i} [label="{label}", fillcolor="#dddddd"];')
     for u, v in g.sorted_edges:
         if tc is not None:
             stroke, clabel = _dot_colour(tc.edge_colour(u, v))

@@ -96,10 +96,6 @@ class OracleResult:
     upper: int
     nodes: int
 
-    @property
-    def is_exact(self) -> bool:
-        return self.status is OracleStatus.EXACT
-
 
 class CertificationStatus(Enum):
     OPTIMAL = "optimal"

@@ -8,6 +8,7 @@ from totalcolour import (
     OpenProblemError,
     PreconditionError,
     TotalColouring,
+    bipartite_delta_edge_colouring,
     complete_bipartite,
     complete_graph,
     crown_graph,
@@ -94,6 +95,7 @@ def test_lift_over_k2_reproduces_the_input():
         (4, lambda: complete_bipartite(3, 3), 10),  # 3*3+1
         (4, lambda: path_graph(4), 7),  # 3*2+1
         (3, lambda: star_graph(5), 11),  # 2*5+1
+        (6, lambda: complete_bipartite(20, 20), 101),  # 5*20+1
     ],
 )
 def test_lift_palette_and_validity(n, h_builder, expected):
@@ -207,15 +209,20 @@ def _two_component_source(g, component_orders):
     )
 
 
+def _p3_k2_source():
+    """3-colour total colouring of P3 x K2, which is two disjoint paths."""
+    return TotalColouring.from_parts(
+        [0, 0, 1, 1, 2, 2],
+        {(0, 3): 2, (3, 4): 0, (1, 2): 2, (2, 5): 0},
+    )
+
+
 def test_lift_from_a_path_factor():
     # P3 x K2 is two disjoint paths; a 3-colour total colouring of it exists,
     # so the lift applies to a non-regular, non-complete factor too.
     p3 = path_graph(3)
     prod3, _ = direct_product(p3, complete_graph(2))
-    f = TotalColouring.from_parts(
-        [0, 0, 1, 1, 2, 2],
-        {(0, 3): 2, (3, 4): 0, (1, 2): 2, (2, 5): 0},
-    )
+    f = _p3_k2_source()
     pre = verify_total(prod3, f)
     assert pre.valid and pre.colours_used == 3
     for h, expected in [(path_graph(4), 5), (complete_bipartite(3, 3), 7)]:
@@ -224,6 +231,33 @@ def test_lift_from_a_path_factor():
         rep = verify_total(prod, tc)
         assert rep.valid
         assert rep.colours_used == expected == prod.max_degree + 1
+
+
+@pytest.mark.parametrize(
+    "g,f,h",
+    [
+        (complete_graph(4), kn_k2_total_colouring(4), complete_bipartite(3, 3)),
+        (path_graph(3), _p3_k2_source(), complete_bipartite(3, 3)),
+    ],
+    ids=["K4xK33", "P3xK33"],
+)
+def test_lift_band_separation(g, f, h):
+    """Edges over H-colour d >= 1 take colours in d*dg+1 .. (d+1)*dg only."""
+    tc = lift_bipartite(g, f, h)
+    parts = find_bipartition(h)
+    ec_h = bipartite_delta_edge_colouring(h, parts)
+    left = set(parts.left)
+    _, pmap = direct_product(g, h)
+    dg = g.max_degree
+    seen = 0
+    for (w1, w2), d in ec_h.assignment.items():
+        wx, wy = (w1, w2) if w1 in left else (w2, w1)
+        band = range(dg + 1) if d == 0 else range(d * dg + 1, (d + 1) * dg + 1)
+        for a, b in g.edges:
+            for s, t in ((a, b), (b, a)):
+                assert tc.edge_colour(pmap.index(s, wx), pmap.index(t, wy)) in band
+                seen += 1
+    assert seen == len(tc.edges.assignment)
 
 
 def test_lift_from_a_bipartite_cycle_factor():

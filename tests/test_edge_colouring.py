@@ -221,3 +221,13 @@ def test_crown_edge_colouring_exact(m):
         cls = colour_class(ec, c)
         assert len(cls) == m
         assert {v for e in cls for v in e} == set(range(2 * m))
+
+
+def test_crown_edge_colouring_closed_form():
+    for m in range(2, 65):
+        ec = crown_edge_colouring(m)
+        assert set(ec.assignment) == crown_graph(m).edges
+        for k in range(m):
+            for t in range(m):
+                if k != t:
+                    assert ec.colour(k, m + t) == (t - k - 1) % m

@@ -116,6 +116,22 @@ def test_dot_export_edgeless_and_wrapped_colours():
     assert "(wrapped)" in dot
 
 
+def test_dot_labels_are_escaped():
+    import re
+
+    from totalcolour import TotalColouring
+
+    g = make_graph(4, [(0, 1), (2, 3)], ['a"b', "c\\", '\\"', "plain"])
+    tc = TotalColouring.from_parts([0, 1, 0, 1], {(0, 1): 2, (2, 3): 2})
+    escaped = ['a\\"b', "c\\\\", '\\\\\\"', "plain"]
+    # a DOT quoted string runs to the first quote that no backslash escapes
+    quoted = re.compile(r'^  \d+ \[label="((?:[^"\\]|\\.)*)"', re.M)
+    assert quoted.findall(jsonio.to_dot(g)) == escaped
+    assert quoted.findall(jsonio.to_dot(g, tc)) == [
+        f"{e}\\nc{c}" for e, c in zip(escaped, tc.vertex_colours)
+    ]
+
+
 def test_load_json_failures(tmp_path):
     with pytest.raises(ParseError):
         jsonio.load_json(tmp_path / "missing.json")
