@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any
 
 from . import jsonio
@@ -132,35 +131,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_INVALID
 
 
-def _chi_one(path: str, max_nodes: int | None, max_seconds: float | None) -> dict:
-    g = jsonio.graph_from_obj(jsonio.load_json(path))
-    if g.element_count() > ELEMENT_GUIDELINE:
-        print(
-            f"warning: {path} has {g.element_count()} elements "
-            f"(guideline is {ELEMENT_GUIDELINE}); attempting anyway",
-            file=sys.stderr,
-        )
-    budget = SearchBudget(max_nodes=max_nodes, max_seconds=max_seconds)
-    result = exact_chi_total(g, budget)
-    return jsonio.oracle_result_to_obj(g, result)
-
-
 def cmd_chi(args: argparse.Namespace) -> int:
-    max_seconds = args.seconds
-    if args.nodes is None and args.seconds is None:
-        max_seconds = 60.0
-    if args.jobs > 1 and len(args.graphs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(
-                pool.map(
-                    _chi_one,
-                    args.graphs,
-                    [args.nodes] * len(args.graphs),
-                    [max_seconds] * len(args.graphs),
-                )
+    budget = None  # exact_chi_total applies its default
+    if args.nodes is not None or args.seconds is not None:
+        budget = SearchBudget(max_nodes=args.nodes, max_seconds=args.seconds)
+    results = []  # printed after the loop: a bad file in a batch prints nothing
+    for path in args.graphs:
+        g = jsonio.graph_from_obj(jsonio.load_json(path))
+        if g.element_count() > ELEMENT_GUIDELINE:
+            print(
+                f"warning: {path} has {g.element_count()} elements "
+                f"(guideline is {ELEMENT_GUIDELINE}); attempting anyway",
+                file=sys.stderr,
             )
-    else:
-        results = [_chi_one(p, args.nodes, max_seconds) for p in args.graphs]
+        results.append(jsonio.oracle_result_to_obj(g, exact_chi_total(g, budget)))
     code = EXIT_OK
     for obj in results:
         print(json.dumps(obj))
@@ -223,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("graphs", nargs="+", help="graph JSON files")
     x.add_argument("--nodes", type=int, default=None, help="search node limit")
     x.add_argument("--seconds", type=float, default=None, help="wall-clock limit")
-    x.add_argument("--jobs", type=int, default=1, help="parallel workers for batches")
     x.set_defaults(func=cmd_chi)
 
     d = sub.add_parser("export-dot", help="render a certificate bundle as DOT")

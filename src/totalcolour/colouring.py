@@ -38,7 +38,12 @@ class EdgeColouring:
                 raise GraphConstructionError(f"self-loop on vertex {u}")
             if c < 0:
                 raise DomainError(f"negative colour {c} on edge ({u},{v})")
-            fixed[canonical_pair(u, v)] = c
+            pair = canonical_pair(u, v)
+            if pair in fixed:  # (u, v) and (v, u) both given
+                raise GraphConstructionError(
+                    f"edge ({pair[0]},{pair[1]}) is coloured more than once"
+                )
+            fixed[pair] = c
         self.assignment = fixed
 
     def colour(self, u: int, v: int) -> int:

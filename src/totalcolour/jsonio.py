@@ -19,7 +19,7 @@ from typing import Any
 
 from .colouring import TotalColouring, VerificationReport
 from .errors import ParseError, TotalColourError
-from .graph_core import Element, Graph, Vertex, canonical_pair, make_graph
+from .graph_core import Element, Graph, Vertex, make_graph
 from .oracle import OracleResult
 
 # Fill colours for DOT export; colour indices beyond the table wrap.
@@ -97,7 +97,7 @@ def colouring_from_obj(obj: Any) -> TotalColouring:
     vcs = obj.get("vertex_colours")
     ecs = obj.get("edge_colours")
     if not isinstance(vcs, list) or not all(
-        isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in vcs
+        isinstance(c, int) and not isinstance(c, bool) for c in vcs
     ):
         raise ParseError('"vertex_colours" must be a list of non-negative integers')
     if not isinstance(ecs, list):
@@ -108,17 +108,18 @@ def colouring_from_obj(obj: Any) -> TotalColouring:
             not isinstance(item, list)
             or len(item) != 3
             or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
-            or item[2] < 0
         ):
             raise ParseError(f"bad edge colour entry {item!r}")
         u, v, c = item
-        if u == v:
-            raise ParseError(f"bad edge colour entry {item!r}: self-loop")
-        pair = canonical_pair(u, v)
-        if pair in edge_colours:
-            raise ParseError(f"edge ({pair[0]},{pair[1]}) is coloured more than once")
-        edge_colours[pair] = c
-    return TotalColouring.from_parts(vcs, edge_colours)
+        # the constructor rejects (u, v) beside (v, u); an exact repeat
+        # would already have collapsed into one key of this dict
+        if (u, v) in edge_colours:
+            raise ParseError(f"edge ({u},{v}) is coloured more than once")
+        edge_colours[(u, v)] = c
+    try:
+        return TotalColouring.from_parts(vcs, edge_colours)
+    except TotalColourError as exc:
+        raise ParseError(f"invalid colouring: {exc}")
 
 
 def _element_to_obj(el: Element) -> list[Any]:
@@ -127,13 +128,13 @@ def _element_to_obj(el: Element) -> list[Any]:
     return ["e", el.u, el.v]
 
 
-def report_to_obj(report: VerificationReport, limit: int | None = None) -> dict[str, Any]:
-    violations = report.violations if limit is None else report.violations[:limit]
+def report_to_obj(report: VerificationReport) -> dict[str, Any]:
     return {
         "valid": report.valid,
         "colours_used": report.colours_used,
         "violations": [
-            [_element_to_obj(a), _element_to_obj(b), c] for a, b, c in violations
+            [_element_to_obj(a), _element_to_obj(b), c]
+            for a, b, c in report.violations
         ],
     }
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .graph_core import Graph, Pair, canonical_pair, make_graph
+from .graph_core import Graph, Pair, make_graph
 
 
 @dataclass(frozen=True)
@@ -39,16 +39,17 @@ def direct_product(g: Graph, h: Graph) -> tuple[Graph, ProductVertexMap]:
     """
     if g.n == 0 or h.n == 0:
         raise DomainError("direct product factors must have at least one vertex")
-    vmap = ProductVertexMap(g.n, h.n)
     edges: list[Pair] = []
     for gu, gv in g.sorted_edges:
+        # gu < gv, so every product edge is already canonical: row gu < row gv
+        ru, rv = gu * h.n, gv * h.n
         for hu, hv in h.sorted_edges:
-            edges.append(canonical_pair(vmap.index(gu, hu), vmap.index(gv, hv)))
-            edges.append(canonical_pair(vmap.index(gu, hv), vmap.index(gv, hu)))
+            edges.append((ru + hu, rv + hv))
+            edges.append((ru + hv, rv + hu))
     labels = tuple(
         f"({g.label(i)},{h.label(j)})" for i in range(g.n) for j in range(h.n)
     )
-    return make_graph(g.n * h.n, edges, labels), vmap
+    return make_graph(g.n * h.n, edges, labels), ProductVertexMap(g.n, h.n)
 
 
 def crown_graph(m: int) -> Graph:

@@ -139,6 +139,14 @@ def test_verify_detects_corruption(tmp_path, capsys):
     jsonio.save_json(col_path, dropped)
     assert main(["verify", str(graph_path), str(col_path)]) == 2
 
+    repeated = json.loads(json.dumps(bundle))
+    u, v, c = repeated["colouring"]["edge_colours"][0]
+    repeated["colouring"]["edge_colours"].append([v, u, c])
+    jsonio.save_json(out, repeated)
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 2
+    assert "coloured more than once" in capsys.readouterr().err
+
 
 def test_chi_exact_exit_0(tmp_path, capsys):
     g, = [jsonio.graph_to_obj(make_graph(4, [(0, 1), (2, 3)]))]
@@ -197,15 +205,40 @@ def test_chi_batch(tmp_path, capsys):
     assert [json.loads(l)["chi_total"] for l in lines] == [3, 3]
 
 
-def test_chi_batch_parallel(tmp_path, capsys):
-    paths = []
-    for i in range(2):
-        p = tmp_path / f"g{i}.json"
-        jsonio.save_json(p, jsonio.graph_to_obj(make_graph(4, [(0, 1), (2, 3)])))
-        paths.append(str(p))
-    assert main(["chi", *paths, "--seconds", "10", "--jobs", "2"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert [json.loads(l)["chi_total"] for l in lines] == [3, 3]
+def test_chi_batch_with_malformed_second_file_exits_2(k2_file, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{oops")
+    assert main(["chi", k2_file, str(bad), "--seconds", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # the first file's answer is not printed either
+    assert captured.err.startswith("error: cannot read JSON")
+
+
+def test_chi_without_budget_flags_leaves_the_default_to_the_oracle(k2_file, monkeypatch):
+    budgets = []
+    real = cli.exact_chi_total
+
+    def spy(g, budget=None):
+        budgets.append(budget)
+        return real(g, budget)
+
+    monkeypatch.setattr(cli, "exact_chi_total", spy)
+    assert main(["chi", k2_file, k2_file]) == 0
+    assert budgets == [None, None]
+    assert main(["chi", k2_file, "--nodes", "7"]) == 0
+    assert budgets[-1] == cli.SearchBudget(max_nodes=7)
+
+
+def test_cli_import_starts_no_process_pool():
+    code = (
+        "import sys, totalcolour.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_colour_dot_format(tmp_path):

@@ -109,6 +109,14 @@ def test_verify_total_missing_element_is_not_invalid():
         TotalColouring.from_parts([0, 1], {(0, 1): 2, (0, 0): 1})
 
 
+def test_edge_coloured_in_both_orientations_is_rejected():
+    # kept silently, the last entry would be the only one the verifier judges
+    with pytest.raises(GraphConstructionError):
+        TotalColouring.from_parts([0, 1, 2], {(0, 1): 2, (1, 0): 0, (1, 2): 0, (0, 2): 1})
+    with pytest.raises(GraphConstructionError):
+        EdgeColouring({(2, 1): 0, (1, 2): 0})
+
+
 def test_verify_total_matches_naive_scan_on_knm_output():
     g, _ = direct_product(complete_graph(4), complete_graph(3))
     tc = knm_total_colouring(4, 3)

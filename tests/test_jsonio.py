@@ -58,6 +58,8 @@ def test_colouring_from_obj_rejects_malformed():
         {"vertex_colours": [0, 1], "edge_colours": [[0, 0, 1]]},
         {"vertex_colours": "zz", "edge_colours": []},
         {"vertex_colours": [0, 1], "edge_colours": [[0, 1, 0], [1, 0, 2]]},
+        {"vertex_colours": [0, 1], "edge_colours": [[0, 1, 0], [0, 1, 2]]},
+        {"vertex_colours": [0, 1], "edge_colours": [[0, 1, -1]]},
         "nope",
     ):
         with pytest.raises(ParseError):
