@@ -38,10 +38,11 @@ print(f"  type: {classify(g, rep.colours_used).name}")
 print()
 
 # ----------------------------------------------------------------------
-# K_n x K_m with one even factor.  Vertices copy the crown permutation
-# fibre by fibre; edges over round 0 of a K_n tournament schedule copy
-# the crown's edge colours; edges over round c >= 1 take the band
-# c*(m-1) + 1 .. (c+1)*(m-1), so bands never collide.
+# K_n x K_m with one even factor is the bipartite lift's step applied to
+# the crown over a one-factorization (a tournament schedule) of the even
+# K_n.  Vertices copy the crown permutation fibre by fibre; edges over
+# round 0 copy the crown's edge colours; edges over round c >= 1 take the
+# band c*(m-1) + 1 .. (c+1)*(m-1), so bands never collide.
 # ----------------------------------------------------------------------
 
 n, m = 6, 5

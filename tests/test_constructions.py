@@ -293,15 +293,16 @@ def test_knm_palette_and_validity(n, m):
 
 
 def test_knm_swap_is_a_transpose():
-    tc = knm_total_colouring(3, 4)
-    swapped = knm_total_colouring(4, 3)
-    _, pmap34 = direct_product(complete_graph(3), complete_graph(4))
-    _, pmap43 = direct_product(complete_graph(4), complete_graph(3))
-    for i in range(3):
-        for j in range(4):
-            assert tc.vertex_colour(pmap34.index(i, j)) == swapped.vertex_colour(
-                pmap43.index(j, i)
-            )
+    for n, m in [(3, 4), (4, 6)]:
+        tc, swapped = knm_total_colouring(n, m), knm_total_colouring(m, n)
+        prod, pmap = direct_product(complete_graph(n), complete_graph(m))
+        _, pmap_t = direct_product(complete_graph(m), complete_graph(n))
+        # vertex (i, j) of K_n x K_m is (j, i) of K_m x K_n
+        t = [pmap_t.index(*reversed(pmap.pair(p))) for p in range(prod.n)]
+        for p in range(prod.n):
+            assert tc.vertex_colour(p) == swapped.vertex_colour(t[p])
+        for u, v in prod.sorted_edges:
+            assert tc.edge_colour(u, v) == swapped.edge_colour(t[u], t[v])
 
 
 def test_knm_rejects_odd_odd_as_open_problem():

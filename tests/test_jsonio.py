@@ -134,10 +134,21 @@ def test_dot_labels_are_escaped():
     ]
 
 
-def test_load_json_failures(tmp_path):
+def test_load_json_failures(tmp_path, malformed_json_files):
     with pytest.raises(ParseError):
         jsonio.load_json(tmp_path / "missing.json")
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ParseError):
-        jsonio.load_json(bad)
+    for bad in malformed_json_files:
+        with pytest.raises(ParseError):
+            jsonio.load_json(bad)
+
+
+def test_save_json_is_compact_and_indented_bundles_still_load(tmp_path):
+    tc = knm_total_colouring(4, 3)
+    g, _ = direct_product(complete_graph(4), complete_graph(3))
+    bundle = jsonio.bundle_to_obj(g, tc, verify_total(g, tc), {"construction": "knm"})
+    compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+    jsonio.save_json(compact, bundle)
+    assert compact.read_text() == json.dumps(bundle, separators=(",", ":")) + "\n"
+    # the layout older versions wrote
+    indented.write_text(json.dumps(bundle, indent=2) + "\n")
+    assert jsonio.load_json(indented) == jsonio.load_json(compact) == bundle
