@@ -1,8 +1,11 @@
 """Total and edge colourings, the properness verifiers, and type classification.
 
-A total colouring is a list of vertex colours indexed by vertex plus an
-:class:`EdgeColouring` keyed by canonical ``(u, v)`` pairs.  Both verifiers
-share one edge-conflict routine.
+A total colouring is two flat lists: ``vertex_colours`` indexed by vertex,
+and ``edge_colours`` aligned with ``edges``, the sorted tuple of canonical
+``(u, v)`` pairs it colours, so checking that it covers a graph is one tuple
+comparison with ``Graph.sorted_edges``.  The factor-sized edge-colouring
+primitives return a pair-keyed :class:`EdgeColouring`.  Both verifiers share
+one edge-conflict routine.
 
 Colours are 0-based non-negative integers.  Palettes need not be contiguous;
 ``colours_used`` always counts distinct values and :func:`normalize_total`
@@ -13,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DomainError,
@@ -58,14 +62,21 @@ class EdgeColouring:
         return len(self.colours)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TotalColouring:
-    """One colour per vertex (listed by index) and per edge of a target graph."""
+    """One colour per vertex (listed by index) and per edge of a target graph.
+
+    ``edge_colours[i]`` colours ``edges[i]``, and ``edges`` holds canonical
+    pairs in ascending order; :meth:`from_parts` builds one from a mapping.
+    """
 
     vertex_colours: list[int]
-    edges: EdgeColouring
+    edges: tuple[Pair, ...]
+    edge_colours: list[int]
 
     def __post_init__(self) -> None:
+        if len(self.edge_colours) != len(self.edges):
+            raise DomainError("edge_colours and edges differ in length")
         for i, c in enumerate(self.vertex_colours):
             if c < 0:
                 raise DomainError(f"negative colour {c} on vertex {i}")
@@ -76,17 +87,24 @@ class TotalColouring:
         vertex_colours: Sequence[int],
         edge_colours: Mapping[Pair, int],
     ) -> "TotalColouring":
-        return cls(list(vertex_colours), EdgeColouring(dict(edge_colours)))
+        """Check a pair-keyed edge colouring (either orientation, not both); sort it."""
+        fixed = EdgeColouring(dict(edge_colours)).assignment
+        edges = tuple(sorted(fixed))
+        return cls(list(vertex_colours), edges, [fixed[e] for e in edges])
+
+    @cached_property
+    def _edge_ids(self) -> dict[Pair, int]:
+        return {e: i for i, e in enumerate(self.edges)}
 
     def vertex_colour(self, i: int) -> int:
         return self.vertex_colours[i]
 
     def edge_colour(self, u: int, v: int) -> int:
-        return self.edges.colour(u, v)
+        return self.edge_colours[self._edge_ids[canonical_pair(u, v)]]
 
     @property
     def colours(self) -> frozenset[int]:
-        return frozenset(self.vertex_colours) | self.edges.colours
+        return frozenset(self.vertex_colours).union(self.edge_colours)
 
     @property
     def palette_size(self) -> int:
@@ -105,36 +123,49 @@ class TypeClass(Enum):
     TYPE_II = 2
 
 
-def _edge_cover_gap(g: Graph, ec: EdgeColouring) -> tuple[int, int]:
-    """How many of the graph's edges ``ec`` misses, and how many it invents."""
-    have = set(ec.assignment)
+def check_cover(g: Graph, tc: TotalColouring) -> None:
+    """Raise IncompleteColouringError unless ``tc`` colours exactly g's elements."""
+    n, edges = len(tc.vertex_colours), tc.edges
+    if n == g.n and (edges is g.sorted_edges or edges == g.sorted_edges):
+        return
+    missing, extra = _edge_cover_gap(g, edges)
+    raise IncompleteColouringError(
+        f"colouring does not match the graph's elements "
+        f"({missing + max(g.n - n, 0)} missing, {extra + max(n - g.n, 0)} unknown)"
+    )
+
+
+def _edge_cover_gap(g: Graph, pairs: Iterable[Pair]) -> tuple[int, int]:
+    """How many of the graph's edges ``pairs`` misses, and how many it invents."""
+    have = set(pairs)
     return len(g.edges - have), len(have - g.edges)
 
 
-def _edge_conflicts(g: Graph, ec: EdgeColouring) -> list[tuple[Element, Element, int]]:
+def _edge_conflicts(
+    n: int, edges: Sequence[Pair], colours: Sequence[int]
+) -> list[tuple[Element, Element, int]]:
     """Every pair of equal-coloured edges that share an endpoint.
 
-    Incident edges are bucketed by colour at each vertex, so only the
-    conflicting pairs are ever formed.  Two distinct edges of a simple graph
-    share at most one endpoint, so each pair is reported exactly once: by
-    shared vertex, then by its (i, j) positions in that vertex's sorted
-    incidence list.
+    ``colours[i]`` colours ``edges[i]``, and the edges are sorted.  Incident
+    edges are bucketed by colour at each vertex, so only the conflicting pairs
+    are ever formed.  Two distinct edges of a simple graph share at most one
+    endpoint, so each pair is reported exactly once: by shared vertex, then by
+    its (i, j) positions in that vertex's sorted incidence list.
     """
-    colour = ec.assignment
-    incident: list[list[Pair]] = [[] for _ in range(g.n)]
-    for e in g.sorted_edges:
-        incident[e[0]].append(e)
-        incident[e[1]].append(e)
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        incident[u].append(i)
+        incident[v].append(i)
     violations: list[tuple[Element, Element, int]] = []
-    for edges_here in incident:
-        buckets: dict[int, list[int]] = {}
-        for i, e in enumerate(edges_here):
-            buckets.setdefault(colour[e], []).append(i)
-        if len(buckets) == len(edges_here):
+    for ids in incident:
+        here = [colours[i] for i in ids]
+        if len(set(here)) == len(here):
             continue
+        buckets: dict[int, list[int]] = {}
+        for i, c in enumerate(here):
+            buckets.setdefault(c, []).append(i)
         for i, j in sorted(p for b in buckets.values() for p in combinations(b, 2)):
-            e, f = edges_here[i], edges_here[j]
-            violations.append((Edge(*e), Edge(*f), colour[e]))
+            violations.append((Edge(*edges[ids[i]]), Edge(*edges[ids[j]]), here[i]))
     return violations
 
 
@@ -146,37 +177,28 @@ def verify_total(g: Graph, tc: TotalColouring) -> VerificationReport:
     that misses (or invents) elements raises IncompleteColouringError instead,
     which is distinct from being invalid.
     """
-    missing, extra = _edge_cover_gap(g, tc.edges)
-    missing += max(g.n - len(tc.vertex_colours), 0)
-    extra += max(len(tc.vertex_colours) - g.n, 0)
-    if missing or extra:
-        raise IncompleteColouringError(
-            f"colouring does not match the graph's elements "
-            f"({missing} missing, {extra} unknown)"
-        )
-    vc = tc.vertex_colours
+    check_cover(g, tc)
+    vc, edges, ec = tc.vertex_colours, tc.edges, tc.edge_colours
     violations: list[tuple[Element, Element, int]] = [
-        (Vertex(u), Vertex(v), vc[u]) for u, v in g.sorted_edges if vc[u] == vc[v]
+        (Vertex(u), Vertex(v), vc[u]) for u, v in edges if vc[u] == vc[v]
     ]
-    violations += _edge_conflicts(g, tc.edges)
-    ec = tc.edges.assignment
-    for u, v in g.sorted_edges:
-        c = ec[(u, v)]
-        for w in (u, v):
-            if vc[w] == c:
-                violations.append((Vertex(w), Edge(u, v), c))
+    violations += _edge_conflicts(g.n, edges, ec)
+    for (u, v), c in zip(edges, ec):
+        if vc[u] == c or vc[v] == c:
+            violations += [(Vertex(w), Edge(u, v), c) for w in (u, v) if vc[w] == c]
     return VerificationReport(not violations, violations, tc.palette_size)
 
 
 def verify_edge(g: Graph, ec: EdgeColouring) -> VerificationReport:
     """Certify a proper edge colouring: no two edges sharing an endpoint agree."""
-    missing, extra = _edge_cover_gap(g, ec)
+    missing, extra = _edge_cover_gap(g, ec.assignment)
     if missing or extra:
         raise IncompleteColouringError(
             f"edge colouring does not match the graph's edges "
             f"({missing} missing, {extra} unknown)"
         )
-    violations = _edge_conflicts(g, ec)
+    colours = [ec.assignment[e] for e in g.sorted_edges]
+    violations = _edge_conflicts(g.n, g.sorted_edges, colours)
     return VerificationReport(not violations, violations, ec.palette_size)
 
 
@@ -201,7 +223,8 @@ def classify(g: Graph, chi_total: int) -> TypeClass:
 def normalize_total(tc: TotalColouring) -> TotalColouring:
     """Relabel colours order-preservingly onto 0..k-1 (k = palette size)."""
     rank = {c: i for i, c in enumerate(sorted(tc.colours))}
-    return TotalColouring.from_parts(
+    return TotalColouring(
         [rank[c] for c in tc.vertex_colours],
-        {e: rank[c] for e, c in tc.edges.assignment.items()},
+        tc.edges,
+        [rank[c] for c in tc.edge_colours],
     )

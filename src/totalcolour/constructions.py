@@ -15,6 +15,7 @@ the product's maximum degree:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .colouring import EdgeColouring, TotalColouring, normalize_total, verify_total
 from .edge_colouring import (
@@ -58,10 +59,10 @@ def crown_total_colouring(m: int) -> CrownTotalColouring:
     """
     square, _, _ = rainbow_kmm(m)
     diag = tuple(square.symbol(k, k) for k in range(m))
-    edges = {
-        (k, m + t): square.symbol(k, t) for k in range(m) for t in range(m) if k != t
-    }
-    return CrownTotalColouring(TotalColouring.from_parts(diag * 2, edges), diag)
+    # row-major with k != t lists the pairs in ascending order
+    edges = tuple((k, m + t) for k in range(m) for t in range(m) if k != t)
+    colours = [square.symbol(k, y - m) for k, y in edges]
+    return CrownTotalColouring(TotalColouring(list(diag * 2), edges, colours), diag)
 
 
 def kn_k2_total_colouring(n: int) -> TotalColouring:
@@ -75,12 +76,13 @@ def kn_k2_total_colouring(n: int) -> TotalColouring:
         raise DomainError("K_n x K_2 is only type I for n >= 3")
     crown = crown_total_colouring(n).colouring
     vertex_colours = [crown.vertex_colour(x) for k in range(n) for x in (k, n + k)]
-    return TotalColouring.from_parts(vertex_colours, _from_crown(crown.edges, n))
+    edges = _from_crown(zip(crown.edges, crown.edge_colours), n)
+    return TotalColouring.from_parts(vertex_colours, edges)
 
 
-def _from_crown(crown: EdgeColouring, n: int) -> dict[Pair, int]:
+def _from_crown(crown: Iterable[tuple[Pair, int]], n: int) -> dict[Pair, int]:
     """Crown edges x_k y_t = (k, n + t) keyed as (v_k, z_1)(v_t, z_2) = (2k, 2t+1)."""
-    return {(2 * k, 2 * (y - n) + 1): c for (k, y), c in crown.assignment.items()}
+    return {(2 * k, 2 * (y - n) + 1): c for (k, y), c in crown}
 
 
 def lift_bipartite(
@@ -142,8 +144,7 @@ def lift_bipartite(
     oriented = {
         (x, y) if x in left else (y, x): d for (x, y), d in ec_h.assignment.items()
     }
-    # product vertex (v_k, w) is k * h.n + w, as in direct_product
-    return _lift(g, f, phi, oriented, [w not in left for w in range(h.n)], h.n, 1)
+    return _lift(g, f, phi, oriented, [w not in left for w in range(h.n)], False)
 
 
 def _lift(
@@ -152,41 +153,57 @@ def _lift(
     phi: EdgeColouring,
     classes: dict[Pair, int],
     right: list[bool],
-    sk: int,
-    sw: int,
+    h_first: bool,
 ) -> TotalColouring:
     """Colour G x H from a total colouring of G x K_2 and matching classes of H.
 
     In G x K_2, (v_k, z_1) is 2k and (v_k, z_2) is 2k + 1; ``f`` colours it on
     palette 0..max_degree(g) and ``phi`` edge-colours it with max_degree(g)
     colours.  ``classes`` maps each H-edge, oriented x -> y, to its class in a
-    proper edge colouring of H.  Vertex (v_k, w), written at k * sk + w * sw,
-    takes f((v_k, z_2)) if right[w], else f((v_k, z_1)).  With
-    e = (v_s, z_1)(v_t, z_2), the edge (v_s, x)(v_t, y) takes f(e) over class 0
-    and d * max_degree(g) + 1 + phi(e) over class d >= 1.
+    proper edge colouring of H.  Vertex (v_k, w) takes f((v_k, z_2)) if
+    right[w], else f((v_k, z_1)).  With e = (v_s, z_1)(v_t, z_2), the edge
+    (v_s, x)(v_t, y) takes f(e) over class 0 and d * max_degree(g) + 1 + phi(e)
+    over class d >= 1.
 
     This is proper when every H-edge runs from a vertex with right False to one
     with right True, and for any orientation when f gives (v_k, z_1) and
     (v_k, z_2) the same colour, as the crown does.
+
+    The result colours direct_product(g, H), or direct_product(H, g) when
+    ``h_first``, with its edges emitted in that graph's sorted order.
     """
-    vertex_colours = [0] * (g.n * len(right))
-    for k in range(g.n):
-        for w, r in enumerate(right):
-            vertex_colours[k * sk + w * sw] = f.vertex_colour(2 * k + r)
-    # (s * sk, t * sk, f(e), phi(e)) of each edge e = (v_s, z_1)(v_t, z_2)
-    arcs = [
-        (s * sk, t * sk, f.edge_colour(2 * s, 2 * t + 1), phi.colour(2 * s, 2 * t + 1))
-        for a, b in g.sorted_edges
-        for s, t in ((a, b), (b, a))
-    ]
-    edges: dict[Pair, int] = {}
+    hn = len(right)
+    # lanes[s][t] = (f(e), f(e'), phi(e), phi(e')) with e = (v_s, z_1)(v_t, z_2)
+    # and e' = (v_t, z_1)(v_s, z_2); steps[x][y] = (offset, lane) of the H-edge
+    # {x, y} seen from x, so that (v_s, x)(v_t, y) takes offset + lanes[s][t][lane]
+    lanes: list[dict[int, tuple[int, ...]]] = [{} for _ in range(g.n)]
+    for s, t in g.sorted_edges + tuple((t, s) for s, t in g.sorted_edges):
+        e, e2 = (2 * s, 2 * t + 1), (2 * t, 2 * s + 1)
+        lanes[s][t] = (
+            f.edge_colour(*e), f.edge_colour(*e2), phi.colour(*e), phi.colour(*e2)
+        )
+    steps: list[dict[int, tuple[int, int]]] = [{} for _ in range(hn)]
     for (x, y), d in classes.items():
-        x, y = x * sw, y * sw
-        offset = d * g.max_degree + 1
-        for s, t, fc, pc in arcs:
-            edges[(s + x, t + y)] = fc if d == 0 else offset + pc
-    # the constructor puts every pair in canonical order
-    return TotalColouring.from_parts(vertex_colours, edges)
+        offset, lane = (d * g.max_degree + 1, 2) if d else (0, 0)
+        steps[x][y], steps[y][x] = (offset, lane), (offset, lane + 1)
+    # vertex (i, j) of A x B is i * |B| + j, and its edges to larger vertices
+    # go to (i2, j2) with i2 > i, in the order (i2, j2)
+    a_adj, b_adj = (steps, lanes) if h_first else (lanes, steps)
+    b_runs = [sorted(adj.items()) for adj in b_adj]
+    vertex_colours, edges, colours = [0] * (g.n * hn), [], []
+    for i, a_here in enumerate(a_adj):
+        ahead = sorted((i2, a) for i2, a in a_here.items() if i2 > i)
+        for j, run in enumerate(b_runs):
+            p = i * len(b_runs) + j
+            k, w = (j, i) if h_first else (i, j)
+            vertex_colours[p] = f.vertex_colour(2 * k + right[w])
+            for i2, a in ahead:
+                edges += [(p, i2 * len(b_runs) + j2) for j2, _ in run]
+                if h_first:  # a is an H-edge's step, run holds G-arcs' lanes
+                    colours += [a[0] + ln[a[1]] for _, ln in run]
+                else:  # a holds a G-arc's lanes, run holds H-edges' steps
+                    colours += [offset + a[lane] for _, (offset, lane) in run]
+    return TotalColouring(vertex_colours, tuple(edges), colours)
 
 
 def knm_total_colouring(n: int, m: int) -> TotalColouring:
@@ -215,13 +232,12 @@ def knm_total_colouring(n: int, m: int) -> TotalColouring:
     a, b = n, m
     if a % 2 or (b % 2 == 0 and b > a):
         a, b = b, a
-    phi = EdgeColouring(_from_crown(crown_edge_colouring(b), b))
-    # (v_k, w) is (w, k) of K_a x K_b when K_a comes first, else (k, w);
-    # a one-factor edge i < j runs i -> j
-    sk, sw = (1, b) if a == n else (a, 1)
+    phi = EdgeColouring(_from_crown(crown_edge_colouring(b).assignment.items(), b))
+    # K_a comes first in the caller's product when a == n; a one-factor edge
+    # i < j runs i -> j
     classes = one_factorization(a).assignment
     f = kn_k2_total_colouring(b)
-    return _lift(complete_graph(b), f, phi, classes, [False] * a, sk, sw)
+    return _lift(complete_graph(b), f, phi, classes, [False] * a, a == n)
 
 
 def kn_times_bipartite(

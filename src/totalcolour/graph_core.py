@@ -7,8 +7,10 @@ pairs (min, max).  Graphs are immutable after construction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import DomainError, GraphConstructionError
@@ -68,7 +70,8 @@ class Graph:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adjacency)
+        count = Counter(chain.from_iterable(self.edges))
+        return tuple(count[v] for v in range(self.n))
 
     @property
     def max_degree(self) -> int:
@@ -112,7 +115,7 @@ def make_graph(
     """
     if vertex_count < 0:
         raise GraphConstructionError(f"negative vertex count {vertex_count}")
-    edges: set[Pair] = set()
+    pairs: list[Pair] = []
     for u, v in edge_list:
         if u == v:
             raise GraphConstructionError(f"self-loop on vertex {u}")
@@ -120,7 +123,7 @@ def make_graph(
             raise GraphConstructionError(
                 f"edge ({u},{v}) has an endpoint outside [0,{vertex_count})"
             )
-        edges.add(canonical_pair(u, v))
+        pairs.append((u, v) if u < v else (v, u))
     label_tuple: tuple[str, ...] | None = None
     if labels is not None:
         label_tuple = tuple(str(s) for s in labels)
@@ -128,7 +131,11 @@ def make_graph(
             raise GraphConstructionError(
                 f"{len(label_tuple)} labels for {vertex_count} vertices"
             )
-    return Graph(vertex_count, frozenset(edges), label_tuple)
+    # sorted() takes linear time on pairs that are already in order
+    ordered = tuple(dict.fromkeys(sorted(pairs)))
+    g = Graph(vertex_count, frozenset(ordered), label_tuple)
+    g.__dict__["sorted_edges"] = ordered  # fill the cached property
+    return g
 
 
 def complete_graph(n: int) -> Graph:

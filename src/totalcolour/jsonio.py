@@ -14,10 +14,11 @@ Schemas (all canonical, so serialize-parse round-trips are identity):
 from __future__ import annotations
 
 import json
+import operator
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
-from .colouring import TotalColouring, VerificationReport
+from .colouring import TotalColouring, VerificationReport, check_cover
 from .errors import ParseError, TotalColourError
 from .graph_core import Element, Graph, Vertex, make_graph
 from .oracle import OracleResult
@@ -41,17 +42,38 @@ def load_json(path: str | Path) -> Any:
 
 
 def save_json(path: str | Path, obj: Any) -> None:
-    # json.dump streams; json.dumps runs the C encoder but holds every piece
-    # of its output until the end (3 MB more peak memory on K12 x K11)
+    """Write ``json.dumps(obj, separators=(",", ":"))`` and a newline.
+
+    Lists longer than ``_SLICE`` go through the C encoder a slice at a time,
+    so memory stays bounded by the text of one slice.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, separators=(",", ":"))
+        fh.writelines(_json_pieces(obj))
         fh.write("\n")
+
+
+_SLICE = 2048
+
+
+def _json_pieces(obj: Any) -> Iterator[str]:
+    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        for i, (key, value) in enumerate(obj.items()):
+            yield ("," if i else "{") + json.dumps(key) + ":"
+            yield from _json_pieces(value)
+        yield "}"
+    elif isinstance(obj, list) and len(obj) > _SLICE:
+        for i in range(0, len(obj), _SLICE):
+            text = json.dumps(obj[i : i + _SLICE], separators=(",", ":"))
+            yield ("," if i else "[") + text[1:-1]
+        yield "]"
+    else:
+        yield json.dumps(obj, separators=(",", ":"))
 
 
 def graph_to_obj(g: Graph) -> dict[str, Any]:
     obj: dict[str, Any] = {
         "n": g.n,
-        "edges": [[u, v] for u, v in g.sorted_edges],
+        "edges": list(map(list, g.sorted_edges)),
     }
     if g.labels is not None:
         obj["labels"] = list(g.labels)
@@ -69,13 +91,13 @@ def graph_from_obj(obj: Any) -> Graph:
         raise ParseError('graph field "edges" must be a list of [u, v] pairs')
     pairs: list[tuple[int, int]] = []
     for item in edges:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
-        ):
+        # type() rather than isinstance(): a bool is an int but not a vertex
+        if type(item) is not list or len(item) != 2:
             raise ParseError(f"bad edge entry {item!r}")
-        pairs.append((item[0], item[1]))
+        u, v = item
+        if not type(u) is type(v) is int:
+            raise ParseError(f"bad edge entry {item!r}")
+        pairs.append((u, v))
     labels = obj.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
@@ -87,10 +109,9 @@ def graph_from_obj(obj: Any) -> Graph:
 
 
 def colouring_to_obj(tc: TotalColouring) -> dict[str, Any]:
-    edges = sorted(tc.edges.assignment.items())
     return {
         "vertex_colours": list(tc.vertex_colours),
-        "edge_colours": [[u, v, c] for (u, v), c in edges],
+        "edge_colours": [[u, v, c] for (u, v), c in zip(tc.edges, tc.edge_colours)],
     }
 
 
@@ -99,28 +120,34 @@ def colouring_from_obj(obj: Any) -> TotalColouring:
         raise ParseError("colouring document must be a JSON object")
     vcs = obj.get("vertex_colours")
     ecs = obj.get("edge_colours")
-    if not isinstance(vcs, list) or not all(
-        isinstance(c, int) and not isinstance(c, bool) for c in vcs
-    ):
+    if not isinstance(vcs, list) or not set(map(type, vcs)) <= {int}:
         raise ParseError('"vertex_colours" must be a list of non-negative integers')
     if not isinstance(ecs, list):
         raise ParseError('"edge_colours" must be a list of [u, v, colour] triples')
-    edge_colours: dict[tuple[int, int], int] = {}
+    colour_of: dict[tuple[int, int], int] = {}
     for item in ecs:
-        if (
-            not isinstance(item, list)
-            or len(item) != 3
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
-        ):
+        # type() rather than isinstance(): a bool is an int but not a colour
+        if type(item) is not list or len(item) != 3:
             raise ParseError(f"bad edge colour entry {item!r}")
         u, v, c = item
-        # the constructor rejects (u, v) beside (v, u); an exact repeat
-        # would already have collapsed into one key of this dict
-        if (u, v) in edge_colours:
+        if not type(u) is type(v) is type(c) is int:
+            raise ParseError(f"bad edge colour entry {item!r}")
+        # from_parts rejects (u, v) beside (v, u); an exact repeat would
+        # already have collapsed into one key of this dict
+        if (u, v) in colour_of:
             raise ParseError(f"edge ({u},{v}) is coloured more than once")
-        edge_colours[(u, v)] = c
+        colour_of[(u, v)] = c
+    pairs, colours = tuple(colour_of), list(colour_of.values())
     try:
-        return TotalColouring.from_parts(vcs, edge_colours)
+        # ascending canonical pairs with non-negative colours are aligned as
+        # they stand; from_parts re-keys anything else and names a bad entry
+        if (
+            all(map(operator.lt, pairs, pairs[1:]))
+            and all(u < v for u, v in pairs)
+            and min(colours, default=0) >= 0
+        ):
+            return TotalColouring(list(vcs), pairs, colours)
+        return TotalColouring.from_parts(vcs, colour_of)
     except TotalColourError as exc:
         raise ParseError(f"invalid colouring: {exc}")
 
@@ -190,6 +217,8 @@ def _dot_colour(c: int) -> tuple[str, str]:
 
 def to_dot(g: Graph, tc: TotalColouring | None = None, name: str = "G") -> str:
     """DOT text for a graph, with fills and edge colours when a colouring is given."""
+    if tc is not None:
+        check_cover(g, tc)
     lines = [f"graph {name} {{", "  node [style=filled];"]
     for i in range(g.n):
         # a DOT quoted string ends at an unescaped '"'
@@ -199,9 +228,9 @@ def to_dot(g: Graph, tc: TotalColouring | None = None, name: str = "G") -> str:
             lines.append(f'  {i} [label="{label}\\n{clabel}", fillcolor="{fill}"];')
         else:
             lines.append(f'  {i} [label="{label}", fillcolor="#dddddd"];')
-    for u, v in g.sorted_edges:
+    for i, (u, v) in enumerate(g.sorted_edges):
         if tc is not None:
-            stroke, clabel = _dot_colour(tc.edge_colour(u, v))
+            stroke, clabel = _dot_colour(tc.edge_colours[i])
             lines.append(
                 f'  {u} -- {v} [color="{stroke}", label="{clabel}", penwidth=2];'
             )

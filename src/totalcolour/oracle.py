@@ -617,7 +617,8 @@ def certify_construction(
         )
     used = report.colours_used
     tc = normalize_total(tc)
-    seed = tc.vertex_colours + [tc.edges.assignment[e] for e in g.sorted_edges]
+    # verify_total has checked that tc's edges are g's sorted edges
+    seed = tc.vertex_colours + tc.edge_colours
     result = _solve(g, budget, seed)
     if result.status is OracleStatus.EXACT:
         assert result.chi_total is not None

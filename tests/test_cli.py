@@ -271,6 +271,40 @@ def test_export_dot_corrupted_bundle_exits_2(tmp_path):
     assert main(["export-dot", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "doc, line",
+    [
+        (
+            {
+                "graph": {"n": 3, "edges": [[0, 1], [1, 2]]},
+                "colouring": {"vertex_colours": [0, 1], "edge_colours": [[0, 1, 2]]},
+            },
+            "(2 missing, 0 unknown)",
+        ),
+        (
+            {
+                "graph": {"n": 2, "edges": [[0, 1]]},
+                "colouring": {"vertex_colours": [0, 1], "edge_colours": []},
+            },
+            "(1 missing, 0 unknown)",
+        ),
+    ],
+    ids=["short-vertex-list", "missing-edge"],
+)
+def test_export_dot_incomplete_bundle_exits_2(tmp_path, capsys, doc, line):
+    """export-dot runs the cover check that verify runs, with the same message."""
+    path = tmp_path / "incomplete.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    verify_err = capsys.readouterr().err
+    assert main(["export-dot", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == verify_err == (
+        f"error: colouring does not match the graph's elements {line}\n"
+    )
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "totalcolour.cli", "colour", "knm", "3", "3"],

@@ -20,6 +20,8 @@ from totalcolour import (
     cycle_graph,
     direct_product,
     edgeless_graph,
+    incidence_conflicts,
+    jsonio,
     knm_total_colouring,
     make_graph,
     normalize_total,
@@ -38,10 +40,15 @@ def colour_of(tc, el):
     return tc.edge_colour(el.u, el.v)
 
 
+def edge_part(tc):
+    """The edge colouring that ``tc`` restricts to."""
+    return EdgeColouring(dict(zip(tc.edges, tc.edge_colours)))
+
+
 def with_colour(tc, el, c):
     """A copy of ``tc`` with one element recoloured."""
     vertex_colours = list(tc.vertex_colours)
-    edge_colours = dict(tc.edges.assignment)
+    edge_colours = dict(zip(tc.edges, tc.edge_colours))
     if isinstance(el, Vertex):
         vertex_colours[el.index] = c
     else:
@@ -75,6 +82,27 @@ def naive_edge_conflict_scan(g, ec):
         for e, f in itertools.combinations(g.sorted_edges, 2)
         if set(e) & set(f) and ec.colour(*e) == ec.colour(*f)
     ]
+
+
+def naive_ordered_report(g, tc):
+    """The violations in the verifier's documented order, from incidence_conflicts.
+
+    Vertex pairs by (u, v), then edge pairs by shared vertex and by the pair's
+    positions among that vertex's sorted edges, then vertex-edge pairs by
+    sorted edge and endpoint.
+    """
+    vertices = [Vertex(i) for i in range(g.n)]
+    edges = [Edge(*e) for e in g.sorted_edges]
+
+    def clash(a, b):
+        c = colour_of(tc, a)
+        return [(a, b, c)] if c == colour_of(tc, b) and incidence_conflicts(g, a, b) else []
+
+    out = [x for a, b in itertools.combinations(vertices, 2) for x in clash(a, b)]
+    for w in range(g.n):
+        here = [e for e in edges if w in (e.u, e.v)]
+        out += [x for e, f in itertools.combinations(here, 2) for x in clash(e, f)]
+    return out + [x for e in edges for a in vertices for x in clash(a, e)]
 
 
 def reported_pairs(report):
@@ -125,7 +153,7 @@ def test_verify_total_matches_naive_scan_on_knm_output():
     assert rep.colours_used == 7  # (4-1)(3-1)+1
     assert naive_conflict_scan(g, tc) == []
     # restriction to edges is a proper edge colouring
-    assert verify_edge(g, tc.edges).valid
+    assert verify_edge(g, edge_part(tc)).valid
     # restriction to vertices is proper
     for u, v in g.edges:
         assert tc.vertex_colour(u) != tc.vertex_colour(v)
@@ -170,7 +198,7 @@ def test_verify_total_report_order_is_pinned():
         (Edge(0, 3), Edge(0, 5), 1),
         (Vertex(3), Edge(0, 3), 1),
     ]
-    assert verify_edge(star, tc.edges).violations == rep.violations[1:5]
+    assert verify_edge(star, edge_part(tc)).violations == rep.violations[1:5]
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
@@ -184,8 +212,34 @@ def test_verifiers_match_naive_scans_on_random_colourings(seed, palette):
     rep = verify_total(g, tc)
     assert reported_pairs(rep) == set(naive_conflict_scan(g, tc))
     assert rep.valid == (rep.violations == [])
-    edge_rep = verify_edge(g, tc.edges)
-    assert reported_pairs(edge_rep) == set(naive_edge_conflict_scan(g, tc.edges))
+    assert rep.violations == naive_ordered_report(g, tc)
+    edge_rep = verify_edge(g, edge_part(tc))
+    assert reported_pairs(edge_rep) == set(naive_edge_conflict_scan(g, edge_part(tc)))
+    # the decoder re-keys triples listed out of order or in either orientation
+    triples = jsonio.colouring_to_obj(tc)["edge_colours"]
+    flipped = [[v, u, c] if r.random() < 0.5 else [u, v, c] for u, v, c in triples]
+    shuffled = r.sample(triples, len(triples))
+    flipped_shuffled = r.sample(flipped, len(flipped))
+    for listed in (shuffled, flipped, flipped_shuffled):
+        decoded = jsonio.colouring_from_obj(
+            {"vertex_colours": tc.vertex_colours, "edge_colours": listed}
+        )
+        assert decoded == tc
+        assert verify_total(g, decoded).violations == naive_ordered_report(g, tc)
+
+
+def test_cover_check_is_part_of_the_trust_root():
+    """Equal vertex and edge counts are not enough: every pair must match."""
+    g, _ = direct_product(complete_graph(4), complete_graph(3))
+    tc = knm_total_colouring(4, 3)
+    u, v = g.sorted_edges[5]
+    w = next(w for w in range(g.n) if w not in (u, v) and not g.has_edge(u, w))
+    other = make_graph(g.n, [e for e in g.edges if e != (u, v)] + [(u, w)])
+    assert other.n == g.n and len(other.edges) == len(g.edges)
+    with pytest.raises(IncompleteColouringError, match=r"\(1 missing, 1 unknown\)"):
+        verify_total(other, tc)
+    with pytest.raises(IncompleteColouringError, match=r"\(1 missing, 1 unknown\)"):
+        jsonio.to_dot(other, tc)
 
 
 def test_verify_edge_matching_single_colour():
@@ -244,7 +298,7 @@ def test_injective_relabelling_preserves_validity(perm):
     base = knm_colouring_of_c6()
     relabelled = TotalColouring.from_parts(
         [perm[c] for c in base.vertex_colours],
-        {e: perm[c] for e, c in base.edges.assignment.items()},
+        {e: perm[c] for e, c in zip(base.edges, base.edge_colours)},
     )
     rep = verify_total(g, relabelled)
     assert rep.valid
@@ -294,6 +348,7 @@ def test_verifier_catches_planted_conflicts(rng):
         assert not rep.valid
         assert any(victim in (a, b) for a, b, _ in rep.violations)
         assert reported_pairs(rep) == set(naive_conflict_scan(g, mutated))
+        assert rep.violations == naive_ordered_report(g, mutated)
 
 
 def _conflicts(g, a, b):

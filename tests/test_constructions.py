@@ -137,7 +137,7 @@ def test_lift_accepts_noncontiguous_input_palette():
     f = kn_k2_total_colouring(3)
     spread = TotalColouring.from_parts(
         [c * 7 + 2 for c in f.vertex_colours],
-        {e: c * 7 + 2 for e, c in f.edges.assignment.items()},
+        {e: c * 7 + 2 for e, c in zip(f.edges, f.edge_colours)},
     )
     tc = lift_bipartite(g, spread, cycle_graph(6))
     prod, _ = direct_product(g, cycle_graph(6))
@@ -161,12 +161,14 @@ def test_lift_rejects_improper_or_over_palette_f():
     f = kn_k2_total_colouring(3)
     # corrupt one edge colour: improper
     bad = TotalColouring.from_parts(
-        f.vertex_colours, {**f.edges.assignment, (0, 3): f.vertex_colour(0)}
+        f.vertex_colours, {**dict(zip(f.edges, f.edge_colours)), (0, 3): f.vertex_colour(0)}
     )
     with pytest.raises(PreconditionError):
         lift_bipartite(g, bad, cycle_graph(6))
     # valid but uses max_degree + 2 colours
-    wide = TotalColouring.from_parts(f.vertex_colours, {**f.edges.assignment, (0, 3): 3})
+    wide = TotalColouring.from_parts(
+        f.vertex_colours, {**dict(zip(f.edges, f.edge_colours)), (0, 3): 3}
+    )
     prod, _ = direct_product(g, complete_graph(2))
     assert verify_total(prod, wide).valid
     with pytest.raises(PreconditionError):
@@ -176,7 +178,7 @@ def test_lift_rejects_improper_or_over_palette_f():
 def test_lift_rejects_incomplete_f():
     g = complete_graph(3)
     f = kn_k2_total_colouring(3)
-    partial = TotalColouring(f.vertex_colours[:-1], f.edges)
+    partial = TotalColouring(f.vertex_colours[:-1], f.edges, f.edge_colours)
     with pytest.raises(PreconditionError):
         lift_bipartite(g, partial, cycle_graph(6))
 
@@ -217,20 +219,30 @@ def _p3_k2_source():
     )
 
 
+def _p3_k2_asymmetric_source():
+    """A 3-colour total colouring of P3 x K2 that colours (v_1, z_1) and
+    (v_1, z_2) apart, so the lift is proper only with each H-edge oriented
+    from its left end."""
+    return TotalColouring.from_parts(
+        [0, 0, 1, 2, 1, 2],
+        {(0, 3): 1, (1, 2): 2, (2, 5): 0, (3, 4): 0},
+    )
+
+
 def test_lift_from_a_path_factor():
     # P3 x K2 is two disjoint paths; a 3-colour total colouring of it exists,
     # so the lift applies to a non-regular, non-complete factor too.
     p3 = path_graph(3)
     prod3, _ = direct_product(p3, complete_graph(2))
-    f = _p3_k2_source()
-    pre = verify_total(prod3, f)
-    assert pre.valid and pre.colours_used == 3
-    for h, expected in [(path_graph(4), 5), (complete_bipartite(3, 3), 7)]:
-        tc = lift_bipartite(p3, f, h)
-        prod, _ = direct_product(p3, h)
-        rep = verify_total(prod, tc)
-        assert rep.valid
-        assert rep.colours_used == expected == prod.max_degree + 1
+    for f in (_p3_k2_source(), _p3_k2_asymmetric_source()):
+        pre = verify_total(prod3, f)
+        assert pre.valid and pre.colours_used == 3
+        for h, expected in [(path_graph(4), 5), (complete_bipartite(3, 3), 7)]:
+            tc = lift_bipartite(p3, f, h)
+            prod, _ = direct_product(p3, h)
+            rep = verify_total(prod, tc)
+            assert rep.valid
+            assert rep.colours_used == expected == prod.max_degree + 1
 
 
 @pytest.mark.parametrize(
@@ -257,7 +269,7 @@ def test_lift_band_separation(g, f, h):
             for s, t in ((a, b), (b, a)):
                 assert tc.edge_colour(pmap.index(s, wx), pmap.index(t, wy)) in band
                 seen += 1
-    assert seen == len(tc.edges.assignment)
+    assert seen == len(tc.edges)
 
 
 def test_lift_from_a_bipartite_cycle_factor():

@@ -152,3 +152,30 @@ def test_save_json_is_compact_and_indented_bundles_still_load(tmp_path):
     # the layout older versions wrote
     indented.write_text(json.dumps(bundle, indent=2) + "\n")
     assert jsonio.load_json(indented) == jsonio.load_json(compact) == bundle
+
+
+def _triples(count):
+    return [[i, i + 1 + i % 7, i % 5] for i in range(count)]
+
+
+@pytest.mark.parametrize(
+    "count",
+    [0, jsonio._SLICE - 1, jsonio._SLICE, jsonio._SLICE + 1, 2 * jsonio._SLICE + 1],
+)
+def test_save_json_slices_are_byte_identical(tmp_path, count):
+    """The slice writer gives the text json.dumps gives, at every slice boundary."""
+    labels = ['q"uote', "back\\slash", "caf\u00e9", "\u2603 snow", "tab\there", "\U0001f600"]
+    docs = [
+        _triples(count),
+        {"colouring": {"vertex_colours": list(range(count)), "edge_colours": _triples(count)}},
+        {"graph": {"n": 3, "edges": _triples(count), "labels": labels}, "meta": {}},
+        {"a": {"b": {"c": [_triples(count), {}, []]}}, "\u00e9\"k": [None, True, 1.5]},
+        {"meta": {}, "report": {"valid": False, "violations": [[["v", 0], ["e", 0, 1], 0]]}},
+        {},
+        [],
+        {1: _triples(count)},  # json.dumps turns the int key into "1"
+    ]
+    path = tmp_path / "doc.json"
+    for doc in docs:
+        jsonio.save_json(path, doc)
+        assert path.read_bytes() == (json.dumps(doc, separators=(",", ":")) + "\n").encode()

@@ -305,7 +305,7 @@ def _with_fresh_colour(tc):
     """tc with vertex 0 moved to a colour no other element uses."""
     vertex_colours = list(tc.vertex_colours)
     vertex_colours[0] = max(tc.colours) + 1
-    return TotalColouring.from_parts(vertex_colours, tc.edges.assignment)
+    return TotalColouring(vertex_colours, tc.edges, tc.edge_colours)
 
 
 def _kaa_total_colouring(a):
