@@ -2,13 +2,26 @@
 
 The main solver reduces total colouring to vertex colouring of the total
 graph T(G) (one vertex per element, adjacency = the conflict relation) and
-runs a DSATUR-ordered branch and bound on T(G):
+runs a DSATUR-ordered branch and bound on T(G).  A solve, in order:
 
+* T(G): adjacency masks built straight from ``g.sorted_edges``
+  (:func:`_total_masks`), relabelled once by degree (:func:`_relabel`);
+  every later phase works on the relabelled masks;
 * lower bound: ω(T(G)) = max(Δ+1, 3), or 1 when G has no edge, with a
   maximum clique of T(G) in closed form (:func:`_clique`);
-* upper bound: DSATUR greedy, then a seeded, move-capped TabuCol local
-  search (:func:`_tabucol`) for exactly lb colours, and for lb + 1 when
-  that run fails and would still improve the bound;
+* upper bound: DSATUR greedy (:func:`_dsatur_greedy`);
+* probe: unless the parity certificate below has raised the lower bound,
+  the branch and bound runs with a cap of ``_PROBE_NODES`` nodes per
+  vertex of T(G), when that cap fits strictly inside the node budget left.
+  It settles most graphs that have no colouring with lb colours (C_n with
+  n not a multiple of 3, K_{2,2}) in less time than a local search takes
+  to fail on them.  A completed probe is exact; a cut one hands on the
+  best colouring it found.  Its nodes count in the result's ``nodes``;
+* local search: a seeded, move-capped TabuCol run (:func:`_tabucol`) for
+  exactly lb colours from the best colouring so far; when it fails, one
+  more run for lb colours from a seeded random colouring (the greedy start
+  traps the search on K7×K3 and K5×K5); then one run for lb + 1 colours
+  when that would still improve the bound;
 * search: DSATUR branching with that clique pre-coloured, new colours
   restricted to (max used so far) + 1, and everything tie-broken on lowest
   index, so results are reproducible.
@@ -29,12 +42,12 @@ Two certificates can close the gap between the bounds before the search:
   c, and the vertex colours form a (Δ+1)-vertex-colouring of G in which at
   most def(G) = sum(Δ - deg(v)) classes, empty ones included, have the
   wrong parity.  :func:`_conformable` searches for such a colouring of G;
-  when it proves there is none, the lower bound is Δ+2, and the local
-  search that follows aims at Δ+2.
+  when it proves there is none, the lower bound is Δ+2, no probe runs, and
+  the local search that follows aims at Δ+2.
 
-The DSATUR greedy and the search share one bit-parallel core.  Each
-relabels T(G) by degree descending, then index, so the DSATUR choice is
-the lowest set bit of the most saturated vertices.  Per-colour masks
+The DSATUR greedy and the search share one bit-parallel core.  T(G) is
+labelled by degree descending, then index, so the DSATUR choice is the
+lowest set bit of the most saturated vertices.  Per-colour masks
 ``near[c]`` (the vertices adjacent to colour class c) and a bit-sliced
 saturation counter make colouring a vertex cost O(colours in use) big-int
 operations, with no loop over its neighbours.  The branch and bound keeps
@@ -64,6 +77,7 @@ from .graph_core import Graph, make_graph
 _RNG_SEED = 0x5EEDC01
 _PARITY_CAP = 2000  # placements of the parity search, which ticks no nodes
 _TABU_CAP = 1000  # moves of one local-search run, which ticks no nodes
+_PROBE_NODES = 2  # node cap of the probe per vertex of T(G)
 
 
 @dataclass(frozen=True)
@@ -173,6 +187,21 @@ def _adjacency_masks(t: Graph) -> list[int]:
     return masks
 
 
+def _total_masks(g: Graph) -> list[int]:
+    """The adjacency masks of :func:`total_graph` (same labels), built
+    straight from ``g.sorted_edges`` with no intermediate graph."""
+    n = g.n
+    masks = [0] * (n + len(g.sorted_edges))
+    for i, (u, v) in enumerate(g.sorted_edges, n):
+        masks[u] |= 1 << v | 1 << i
+        masks[v] |= 1 << u | 1 << i
+    edge_bits = ~((1 << n) - 1)
+    for i, (u, v) in enumerate(g.sorted_edges, n):
+        # the edges at either end (both end masks hold i, so drop it), the ends
+        masks[i] = (masks[u] | masks[v]) & edge_bits ^ 1 << i | 1 << u | 1 << v
+    return masks
+
+
 def _clique(g: Graph) -> list[int]:
     """A maximum clique of T(G), in closed form, as T(G) vertex indices.
 
@@ -243,11 +272,10 @@ def _saturate(levels: list[int], raised: int, bit: int) -> list[int]:
     return out
 
 
-def _dsatur_greedy(masks: list[int]) -> list[int]:
-    """DSATUR greedy colouring."""
-    n = len(masks)
+def _dsatur_greedy(adj: list[int]) -> list[int]:
+    """DSATUR greedy colouring of a graph relabelled by :func:`_relabel`."""
+    n = len(adj)
     colours = [-1] * n
-    pos, adj = _relabel(masks)
     near: list[int] = []  # near[c]: vertices adjacent to colour class c
     levels: list[int] = []
     uncoloured = (1 << n) - 1
@@ -263,7 +291,7 @@ def _dsatur_greedy(masks: list[int]) -> list[int]:
         levels = _saturate(levels, adj[v] & uncoloured & ~near[c], bit)
         near[c] |= adj[v]
         colours[v] = c
-    return [colours[p] for p in pos]
+    return colours
 
 
 def _tabucol(
@@ -273,16 +301,19 @@ def _tabucol(
 
     Hertz and de Werra's local search ("Using tabu search techniques for
     graph coloring", Computing 39, 1987) with the tabu tenure of Galinier
-    and Hao (J. Comb. Optim. 3, 1999).  Vertices of ``start`` coloured k or
-    above first take, in index order, the colour fewest of their placed
-    neighbours have.  Each move then recolours one conflicting vertex: the
-    non-tabu move that lowers the conflict count most, or a tabu one that
-    beats the best count seen, ties broken by a seeded RNG.  The vertex may
-    not take its old colour back for r + 0.6·(conflicting vertices) moves,
-    r uniform in 0..9.  ``gamma[v*k + c]`` counts the neighbours of v
-    coloured c, so a move updates the neighbours of one vertex, and the scan
-    reads the conflicting vertices (a bit mask) in index order.  Returns None
-    after ``_TABU_CAP`` moves or at the wall-clock deadline; ticks no nodes.
+    and Hao (J. Comb. Optim. 3, 1999).  :func:`_solve` runs it on the
+    relabelled T(G) from the best colouring so far and, when that run fails
+    at the lower bound, once more from a seeded random colouring.
+    Vertices of ``start`` coloured k or above first take, in index order,
+    the colour fewest of their placed neighbours have.  Each move then
+    recolours one conflicting vertex: the non-tabu move that lowers the
+    conflict count most, or a tabu one that beats the best count seen, ties
+    broken by a seeded RNG.  The vertex may not take its old colour back for
+    r + 0.6·(conflicting vertices) moves, r uniform in 0..9.
+    ``gamma[v*k + c]`` counts the neighbours of v coloured c, so a move
+    updates the neighbours of one vertex, and the scan reads the conflicting
+    vertices (a bit mask) in index order.  Returns None after ``_TABU_CAP``
+    moves or at the wall-clock deadline; ticks no nodes.
     """
     n = len(masks)
     nbrs: list[list[int]] = []
@@ -354,7 +385,7 @@ def _tabucol(
 
 
 def _branch_and_bound(
-    masks: list[int],
+    adj: list[int],
     lb: int,
     start: list[int],
     clique: list[int],
@@ -362,10 +393,11 @@ def _branch_and_bound(
 ) -> tuple[bool, list[int]]:
     """DSATUR branch and bound; returns (completed, best colouring found).
 
-    The search runs on T(G) relabelled by :func:`_relabel`, with an explicit
-    stack of frames ``[v, colour tried, cmax, saved levels, saved near]``
-    instead of recursion, so its depth is not bounded by Python's recursion
-    limit.  ``near[c]`` is the set of vertices adjacent to colour class c;
+    The search runs on T(G) relabelled by :func:`_relabel` (``clique`` and
+    the colourings use the new labels too), with an explicit stack of frames
+    ``[v, colour tried, cmax, saved levels, saved near]`` instead of
+    recursion, so its depth is not bounded by Python's recursion limit.
+    ``near[c]`` is the set of vertices adjacent to colour class c;
     colouring v with c raises the saturation of exactly the uncoloured
     neighbours of v outside ``near[c]``.
     """
@@ -374,13 +406,11 @@ def _branch_and_bound(
     if best == lb:
         return True, best_assign
 
-    pos, adj = _relabel(masks)
-    colours = [0] * len(masks)  # valid for every vertex once none is uncoloured
+    colours = [0] * len(adj)  # valid for every vertex once none is uncoloured
     near = [0] * best
     levels: list[int] = []
-    uncoloured = (1 << len(masks)) - 1
+    uncoloured = (1 << len(adj)) - 1
     for c, v in enumerate(clique):
-        v = pos[v]
         uncoloured ^= 1 << v
         levels = _saturate(levels, adj[v] & uncoloured & ~near[c], 1 << v)
         near[c] |= adj[v]
@@ -416,7 +446,7 @@ def _branch_and_bound(
             child_cmax = cmax if c < cmax else c + 1
             if not uncoloured:
                 best = child_cmax
-                best_assign = [colours[p] for p in pos]
+                best_assign = colours[:]
                 if best == lb:
                     return True, best_assign
                 continue
@@ -489,51 +519,68 @@ def _conformable(g: Graph) -> bool | None:
 
 def _solve(
     g: Graph, budget: SearchBudget | None, seed: list[int] | None
-) -> OracleResult:
+) -> tuple[OracleResult, list[int] | None]:
     """:func:`exact_chi_total`, with ``seed`` (a proper colouring of T(G) on
-    colours 0..p-1, or None) as a candidate first upper bound."""
+    colours 0..p-1, or None) as a candidate first upper bound.
+
+    Returns the result and the colouring of T(G) behind its upper bound, or
+    None when the budget was spent before the first colouring.
+    """
     if budget is None:
         budget = SearchBudget(max_seconds=60.0)
     if g.n == 0:
-        return OracleResult(OracleStatus.EXACT, 0, 0, 0, 0)
+        return OracleResult(OracleStatus.EXACT, 0, 0, 0, 0), []
 
     trivial_lower = g.max_degree + 1
     clock = _Clock(budget)
     if clock.exhausted():
-        return OracleResult(
+        result = OracleResult(
             OracleStatus.LOWER_BOUND_ONLY, None, trivial_lower, g.element_count(), 0
         )
+        return result, None
     if seed is not None and max(seed) + 1 == trivial_lower:
         k = trivial_lower
-        return OracleResult(OracleStatus.EXACT, k, k, k, 0)
+        return OracleResult(OracleStatus.EXACT, k, k, k, 0), seed
 
-    masks = _adjacency_masks(total_graph(g))
-    clique = _clique(g)
+    pos, adj = _relabel(_total_masks(g))
+    clique = [pos[v] for v in _clique(g)]
     lb = len(clique)
-    start = _dsatur_greedy(masks)
+    start = _dsatur_greedy(adj)
     if seed is not None and max(seed) < max(start):
-        start = seed
+        for v, c in enumerate(seed):
+            start[pos[v]] = c
     ub = max(start) + 1
+    completed = False
     if lb == trivial_lower < ub and _conformable(g) is False:
         lb += 1  # parity certificate: no (Δ+1)-total colouring
-    for k in (lb, lb + 1):  # one more colour only when the first run fails
-        if k >= ub:
+    elif lb < ub:
+        # probe: a short search settles most graphs with no (Δ+1)-colouring,
+        # where the local search would spend all its moves in vain
+        cap = _PROBE_NODES * len(adj)
+        full = clock.max_nodes
+        if full is None or cap < full - clock.nodes:
+            clock.max_nodes = clock.nodes + cap
+            completed, start = _branch_and_bound(adj, lb, start, clique, clock)
+            clock.max_nodes = full
+            ub = max(start) + 1
+    for k in (lb, lb + 1):  # one more colour only when the first runs fail
+        if completed or k >= ub:
             break
-        found = _tabucol(masks, start, k, clock)
+        found = _tabucol(adj, start, k, clock)
+        if found is None and k == lb:  # restart once, from a random colouring
+            rng = random.Random(_RNG_SEED)
+            found = _tabucol(adj, [rng.randrange(k) for _ in adj], k, clock)
         if found is not None:
             start, ub = found, max(found) + 1
             break
 
-    if lb == ub or clock.exhausted():
-        if lb == ub:
-            return OracleResult(OracleStatus.EXACT, ub, lb, ub, clock.nodes)
-        return OracleResult(OracleStatus.TIMED_OUT, None, lb, ub, clock.nodes)
-
-    completed, best_assign = _branch_and_bound(masks, lb, start, clique, clock)
-    best = max(best_assign) + 1
-    if completed:
-        return OracleResult(OracleStatus.EXACT, best, best, best, clock.nodes)
-    return OracleResult(OracleStatus.TIMED_OUT, None, lb, best, clock.nodes)
+    if not completed and lb < ub and not clock.exhausted():
+        completed, start = _branch_and_bound(adj, lb, start, clique, clock)
+        ub = max(start) + 1
+    colouring = [start[p] for p in pos]
+    if completed or lb == ub:
+        return OracleResult(OracleStatus.EXACT, ub, ub, ub, clock.nodes), colouring
+    return OracleResult(OracleStatus.TIMED_OUT, None, lb, ub, clock.nodes), colouring
 
 
 def exact_chi_total(g: Graph, budget: SearchBudget | None = None) -> OracleResult:
@@ -544,7 +591,7 @@ def exact_chi_total(g: Graph, budget: SearchBudget | None = None) -> OracleResul
     is spent before the first greedy colouring finishes yields
     LowerBoundOnly with the trivial bounds.
     """
-    return _solve(g, budget, None)
+    return _solve(g, budget, None)[0]
 
 
 def chi_total_bruteforce(g: Graph, max_elements: int = 16) -> int:
@@ -619,7 +666,7 @@ def certify_construction(
     tc = normalize_total(tc)
     # verify_total has checked that tc's edges are g's sorted edges
     seed = tc.vertex_colours + tc.edge_colours
-    result = _solve(g, budget, seed)
+    result = _solve(g, budget, seed)[0]
     if result.status is OracleStatus.EXACT:
         assert result.chi_total is not None
         if result.chi_total == used:

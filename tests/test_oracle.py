@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,13 +26,17 @@ from totalcolour import (
     total_graph,
     verify_total,
 )
+from totalcolour import oracle
 from totalcolour.oracle import (
     _adjacency_masks,
     _clique,
     _Clock,
     _conformable,
     _dsatur_greedy,
+    _relabel,
+    _solve,
     _tabucol,
+    _total_masks,
 )
 
 from conftest import random_graph
@@ -126,21 +131,22 @@ def _knm(n, m):
 
 
 def test_deterministic_given_fixed_budget():
-    # (status, chi_total, lower, upper, nodes): the local search closes the
-    # gap on the type-I graphs with no node; C_61 and K_{4,4} keep the
-    # search trees the recursive search had
+    # (status, chi_total, lower, upper, nodes): a probe of 2|T(G)| nodes runs
+    # first; it settles K_{2,3} and C_61, and where it fails (its cap plus
+    # the tick that stops it) the local search closes the type-I gaps
     pinned = [
-        (_knm(4, 3), 10_000, ("exact", 7, 7, 7, 0)),
-        (complete_bipartite(2, 3), 150_000, ("exact", 4, 4, 4, 0)),
-        (complete_bipartite(4, 5), 150_000, ("exact", 6, 6, 6, 0)),
+        (_knm(4, 3), 10_000, ("exact", 7, 7, 7, 0)),  # greedy palette Δ+1
+        (complete_bipartite(2, 3), 150_000, ("exact", 4, 4, 4, 12)),
+        (complete_bipartite(4, 5), 150_000, ("exact", 6, 6, 6, 59)),
         # type II but conformable: the search, not the parity certificate, proves 6
-        (complete_bipartite(4, 4), 150_000, ("exact", 6, 6, 6, 2928)),
-        # greedy palette 11: the local search brings the upper bound to Δ+2
+        (complete_bipartite(4, 4), 150_000, ("exact", 6, 6, 6, 2977)),
+        # greedy palette 11: the local search brings the upper bound to Δ+2;
+        # a 160-node probe does not fit in 50 nodes
         (complete_bipartite(8, 8), 50, ("timed_out", None, 9, 10, 51)),
         (complete_graph(8), 20_000, ("exact", 9, 9, 9, 0)),  # parity certificate
-        (_knm(6, 3), 20_000, ("exact", 11, 11, 11, 0)),
-        (_knm(5, 4), 5_000, ("exact", 13, 13, 13, 0)),
-        (cycle_graph(61), 150_000, ("exact", 4, 4, 4, 118)),
+        (_knm(6, 3), 20_000, ("exact", 11, 11, 11, 217)),
+        (_knm(5, 4), 5_000, ("exact", 13, 13, 13, 281)),
+        (cycle_graph(61), 150_000, ("exact", 4, 4, 4, 124)),
     ]
     for g, max_nodes, expected in pinned:
         a = exact_chi_total(g, SearchBudget(max_nodes=max_nodes))
@@ -151,18 +157,66 @@ def test_deterministic_given_fixed_budget():
 
 def test_k44_search_is_pinned():
     # the local search closes the type-I gaps of the small products, so
-    # K_{4,4}, type II but conformable, keeps an exact search under test
+    # K_{4,4}, type II but conformable, keeps an exact search under test:
+    # a probe cut at its cap of 48 nodes (49 ticks), then 2,928 nodes of search
     res = exact_chi_total(complete_bipartite(4, 4), SearchBudget(max_nodes=150_000))
     assert (res.status.value, res.chi_total, res.lower, res.upper, res.nodes) == (
-        "exact", 6, 6, 6, 2928
+        "exact", 6, 6, 6, 2977
     )
 
 
 def test_long_cycle_needs_no_deep_recursion():
-    # T(C_601) has 1202 vertices, deeper than Python's default recursion limit
+    # T(C_601) has 1202 vertices, deeper than Python's default recursion
+    # limit; the probe (cap 2,404 nodes) proves chi'' = 4
     res = exact_chi_total(cycle_graph(601), SearchBudget(max_nodes=150_000))
     assert res.status is OracleStatus.EXACT
-    assert (res.chi_total, res.nodes) == (4, 1198)
+    assert (res.chi_total, res.nodes) == (4, 1204)
+
+
+@pytest.mark.parametrize("n, m, chi", [(7, 3, 13), (5, 5, 17)])
+def test_odd_products_are_type_i(n, m, chi):
+    # both factors odd: no construction, but the local search restarted
+    # from a random colouring finds Δ+1 colours, so chi'' = Δ+1
+    g = _knm(n, m)
+    res, colours = _solve(g, SearchBudget(max_nodes=150_000), None)
+    assert chi == g.max_degree + 1
+    assert (res.status, res.chi_total) == (OracleStatus.EXACT, chi)
+    report = verify_total(g, _colouring_of(g, colours))
+    assert report.valid and report.colours_used == chi
+
+
+@given(st.integers(0, 9), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_total_masks_match_the_total_graph(n, isolated, seed):
+    # edges among the first n vertices only, so the last ones stay isolated;
+    # n = isolated = 0 is the empty graph
+    r = random.Random(seed)
+    p = r.choice([0.0, r.random(), 1.0])
+    edges = [e for e in itertools.combinations(range(n), 2) if r.random() < p]
+    g = make_graph(n + isolated, edges)
+    assert _total_masks(g) == _adjacency_masks(total_graph(g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_every_budget_brackets_the_bruteforce_value(seed):
+    # small budgets cut the probe, the local search or the search anywhere;
+    # no cut may turn into a wrong bound or an EXACT claim.  Graphs this small
+    # never exhaust a probe of 2|T(G)| nodes, so a probe capped at 0 nodes
+    # (it always runs out) is tried too
+    r = random.Random(seed)
+    g = random_graph(r, max_n=5, p=r.random())
+    while g.element_count() > 8:
+        g = random_graph(r, max_n=5, p=r.random())
+    bf = chi_total_bruteforce(g)
+    for probe, nodes in itertools.product((oracle._PROBE_NODES, 0), (0, 1, 7, 50)):
+        with mock.patch.object(oracle, "_PROBE_NODES", probe):
+            res = exact_chi_total(g, SearchBudget(max_nodes=nodes))
+        assert res.lower <= bf <= res.upper
+        assert res.nodes <= nodes + 1
+        if res.status is OracleStatus.EXACT:
+            assert res.chi_total == bf
+        if nodes == 0:
+            assert res.status is OracleStatus.LOWER_BOUND_ONLY
 
 
 def naive_dsatur(masks):
@@ -191,8 +245,8 @@ def naive_dsatur(masks):
 def test_dsatur_greedy_matches_naive_rescan(seed):
     r = random.Random(seed)
     g = random_graph(r, max_n=12, p=r.random())
-    masks = _adjacency_masks(g)
-    assert _dsatur_greedy(masks) == naive_dsatur(masks)
+    _, adj = _relabel(_adjacency_masks(g))
+    assert _dsatur_greedy(adj) == naive_dsatur(adj)
 
 
 def naive_max_clique(masks):
@@ -228,31 +282,34 @@ def _no_deadline():
     return _Clock(SearchBudget(max_nodes=1))
 
 
+def _colouring_of(g, colours):
+    """The TotalColouring of g behind a colouring of T(G) in T(G) labels."""
+    return TotalColouring.from_parts(
+        colours[: g.n], {e: colours[g.n + i] for i, e in enumerate(g.sorted_edges)}
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_local_search_colourings_verify(seed):
     r = random.Random(seed)
     g = random_graph(r, max_n=8, p=r.random())
-    masks = _adjacency_masks(total_graph(g))
-    start = _dsatur_greedy(masks)
+    pos, adj = _relabel(_total_masks(g))
     lb = len(_clique(g))
-    for k in (lb, lb + 1):
-        found = _tabucol(masks, start, k, _no_deadline())
-        assert found == _tabucol(masks, start, k, _no_deadline())
+    starts = [_dsatur_greedy(adj), [r.randrange(lb) for _ in adj]]
+    for k, start in itertools.product((lb, lb + 1), starts):
+        found = _tabucol(adj, start, k, _no_deadline())
+        assert found == _tabucol(adj, start, k, _no_deadline())
         if found is not None:
-            tc = TotalColouring.from_parts(
-                found[: g.n],
-                {e: found[g.n + i] for i, e in enumerate(g.sorted_edges)},
-            )
-            report = verify_total(g, tc)
+            report = verify_total(g, _colouring_of(g, [found[p] for p in pos]))
             assert report.valid and report.colours_used <= k
 
 
 def test_local_search_returns_none_where_no_colouring_exists():
     # chi''(C_4) = 4 and chi''(K_{4,4}) = 6
     for g, k in [(cycle_graph(4), 3), (complete_bipartite(4, 4), 5)]:
-        masks = _adjacency_masks(total_graph(g))
-        assert _tabucol(masks, _dsatur_greedy(masks), k, _no_deadline()) is None
+        _, adj = _relabel(_total_masks(g))
+        assert _tabucol(adj, _dsatur_greedy(adj), k, _no_deadline()) is None
 
 
 def test_bruteforce_small_values():
@@ -351,14 +408,15 @@ def test_certify_palette_is_the_first_upper_bound():
     # K_{8,8}: lower bound 9, greedy palette 11; a 10-colouring must bound
     # the answer even though one node cannot finish the search
     g, tc = complete_bipartite(8, 8), _kaa_total_colouring(8)
-    assert max(_dsatur_greedy(_adjacency_masks(total_graph(g)))) == 10
+    assert max(_dsatur_greedy(_relabel(_total_masks(g))[1])) == 10
     verdict = certify_construction(g, tc, SearchBudget(max_nodes=1))
     assert verdict.status is CertificationStatus.VALID_BUT_UNPROVEN
     assert verdict.colours_used == 10
     assert (verdict.oracle.lower, verdict.oracle.upper) == (9, 10)
-    # K8 x K5: started from the greedy colouring, the local search misses
-    # Δ+1 = 29; started from the seed (a 29-colouring with one vertex moved
-    # to a 30th colour), it finds 29 at once
+    # K8 x K5: started from the greedy colouring and restarted from a
+    # random one, the local search misses Δ+1 = 29; started from the seed
+    # (a 29-colouring with one vertex moved to a 30th colour), it finds 29
+    # at once
     g = _knm(8, 5)
     res = exact_chi_total(g, SearchBudget(max_nodes=1))
     assert (res.status, res.lower, res.upper) == (OracleStatus.TIMED_OUT, 29, 30)
