@@ -46,8 +46,8 @@ for i, j in [(0, 0), (3, 5)]:
 print(f"  max degree {prod.max_degree} = {g.max_degree} * {h.max_degree}")
 
 # A bipartite factor makes the whole product bipartite.
-parts = find_bipartition(prod)
-print(f"  bipartite parts of the product: {len(parts.left)} + {len(parts.right)}")
+right = find_bipartition(prod)
+print(f"  bipartite parts of the product: {right.count(False)} + {right.count(True)}")
 print()
 
 # ----------------------------------------------------------------------

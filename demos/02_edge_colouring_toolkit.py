@@ -1,14 +1,17 @@
 """Tour of the edge-colouring primitives.
 
+Each primitive returns a list of colours aligned with its graph's
+sorted_edges: colours[i] colours g.sorted_edges[i].
+
 Run with:  python3 demos/02_edge_colouring_toolkit.py
 """
 
 import random
 
 from totalcolour import (
-    Bipartition,
     bipartite_delta_edge_colouring,
     colour_class,
+    complete_bipartite,
     complete_graph,
     crown_edge_colouring,
     crown_graph,
@@ -28,13 +31,12 @@ rng = random.Random(7)
 a = b = 6
 edges = [(i, a + j) for i in range(a) for j in range(b) if rng.random() < 0.5]
 h = make_graph(a + b, edges)
-parts = Bipartition(tuple(range(a)), tuple(range(a, a + b)))
-ec = bipartite_delta_edge_colouring(h, parts)
+ec = bipartite_delta_edge_colouring(h)
 print(f"random bipartite graph: {len(h.edges)} edges, max degree {h.max_degree}")
-print(f"  colours used: {sorted(ec.colours)} (exactly max degree)")
+print(f"  colours used: {sorted(set(ec))} (exactly max degree)")
 print(f"  proper: {verify_edge(h, ec).valid}")
-for c in sorted(ec.colours):
-    print(f"  class {c}: {sorted(colour_class(ec, c))}")
+for c in sorted(set(ec)):
+    print(f"  class {c}: {sorted(colour_class(h, ec, c))}")
 print()
 
 # ----------------------------------------------------------------------
@@ -43,12 +45,13 @@ print()
 # ----------------------------------------------------------------------
 
 n = 8
+kn = complete_graph(n)
 ec = one_factorization(n)
 print(f"one factorization of K_{n} (think: {n - 1} rounds of a tournament)")
 for r in range(n - 1):
-    matches = sorted(colour_class(ec, r))
+    matches = sorted(colour_class(kn, ec, r))
     print(f"  round {r}: " + "  ".join(f"{u}-{v}" for u, v in matches))
-print(f"  proper: {verify_edge(complete_graph(n), ec).valid}")
+print(f"  proper: {verify_edge(kn, ec).valid}")
 print()
 
 # ----------------------------------------------------------------------
@@ -67,6 +70,8 @@ for m in (5, 6):
         ]
         print("   " + " ".join(marked))
     print(f"  diagonal symbols: {sorted(square.transversal_symbols())}")
+    print(f"  K_{{{m},{m}}} edge colouring proper: "
+          f"{verify_edge(complete_bipartite(m, m), ec).valid}")
     print()
 
 print("m = 2 is impossible: both proper 2-edge-colourings of K_{2,2} make")
@@ -81,5 +86,5 @@ print()
 m = 5
 ec = crown_edge_colouring(m)
 crown = crown_graph(m)
-print(f"crown on {2 * m} vertices: {len(ec.colours)} colours, "
+print(f"crown on {2 * m} vertices: {len(set(ec))} colours, "
       f"proper={verify_edge(crown, ec).valid}")

@@ -3,9 +3,10 @@
 A total colouring is two flat lists: ``vertex_colours`` indexed by vertex,
 and ``edge_colours`` aligned with ``edges``, the sorted tuple of canonical
 ``(u, v)`` pairs it colours, so checking that it covers a graph is one tuple
-comparison with ``Graph.sorted_edges``.  The factor-sized edge-colouring
-primitives return a pair-keyed :class:`EdgeColouring`.  Both verifiers share
-one edge-conflict routine.
+comparison with ``Graph.sorted_edges``.  An edge colouring is just such a
+list of colours aligned with its graph's ``sorted_edges``, which is what the
+edge-colouring primitives return.  Both verifiers share one edge-conflict
+routine.
 
 Colours are 0-based non-negative integers.  Palettes need not be contiguous;
 ``colours_used`` always counts distinct values and :func:`normalize_total`
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     DomainError,
@@ -27,39 +28,6 @@ from .errors import (
     OutOfConjectureRangeError,
 )
 from .graph_core import Edge, Element, Graph, Pair, Vertex, canonical_pair
-
-
-@dataclass
-class EdgeColouring:
-    """Assignment of one colour to every edge of a target graph."""
-
-    assignment: dict[Pair, int]
-
-    def __post_init__(self) -> None:
-        fixed: dict[Pair, int] = {}
-        for (u, v), c in self.assignment.items():
-            if u == v:
-                raise GraphConstructionError(f"self-loop on vertex {u}")
-            if c < 0:
-                raise DomainError(f"negative colour {c} on edge ({u},{v})")
-            pair = canonical_pair(u, v)
-            if pair in fixed:  # (u, v) and (v, u) both given
-                raise GraphConstructionError(
-                    f"edge ({pair[0]},{pair[1]}) is coloured more than once"
-                )
-            fixed[pair] = c
-        self.assignment = fixed
-
-    def colour(self, u: int, v: int) -> int:
-        return self.assignment[canonical_pair(u, v)]
-
-    @property
-    def colours(self) -> frozenset[int]:
-        return frozenset(self.assignment.values())
-
-    @property
-    def palette_size(self) -> int:
-        return len(self.colours)
 
 
 @dataclass(frozen=True)
@@ -80,6 +48,7 @@ class TotalColouring:
         for i, c in enumerate(self.vertex_colours):
             if c < 0:
                 raise DomainError(f"negative colour {c} on vertex {i}")
+        _reject_negative(self.edges, self.edge_colours)
 
     @classmethod
     def from_parts(
@@ -88,7 +57,18 @@ class TotalColouring:
         edge_colours: Mapping[Pair, int],
     ) -> "TotalColouring":
         """Check a pair-keyed edge colouring (either orientation, not both); sort it."""
-        fixed = EdgeColouring(dict(edge_colours)).assignment
+        fixed: dict[Pair, int] = {}
+        for (u, v), c in edge_colours.items():
+            if u == v:
+                raise GraphConstructionError(f"self-loop on vertex {u}")
+            if c < 0:
+                raise DomainError(f"negative colour {c} on edge ({u},{v})")
+            pair = canonical_pair(u, v)
+            if pair in fixed:  # (u, v) and (v, u) both given
+                raise GraphConstructionError(
+                    f"edge ({pair[0]},{pair[1]}) is coloured more than once"
+                )
+            fixed[pair] = c
         edges = tuple(sorted(fixed))
         return cls(list(vertex_colours), edges, [fixed[e] for e in edges])
 
@@ -128,17 +108,19 @@ def check_cover(g: Graph, tc: TotalColouring) -> None:
     n, edges = len(tc.vertex_colours), tc.edges
     if n == g.n and (edges is g.sorted_edges or edges == g.sorted_edges):
         return
-    missing, extra = _edge_cover_gap(g, edges)
+    have = set(edges)
+    missing, extra = len(g.edges - have), len(have - g.edges)
     raise IncompleteColouringError(
         f"colouring does not match the graph's elements "
         f"({missing + max(g.n - n, 0)} missing, {extra + max(n - g.n, 0)} unknown)"
     )
 
 
-def _edge_cover_gap(g: Graph, pairs: Iterable[Pair]) -> tuple[int, int]:
-    """How many of the graph's edges ``pairs`` misses, and how many it invents."""
-    have = set(pairs)
-    return len(g.edges - have), len(have - g.edges)
+def _reject_negative(edges: Sequence[Pair], colours: Sequence[int]) -> None:
+    """Raise DomainError naming the lowest colour below 0, if there is one."""
+    if min(colours, default=0) < 0:
+        c, (u, v) = min(zip(colours, edges))
+        raise DomainError(f"negative colour {c} on edge ({u},{v})")
 
 
 def _edge_conflicts(
@@ -189,17 +171,19 @@ def verify_total(g: Graph, tc: TotalColouring) -> VerificationReport:
     return VerificationReport(not violations, violations, tc.palette_size)
 
 
-def verify_edge(g: Graph, ec: EdgeColouring) -> VerificationReport:
-    """Certify a proper edge colouring: no two edges sharing an endpoint agree."""
-    missing, extra = _edge_cover_gap(g, ec.assignment)
-    if missing or extra:
+def verify_edge(g: Graph, colours: Sequence[int]) -> VerificationReport:
+    """Certify a proper edge colouring: no two edges sharing an endpoint agree.
+
+    ``colours[i]`` colours ``g.sorted_edges[i]``; a list of another length
+    raises IncompleteColouringError, and a negative colour DomainError.
+    """
+    if len(colours) != len(g.sorted_edges):
         raise IncompleteColouringError(
-            f"edge colouring does not match the graph's edges "
-            f"({missing} missing, {extra} unknown)"
+            f"edge colouring has {len(colours)} colours for {len(g.sorted_edges)} edges"
         )
-    colours = [ec.assignment[e] for e in g.sorted_edges]
+    _reject_negative(g.sorted_edges, colours)
     violations = _edge_conflicts(g.n, g.sorted_edges, colours)
-    return VerificationReport(not violations, violations, ec.palette_size)
+    return VerificationReport(not violations, violations, len(set(colours)))
 
 
 def classify(g: Graph, chi_total: int) -> TypeClass:

@@ -15,11 +15,11 @@ the product's maximum degree:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import combinations
+from typing import Iterable, Sequence
 
-from .colouring import EdgeColouring, TotalColouring, normalize_total, verify_total
+from .colouring import TotalColouring, normalize_total, verify_total
 from .edge_colouring import (
-    Bipartition,
     bipartite_delta_edge_colouring,
     crown_edge_colouring,
     find_bipartition,
@@ -70,27 +70,33 @@ def kn_k2_total_colouring(n: int) -> TotalColouring:
 
     The product is isomorphic to the crown graph on 2n vertices via
     x_k -> (v_k, z_1), y_k -> (v_k, z_2); this transports the crown
-    colouring across that relabelling.
+    colouring across that relabelling, reading it from the square.
     """
     if n < 3:
         raise DomainError("K_n x K_2 is only type I for n >= 3")
-    crown = crown_total_colouring(n).colouring
-    vertex_colours = [crown.vertex_colour(x) for k in range(n) for x in (k, n + k)]
-    edges = _from_crown(zip(crown.edges, crown.edge_colours), n)
-    return TotalColouring.from_parts(vertex_colours, edges)
+    square, _, _ = rainbow_kmm(n)
+    vertex_colours = [square.symbol(k, k) for k in range(n) for _ in (1, 2)]
+    arcs = _kn_k2_arcs(n)
+    colours = [square.symbol(k, t) for _, k, t in arcs]
+    return TotalColouring(vertex_colours, tuple(e for e, _, _ in arcs), colours)
 
 
-def _from_crown(crown: Iterable[tuple[Pair, int]], n: int) -> dict[Pair, int]:
-    """Crown edges x_k y_t = (k, n + t) keyed as (v_k, z_1)(v_t, z_2) = (2k, 2t+1)."""
-    return {(2 * k, 2 * (y - n) + 1): c for (k, y), c in crown}
+def _kn_k2_arcs(n: int) -> list[tuple[Pair, int, int]]:
+    """K_n x K_2's edges in sorted order, each with the (k, t) of its crown edge.
+
+    (v_k, z_1) is 2k and (v_t, z_2) is 2t + 1, so the crown edge x_k y_t is
+    (2k, 2t + 1) when k < t and (2t + 1, 2k) when k > t.
+    """
+    arcs = []
+    for a in range(n):
+        for z in (0, 1):
+            for b in range(a + 1, n):
+                k, t = (b, a) if z else (a, b)
+                arcs.append(((2 * a + z, 2 * b + 1 - z), k, t))
+    return arcs
 
 
-def lift_bipartite(
-    g: Graph,
-    f: TotalColouring,
-    h: Graph,
-    parts: Bipartition | None = None,
-) -> TotalColouring:
+def lift_bipartite(g: Graph, f: TotalColouring, h: Graph) -> TotalColouring:
     """Extend a type-I total colouring of G x K_2 to one of G x H, H bipartite.
 
     ``f`` must be a valid total colouring of direct_product(g, K_2) using
@@ -128,42 +134,36 @@ def lift_bipartite(
             f"expected exactly {dg + 1}"
         )
 
-    if parts is None:
-        parts = find_bipartition(h)
-    ec_h = bipartite_delta_edge_colouring(h, parts)
+    right = find_bipartition(h)
+    ec_h = bipartite_delta_edge_colouring(h)
     if not h.edges:
         # Edgeless H: the product is edgeless, and one colour is both enough
         # and exactly max_degree(g) * 0 + 1.
-        return TotalColouring.from_parts([0] * (g.n * h.n), {})
+        return TotalColouring([0] * (g.n * h.n), (), [])
 
     f = normalize_total(f)
-    phi = bipartite_delta_edge_colouring(
-        gk2, Bipartition(tuple(range(0, gk2.n, 2)), tuple(range(1, gk2.n, 2)))
-    )
-    left = set(parts.left)
-    oriented = {
-        (x, y) if x in left else (y, x): d for (x, y), d in ec_h.assignment.items()
-    }
-    return _lift(g, f, phi, oriented, [w not in left for w in range(h.n)], False)
+    phi = bipartite_delta_edge_colouring(gk2)
+    oriented = (((y, x) if right[x] else (x, y)) for x, y in h.sorted_edges)
+    return _lift(g, f, phi, zip(oriented, ec_h), right, False)
 
 
 def _lift(
     g: Graph,
     f: TotalColouring,
-    phi: EdgeColouring,
-    classes: dict[Pair, int],
+    phi: Sequence[int],
+    classes: Iterable[tuple[Pair, int]],
     right: list[bool],
     h_first: bool,
 ) -> TotalColouring:
     """Colour G x H from a total colouring of G x K_2 and matching classes of H.
 
     In G x K_2, (v_k, z_1) is 2k and (v_k, z_2) is 2k + 1; ``f`` colours it on
-    palette 0..max_degree(g) and ``phi`` edge-colours it with max_degree(g)
-    colours.  ``classes`` maps each H-edge, oriented x -> y, to its class in a
-    proper edge colouring of H.  Vertex (v_k, w) takes f((v_k, z_2)) if
-    right[w], else f((v_k, z_1)).  With e = (v_s, z_1)(v_t, z_2), the edge
-    (v_s, x)(v_t, y) takes f(e) over class 0 and d * max_degree(g) + 1 + phi(e)
-    over class d >= 1.
+    palette 0..max_degree(g), and ``phi``, aligned with ``f.edges``,
+    edge-colours it with max_degree(g) colours.  ``classes`` pairs each H-edge,
+    oriented x -> y, with its class in a proper edge colouring of H.  Vertex
+    (v_k, w) takes f((v_k, z_2)) if right[w], else f((v_k, z_1)).  With
+    e = (v_s, z_1)(v_t, z_2), the edge (v_s, x)(v_t, y) takes f(e) over class
+    0 and d * max_degree(g) + 1 + phi(e) over class d >= 1.
 
     This is proper when every H-edge runs from a vertex with right False to one
     with right True, and for any orientation when f gives (v_k, z_1) and
@@ -176,14 +176,16 @@ def _lift(
     # lanes[s][t] = (f(e), f(e'), phi(e), phi(e')) with e = (v_s, z_1)(v_t, z_2)
     # and e' = (v_t, z_1)(v_s, z_2); steps[x][y] = (offset, lane) of the H-edge
     # {x, y} seen from x, so that (v_s, x)(v_t, y) takes offset + lanes[s][t][lane]
-    lanes: list[dict[int, tuple[int, ...]]] = [{} for _ in range(g.n)]
-    for s, t in g.sorted_edges + tuple((t, s) for s, t in g.sorted_edges):
-        e, e2 = (2 * s, 2 * t + 1), (2 * t, 2 * s + 1)
-        lanes[s][t] = (
-            f.edge_colour(*e), f.edge_colour(*e2), phi.colour(*e), phi.colour(*e2)
-        )
+    half: list[dict[int, tuple[int, int]]] = [{} for _ in range(g.n)]
+    for (p, q), fc, pc in zip(f.edges, f.edge_colours, phi):
+        s, t = (p // 2, q // 2) if p % 2 == 0 else (q // 2, p // 2)
+        half[s][t] = (fc, pc)  # (f(e), phi(e)) with e = (v_s, z_1)(v_t, z_2)
+    lanes = [
+        {t: (fc, half[t][s][0], pc, half[t][s][1]) for t, (fc, pc) in here.items()}
+        for s, here in enumerate(half)
+    ]
     steps: list[dict[int, tuple[int, int]]] = [{} for _ in range(hn)]
-    for (x, y), d in classes.items():
+    for (x, y), d in classes:
         offset, lane = (d * g.max_degree + 1, 2) if d else (0, 0)
         steps[x][y], steps[y][x] = (offset, lane), (offset, lane + 1)
     # vertex (i, j) of A x B is i * |B| + j, and its edges to larger vertices
@@ -232,17 +234,18 @@ def knm_total_colouring(n: int, m: int) -> TotalColouring:
     a, b = n, m
     if a % 2 or (b % 2 == 0 and b > a):
         a, b = b, a
-    phi = EdgeColouring(_from_crown(crown_edge_colouring(b).assignment.items(), b))
+    f = kn_k2_total_colouring(b)
+    crown = crown_edge_colouring(b)
+    # the crown lists x_k y_t (t != k) row-major, so x_k y_t is entry
+    # k * (b - 1) + t - (t > k)
+    phi = [crown[k * (b - 1) + t - (t > k)] for _, k, t in _kn_k2_arcs(b)]
     # K_a comes first in the caller's product when a == n; a one-factor edge
     # i < j runs i -> j
-    classes = one_factorization(a).assignment
-    f = kn_k2_total_colouring(b)
+    classes = zip(combinations(range(a), 2), one_factorization(a))
     return _lift(complete_graph(b), f, phi, classes, [False] * a, a == n)
 
 
-def kn_times_bipartite(
-    n: int, h: Graph, parts: Bipartition | None = None
-) -> TotalColouring:
+def kn_times_bipartite(n: int, h: Graph) -> TotalColouring:
     """Total colouring of K_n x H, H bipartite, with (n-1)*max_degree(h)+1 colours.
 
     n = 2 is refused: K_2 x K_2 is type II, so no such colouring can exist
@@ -259,8 +262,8 @@ def kn_times_bipartite(
         raise DomainError("K_n needs n >= 1")
     if n == 1:
         # K_1 x K_2 is two isolated vertices; lifting its one-colour
-        # colouring checks h and parts like any other n.
-        f = TotalColouring.from_parts([0, 0], {})
+        # colouring checks that h is bipartite like any other n.
+        f = TotalColouring([0, 0], (), [])
     else:
         f = kn_k2_total_colouring(n)
-    return lift_bipartite(complete_graph(n), f, h, parts)
+    return lift_bipartite(complete_graph(n), f, h)

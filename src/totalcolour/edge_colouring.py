@@ -1,12 +1,13 @@
 """Edge-colouring primitives the total-colouring constructions consume.
 
-Four builders live here: the exact max-degree edge colouring of bipartite
-graphs (Konig's alternating-path insertion), the circle-method one
-factorization of even complete graphs, the rainbow-matched square
-colouring of K_{m,m} realised as a Latin square with a transversal, in
-closed form: the cyclic square for odd m, the cyclic square of order m - 1
-prolonged along its diagonal for even m, and the closed-form (m-1)-edge
-colouring of the crown graph, x_k y_t -> (t - k - 1) mod m.
+Each primitive returns a flat list of colours aligned with its graph's
+``sorted_edges``: the exact max-degree edge colouring of bipartite graphs
+(Konig's alternating-path insertion), the one factorization of even
+complete graphs in closed form, the rainbow-matched square colouring of
+K_{m,m} realised as a Latin square with a transversal, in closed form: the
+cyclic square for odd m, the cyclic square of order m - 1 prolonged along
+its diagonal for even m, and the closed-form (m-1)-edge colouring of the
+crown graph, x_k y_t -> (t - k - 1) mod m.
 
 All tie-breaking is lowest-colour / lowest-index first, so every output is
 deterministic.
@@ -16,29 +17,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
-from .colouring import EdgeColouring
 from .errors import DomainError, NoRainbowError, NotBipartiteError
-from .graph_core import Graph, Pair, canonical_pair
+from .graph_core import Graph, Pair
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """Two disjoint vertex sets; whether they cover a given graph is checked
-    by the operations that consume them."""
-
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "left", tuple(sorted(set(self.left))))
-        object.__setattr__(self, "right", tuple(sorted(set(self.right))))
-        if set(self.left) & set(self.right):
-            raise DomainError("bipartition parts overlap")
-
-
-def find_bipartition(g: Graph) -> Bipartition:
-    """2-colour the vertices by BFS; isolated vertices land on the left.
+def find_bipartition(g: Graph) -> list[bool]:
+    """2-colour the vertices by BFS: True marks the right side, and isolated
+    vertices land on the left.
 
     Raises NotBipartiteError if some component contains an odd cycle.
     """
@@ -56,36 +43,22 @@ def find_bipartition(g: Graph) -> Bipartition:
                     queue.append(v)
                 elif side[v] == side[u]:
                     raise NotBipartiteError(f"odd cycle through vertices {u} and {v}")
-    left = tuple(v for v in range(g.n) if side[v] == 0)
-    right = tuple(v for v in range(g.n) if side[v] == 1)
-    return Bipartition(left, right)
+    return [s == 1 for s in side]
 
 
-def _validate_parts(h: Graph, parts: Bipartition) -> None:
-    if set(parts.left) | set(parts.right) != set(range(h.n)):
-        raise DomainError("bipartition does not cover the vertex set")
-    left = set(parts.left)
-    for u, v in h.edges:
-        if (u in left) == (v in left):
-            raise NotBipartiteError(f"edge ({u},{v}) lies inside one part")
-
-
-def bipartite_delta_edge_colouring(h: Graph, parts: Bipartition) -> EdgeColouring:
+def bipartite_delta_edge_colouring(h: Graph) -> list[int]:
     """Proper edge colouring of a bipartite graph with exactly max_degree colours.
 
     Edges are inserted in sorted order.  Each edge (u, v) takes the smallest
     colour free at u; if that colour is busy at v, the alternating two-colour
     path starting at v is flipped first (it can never reach u in a bipartite
-    graph), which frees the colour.  With 0 edges the colouring is empty.
+    graph), which frees the colour.  Raises NotBipartiteError, via
+    :func:`find_bipartition`, if h has an odd cycle.
     """
-    _validate_parts(h, parts)
-    delta = h.max_degree
-    if delta == 0:
-        return EdgeColouring({})
-
-    # at[v][c] = neighbour joined to v by the c-coloured edge
-    at: list[dict[int, int]] = [{} for _ in range(h.n)]
-    colour_of: dict[Pair, int] = {}
+    find_bipartition(h)
+    colours = [0] * len(h.sorted_edges)
+    # at[v][c] = (neighbour, edge id) of the c-coloured edge at v
+    at: list[dict[int, tuple[int, int]]] = [{} for _ in range(h.n)]
 
     def first_free(v: int) -> int:
         c = 0
@@ -95,53 +68,53 @@ def bipartite_delta_edge_colouring(h: Graph, parts: Bipartition) -> EdgeColourin
 
     def flip_path(v: int, a: int, b: int) -> None:
         # swap colours a and b along the maximal alternating path from v
-        path: list[tuple[int, int, int]] = []
+        path: list[tuple[int, int, int, int]] = []
         x, want = v, a
         while want in at[x]:
-            y = at[x][want]
-            path.append((x, y, want))
+            y, i = at[x][want]
+            path.append((x, y, i, want))
             x, want = y, a + b - want
-        for x, y, c in path:
+        for x, y, _, c in path:
             del at[x][c]
             del at[y][c]
-        for x, y, c in path:
+        for x, y, i, c in path:
             nc = a + b - c
-            at[x][nc] = y
-            at[y][nc] = x
-            colour_of[canonical_pair(x, y)] = nc
+            at[x][nc] = (y, i)
+            at[y][nc] = (x, i)
+            colours[i] = nc
 
-    for u, v in h.sorted_edges:
+    for i, (u, v) in enumerate(h.sorted_edges):
         a = first_free(u)
         if a in at[v]:
-            b = first_free(v)
-            flip_path(v, a, b)
-        at[u][a] = v
-        at[v][a] = u
-        colour_of[(u, v)] = a
-
-    return EdgeColouring(colour_of)
+            flip_path(v, a, first_free(v))
+        at[u][a] = (v, i)
+        at[v][a] = (u, i)
+        colours[i] = a
+    return colours
 
 
-def colour_class(ec: EdgeColouring, c: int) -> set[Pair]:
-    """All edges carrying colour c; empty (not an error) if c is unused."""
-    return {e for e, col in ec.assignment.items() if col == c}
+def colour_class(g: Graph, colours: Sequence[int], c: int) -> set[Pair]:
+    """All edges of g that ``colours`` (aligned with ``g.sorted_edges``) gives
+    colour c; empty (not an error) if c is unused."""
+    return {e for e, col in zip(g.sorted_edges, colours) if col == c}
 
 
-def one_factorization(n: int) -> EdgeColouring:
+def one_factorization(n: int) -> list[int]:
     """Edge colouring of K_n (n even) with n-1 colours, each class a perfect matching.
 
-    Circle method: vertex n-1 sits in the centre; in round r it pairs with r,
-    and (r+i) pairs with (r-i) mod (n-1) for i = 1..n/2-1.  Round r is colour r.
+    The circle method in closed form: in round r, vertex n-1 pairs with r and
+    every other pair i, j has i + j = 2r mod (n-1).  As n/2 inverts 2 mod n-1,
+    the edge i < j takes i if j = n-1, else (i + j) * n/2 mod (n-1).  The
+    list is aligned with complete_graph(n).sorted_edges.
     """
     if n < 2 or n % 2:
         raise DomainError(f"one factorization of K_n needs even n >= 2, got {n}")
-    mod = n - 1
-    colour_of: dict[Pair, int] = {}
-    for r in range(mod):
-        colour_of[canonical_pair(r, n - 1)] = r
-        for i in range(1, n // 2):
-            colour_of[canonical_pair((r + i) % mod, (r - i) % mod)] = r
-    return EdgeColouring(colour_of)
+    mod, half = n - 1, n // 2
+    return [
+        i if j == mod else (i + j) * half % mod
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
 
 
 @dataclass(frozen=True)
@@ -205,11 +178,13 @@ def _rainbow_rows(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row[c] for c in columns) for row in rows)
 
 
-def rainbow_kmm(m: int) -> tuple[LatinSquare, EdgeColouring, set[Pair]]:
+def rainbow_kmm(m: int) -> tuple[LatinSquare, list[int], set[Pair]]:
     """m-edge-colouring of K_{m,m} with a perfect rainbow matching, for m >= 3.
 
     Returns the Latin square, the induced edge colouring of K_{m,m} (parts
-    x_i = i and y_j = m + j), and the rainbow matching {x_i y_i}.  For odd m
+    x_i = i and y_j = m + j; the rows read in order, aligned with
+    complete_bipartite(m, m).sorted_edges), and the rainbow matching
+    {x_i y_i}.  For odd m
     the square is cyclic: its diagonal carries 2i mod m, which are pairwise
     distinct.  For even m the cyclic diagonal is constant, so the square is
     the cyclic square of order m - 1 prolonged along its diagonal, with
@@ -225,19 +200,17 @@ def rainbow_kmm(m: int) -> tuple[LatinSquare, EdgeColouring, set[Pair]]:
         )
     rows = _rainbow_rows(m)
     square = LatinSquare(rows, tuple(range(m)))
-    colour_of = {(i, m + j): rows[i][j] for i in range(m) for j in range(m)}
     matching = {(i, m + i) for i in range(m)}
-    return square, EdgeColouring(colour_of), matching
+    return square, [c for row in rows for c in row], matching
 
 
-def crown_edge_colouring(m: int) -> EdgeColouring:
+def crown_edge_colouring(m: int) -> list[int]:
     """Proper (m-1)-edge colouring of the crown graph on 2m vertices, m >= 2.
 
     x_k y_t takes (t - k - 1) mod m: at x_k the m - 1 values of t != k give
-    every colour but m - 1, and likewise the values of k != t at y_t.
+    every colour but m - 1, and likewise the values of k != t at y_t.  The
+    list is aligned with crown_graph(m).sorted_edges, row-major in (k, t).
     """
     if m < 2:
         raise DomainError("crown edge colouring needs m >= 2")
-    return EdgeColouring(
-        {(k, m + t): (t - k - 1) % m for k in range(m) for t in range(m) if k != t}
-    )
+    return [(t - k - 1) % m for k in range(m) for t in range(m) if k != t]

@@ -215,11 +215,11 @@ def _dot_colour(c: int) -> tuple[str, str]:
     return DOT_PALETTE[c % len(DOT_PALETTE)], label
 
 
-def to_dot(g: Graph, tc: TotalColouring | None = None, name: str = "G") -> str:
+def to_dot(g: Graph, tc: TotalColouring | None = None) -> str:
     """DOT text for a graph, with fills and edge colours when a colouring is given."""
     if tc is not None:
         check_cover(g, tc)
-    lines = [f"graph {name} {{", "  node [style=filled];"]
+    lines = ["graph G {", "  node [style=filled];"]
     for i in range(g.n):
         # a DOT quoted string ends at an unescaped '"'
         label = g.label(i).replace("\\", "\\\\").replace('"', '\\"')

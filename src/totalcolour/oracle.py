@@ -65,6 +65,7 @@ from the parity certificate or from the search.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -82,7 +83,7 @@ _PROBE_NODES = 2  # node cap of the probe per vertex of T(G)
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits for the exact search; at least one of the two must be finite."""
+    """Limits for the exact search: at least one is set, and each is finite."""
 
     max_nodes: int | None = None
     max_seconds: float | None = None
@@ -94,6 +95,8 @@ class SearchBudget:
             raise DomainError("node limit must be non-negative")
         if self.max_seconds is not None and self.max_seconds < 0:
             raise DomainError("wall-clock limit must be non-negative")
+        if self.max_seconds is not None and not math.isfinite(self.max_seconds):
+            raise DomainError(f"wall-clock limit must be finite, got {self.max_seconds}")
 
 
 class OracleStatus(str, Enum):

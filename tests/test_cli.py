@@ -192,6 +192,15 @@ def test_chi_timeout_exit_5(tmp_path, capsys):
     assert obj["chi_total"] is None
 
 
+@pytest.mark.parametrize("seconds", ["nan", "inf"])
+def test_chi_rejects_a_non_finite_seconds_limit(k3_file, capsys, seconds):
+    # a wall-clock limit that never expires is no limit: exit 3 before searching
+    assert main(["chi", k3_file, "--seconds", seconds]) == cli.EXIT_PRECONDITION == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: wall-clock limit must be finite, got {seconds}\n"
+
+
 def test_chi_batch(tmp_path, capsys):
     paths = []
     for name, g in [("c6", make_graph(6, [(i, (i + 1) % 6) for i in range(6)])),

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import totalcolour
 from totalcolour import (
+    DomainError,
     Edge,
-    EdgeColouring,
     GraphConstructionError,
     IncompleteColouringError,
     OutOfConjectureRangeError,
@@ -40,9 +41,9 @@ def colour_of(tc, el):
     return tc.edge_colour(el.u, el.v)
 
 
-def edge_part(tc):
-    """The edge colouring that ``tc`` restricts to."""
-    return EdgeColouring(dict(zip(tc.edges, tc.edge_colours)))
+def edge_part(g, tc):
+    """The edge colouring that ``tc`` restricts to, aligned with g.sorted_edges."""
+    return [tc.edge_colour(u, v) for u, v in g.sorted_edges]
 
 
 def with_colour(tc, el, c):
@@ -77,10 +78,11 @@ def naive_conflict_scan(g, tc):
 
 def naive_edge_conflict_scan(g, ec):
     """Independent quadratic check of an edge colouring."""
+    colour = dict(zip(g.sorted_edges, ec))
     return [
         (Edge(*e), Edge(*f))
         for e, f in itertools.combinations(g.sorted_edges, 2)
-        if set(e) & set(f) and ec.colour(*e) == ec.colour(*f)
+        if set(e) & set(f) and colour[e] == colour[f]
     ]
 
 
@@ -141,8 +143,6 @@ def test_edge_coloured_in_both_orientations_is_rejected():
     # kept silently, the last entry would be the only one the verifier judges
     with pytest.raises(GraphConstructionError):
         TotalColouring.from_parts([0, 1, 2], {(0, 1): 2, (1, 0): 0, (1, 2): 0, (0, 2): 1})
-    with pytest.raises(GraphConstructionError):
-        EdgeColouring({(2, 1): 0, (1, 2): 0})
 
 
 def test_verify_total_matches_naive_scan_on_knm_output():
@@ -153,7 +153,7 @@ def test_verify_total_matches_naive_scan_on_knm_output():
     assert rep.colours_used == 7  # (4-1)(3-1)+1
     assert naive_conflict_scan(g, tc) == []
     # restriction to edges is a proper edge colouring
-    assert verify_edge(g, edge_part(tc)).valid
+    assert verify_edge(g, edge_part(g, tc)).valid
     # restriction to vertices is proper
     for u, v in g.edges:
         assert tc.vertex_colour(u) != tc.vertex_colour(v)
@@ -198,7 +198,7 @@ def test_verify_total_report_order_is_pinned():
         (Edge(0, 3), Edge(0, 5), 1),
         (Vertex(3), Edge(0, 3), 1),
     ]
-    assert verify_edge(star, edge_part(tc)).violations == rep.violations[1:5]
+    assert verify_edge(star, edge_part(star, tc)).violations == rep.violations[1:5]
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
@@ -213,8 +213,8 @@ def test_verifiers_match_naive_scans_on_random_colourings(seed, palette):
     assert reported_pairs(rep) == set(naive_conflict_scan(g, tc))
     assert rep.valid == (rep.violations == [])
     assert rep.violations == naive_ordered_report(g, tc)
-    edge_rep = verify_edge(g, edge_part(tc))
-    assert reported_pairs(edge_rep) == set(naive_edge_conflict_scan(g, edge_part(tc)))
+    edge_rep = verify_edge(g, edge_part(g, tc))
+    assert reported_pairs(edge_rep) == set(naive_edge_conflict_scan(g, edge_part(g, tc)))
     # the decoder re-keys triples listed out of order or in either orientation
     triples = jsonio.colouring_to_obj(tc)["edge_colours"]
     flipped = [[v, u, c] if r.random() < 0.5 else [u, v, c] for u, v, c in triples]
@@ -244,27 +244,45 @@ def test_cover_check_is_part_of_the_trust_root():
 
 def test_verify_edge_matching_single_colour():
     m = make_graph(6, [(0, 1), (2, 3), (4, 5)])
-    rep = verify_edge(m, EdgeColouring({(0, 1): 0, (2, 3): 0, (4, 5): 0}))
+    rep = verify_edge(m, [0, 0, 0])
     assert rep.valid and rep.colours_used == 1
 
 
 def test_verify_edge_p3_clash():
     p3 = path_graph(3)
-    rep = verify_edge(p3, EdgeColouring({(0, 1): 0, (1, 2): 0}))
+    rep = verify_edge(p3, [0, 0])
     assert not rep.valid
 
 
 def test_verify_edge_k33_cyclic():
     # colour(x_i y_j) = (i + j) mod 3 is proper: exhaustively derived
     k33 = complete_bipartite(3, 3)
-    ec = EdgeColouring({(i, 3 + j): (i + j) % 3 for i in range(3) for j in range(3)})
+    ec = [(i + j) % 3 for i in range(3) for j in range(3)]
     rep = verify_edge(k33, ec)
     assert rep.valid and rep.colours_used == 3
 
 
 def test_verify_edge_incomplete():
     with pytest.raises(IncompleteColouringError):
-        verify_edge(path_graph(3), EdgeColouring({(0, 1): 0}))
+        verify_edge(path_graph(3), [0])
+    with pytest.raises(IncompleteColouringError):
+        verify_edge(path_graph(3), [0, 1, 0])
+
+
+def test_verify_edge_rejects_a_negative_colour():
+    with pytest.raises(DomainError, match=r"negative colour -1 on edge \(1,2\)"):
+        verify_edge(path_graph(3), [0, -1])
+
+
+def test_total_colouring_rejects_a_negative_edge_colour():
+    with pytest.raises(DomainError, match=r"negative colour -1 on edge \(0,1\)"):
+        TotalColouring([0, 1], ((0, 1),), [-1])
+    with pytest.raises(DomainError, match=r"negative colour -1 on vertex 1"):
+        TotalColouring([0, -1], ((0, 1),), [2])
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in totalcolour.__all__ if not hasattr(totalcolour, name)] == []
 
 
 def test_classify():

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from totalcolour import (
-    Bipartition,
     DomainError,
     OpenProblemError,
     PreconditionError,
@@ -113,12 +112,12 @@ def test_lift_vertex_colours_depend_only_on_the_part():
     g = complete_graph(3)
     f = kn_k2_total_colouring(3)
     h = complete_bipartite(2, 3)
-    parts = find_bipartition(h)
-    tc = lift_bipartite(g, f, h, parts)
+    right = find_bipartition(h)
+    tc = lift_bipartite(g, f, h)
     _, pmap = direct_product(g, h)
     for k in range(g.n):
-        left_cols = {tc.vertex_colour(pmap.index(k, x)) for x in parts.left}
-        right_cols = {tc.vertex_colour(pmap.index(k, y)) for y in parts.right}
+        left_cols = {tc.vertex_colour(pmap.index(k, x)) for x in range(h.n) if not right[x]}
+        right_cols = {tc.vertex_colour(pmap.index(k, y)) for y in range(h.n) if right[y]}
         assert len(left_cols) == 1 and len(right_cols) == 1
 
 
@@ -149,7 +148,7 @@ def test_lift_edgeless_h_uses_one_colour():
     g = complete_graph(3)
     f = kn_k2_total_colouring(3)
     h = edgeless_graph(4)
-    tc = lift_bipartite(g, f, h, Bipartition((0, 1), (2, 3)))
+    tc = lift_bipartite(g, f, h)
     prod, _ = direct_product(g, h)
     rep = verify_total(prod, tc)
     assert rep.valid
@@ -181,16 +180,6 @@ def test_lift_rejects_incomplete_f():
     partial = TotalColouring(f.vertex_colours[:-1], f.edges, f.edge_colours)
     with pytest.raises(PreconditionError):
         lift_bipartite(g, partial, cycle_graph(6))
-
-
-def test_lift_rejects_bogus_parts():
-    g = complete_graph(3)
-    f = kn_k2_total_colouring(3)
-    h = cycle_graph(6)
-    from totalcolour import NotBipartiteError
-
-    with pytest.raises(NotBipartiteError):
-        lift_bipartite(g, f, h, Bipartition((0, 1, 2), (3, 4, 5)))
 
 
 def _two_component_source(g, component_orders):
@@ -256,14 +245,13 @@ def test_lift_from_a_path_factor():
 def test_lift_band_separation(g, f, h):
     """Edges over H-colour d >= 1 take colours in d*dg+1 .. (d+1)*dg only."""
     tc = lift_bipartite(g, f, h)
-    parts = find_bipartition(h)
-    ec_h = bipartite_delta_edge_colouring(h, parts)
-    left = set(parts.left)
+    right = find_bipartition(h)
+    ec_h = bipartite_delta_edge_colouring(h)
     _, pmap = direct_product(g, h)
     dg = g.max_degree
     seen = 0
-    for (w1, w2), d in ec_h.assignment.items():
-        wx, wy = (w1, w2) if w1 in left else (w2, w1)
+    for (w1, w2), d in zip(h.sorted_edges, ec_h):
+        wx, wy = (w2, w1) if right[w1] else (w1, w2)
         band = range(dg + 1) if d == 0 else range(d * dg + 1, (d + 1) * dg + 1)
         for a, b in g.edges:
             for s, t in ((a, b), (b, a)):
@@ -338,7 +326,7 @@ def test_knm_band_separation():
     l = one_factorization(n)
     _, pmap = direct_product(complete_graph(n), complete_graph(m))
     bands: dict[int, set[int]] = {}
-    for (i, j), c in l.assignment.items():
+    for (i, j), c in zip(complete_graph(n).sorted_edges, l):
         for k in range(m):
             for t in range(m):
                 if k != t:
@@ -381,9 +369,9 @@ def test_kn_times_bipartite_k1_is_trivial():
     prod, _ = direct_product(complete_graph(1), path_graph(3))
     rep = verify_total(prod, tc)
     assert rep.valid and rep.colours_used == 1
-    # the parts are checked against h even though the product is edgeless
+    # h is checked to be bipartite even though the product is edgeless
     with pytest.raises(NotBipartiteError):
-        kn_times_bipartite(1, complete_graph(3), Bipartition((0,), (1, 2)))
+        kn_times_bipartite(1, complete_graph(3))
 
 
 def test_kn_times_bipartite_rejects_odd_cycle():
@@ -401,9 +389,8 @@ def test_master_property_every_construction_verifies(rng):
     exact promised palette."""
     for _ in range(25):
         n = rng.randint(3, 6)
-        h, a, b = random_bipartite(rng, max_part=4, p=0.5)
-        parts = Bipartition(tuple(range(a)), tuple(range(a, a + b)))
-        tc = kn_times_bipartite(n, h, parts)
+        h, _, _ = random_bipartite(rng, max_part=4, p=0.5)
+        tc = kn_times_bipartite(n, h)
         prod, _ = direct_product(complete_graph(n), h)
         rep = verify_total(prod, tc)
         assert rep.valid

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from totalcolour import (
-    Bipartition,
     DomainError,
     LatinSquare,
     NoRainbowError,
@@ -26,99 +25,83 @@ from totalcolour import (
 from conftest import random_bipartite
 
 
-def test_bipartition_rejects_overlap():
-    with pytest.raises(DomainError):
-        Bipartition((0, 1), (1, 2))
-
-
 def test_find_bipartition():
-    parts = find_bipartition(cycle_graph(6))
-    assert set(parts.left) | set(parts.right) == set(range(6))
-    assert parts.left == (0, 2, 4)
+    assert find_bipartition(cycle_graph(6)) == [False, True] * 3
+    # isolated vertices land on the left
+    assert find_bipartition(make_graph(4, [(1, 3)])) == [False, False, False, True]
     with pytest.raises(NotBipartiteError):
         find_bipartition(cycle_graph(5))
 
 
 def test_delta_colouring_perfect_matching():
     m = make_graph(6, [(0, 3), (1, 4), (2, 5)])
-    parts = Bipartition((0, 1, 2), (3, 4, 5))
-    ec = bipartite_delta_edge_colouring(m, parts)
-    assert set(ec.assignment.values()) == {0}
+    assert bipartite_delta_edge_colouring(m) == [0, 0, 0]
 
 
 def test_delta_colouring_c6_alternates():
     c6 = cycle_graph(6)
-    ec = bipartite_delta_edge_colouring(c6, find_bipartition(c6))
+    ec = bipartite_delta_edge_colouring(c6)
     assert verify_edge(c6, ec).valid
-    assert ec.colours == frozenset({0, 1})
-    cls = colour_class(ec, 0)
+    assert set(ec) == {0, 1}
+    cls = colour_class(c6, ec, 0)
     assert len(cls) == 3 and {v for e in cls for v in e} == set(range(6))
 
 
 def test_delta_colouring_crown4_classes_are_perfect_matchings():
     crown = crown_graph(4)
-    ec = bipartite_delta_edge_colouring(
-        crown, Bipartition(tuple(range(4)), tuple(range(4, 8)))
-    )
+    ec = bipartite_delta_edge_colouring(crown)
     assert verify_edge(crown, ec).valid
-    assert ec.colours == frozenset({0, 1, 2})
+    assert set(ec) == {0, 1, 2}
     for c in range(3):
-        cls = colour_class(ec, c)
+        cls = colour_class(crown, ec, c)
         assert len(cls) == 4
         assert {v for e in cls for v in e} == set(range(8))
 
 
 def test_delta_colouring_rejects_edge_inside_part():
-    g = make_graph(3, [(0, 1)])
+    # every 2-colouring of a triangle puts one of its edges inside a part
+    g = make_graph(3, [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(NotBipartiteError):
-        bipartite_delta_edge_colouring(g, Bipartition((0, 1), (2,)))
-
-
-def test_delta_colouring_rejects_non_cover():
-    g = make_graph(3, [(0, 1)])
-    with pytest.raises(DomainError):
-        bipartite_delta_edge_colouring(g, Bipartition((0,), (1,)))
+        bipartite_delta_edge_colouring(g)
 
 
 def test_delta_colouring_empty_graph():
-    g = make_graph(3, [])
-    ec = bipartite_delta_edge_colouring(g, Bipartition((0, 1), (2,)))
-    assert ec.assignment == {}
+    assert bipartite_delta_edge_colouring(make_graph(3, [])) == []
 
 
 def test_delta_exactness_random_sweep(rng):
     """Exactly max-degree colours, and every max-degree vertex sees every class."""
     for _ in range(200):
         h, a, b = random_bipartite(rng)
-        parts = Bipartition(tuple(range(a)), tuple(range(a, a + b)))
-        ec = bipartite_delta_edge_colouring(h, parts)
+        ec = bipartite_delta_edge_colouring(h)
+        assert len(ec) == len(h.edges)
+        colour = dict(zip(h.sorted_edges, ec))
         delta = h.max_degree
         assert verify_edge(h, ec).valid or delta == 0
-        assert len(ec.colours) == (delta if delta else 0)
+        assert len(set(ec)) == (delta if delta else 0)
         if delta:
-            assert ec.colours == frozenset(range(delta))
+            assert set(ec) == set(range(delta))
         for v in range(h.n):
             if h.degree(v) == delta and delta > 0:
                 seen = sorted(
-                    ec.colour(v, w) for w in h.adjacency[v]
+                    colour[min(v, w), max(v, w)] for w in h.adjacency[v]
                 )
                 assert seen == list(range(delta))
 
 
 def test_colour_class_unused_colour_is_empty():
     m = make_graph(4, [(0, 2), (1, 3)])
-    ec = bipartite_delta_edge_colouring(m, Bipartition((0, 1), (2, 3)))
-    assert colour_class(ec, 1) == set()
+    ec = bipartite_delta_edge_colouring(m)
+    assert colour_class(m, ec, 1) == set()
 
 
 def test_one_factorization_k2():
-    ec = one_factorization(2)
-    assert ec.assignment == {(0, 1): 0}
+    assert one_factorization(2) == [0]
 
 
 def test_one_factorization_k4_gives_the_three_perfect_matchings():
     ec = one_factorization(4)
-    classes = [colour_class(ec, c) for c in range(3)]
+    classes = [colour_class(complete_graph(4), ec, c) for c in range(3)]
     # K4 has exactly three perfect matchings; derived by enumeration
     assert sorted(map(sorted, classes)) == [
         [(0, 1), (2, 3)],
@@ -131,13 +114,31 @@ def test_one_factorization_k4_gives_the_three_perfect_matchings():
 def test_one_factorization_is_proper_with_perfect_classes(n):
     ec = one_factorization(n)
     kn = complete_graph(n)
-    assert set(ec.assignment) == set(kn.edges)
+    assert len(ec) == len(kn.edges)
     assert verify_edge(kn, ec).valid
-    assert ec.colours == frozenset(range(n - 1))
+    assert set(ec) == set(range(n - 1))
     for c in range(n - 1):
-        cls = colour_class(ec, c)
+        cls = colour_class(kn, ec, c)
         assert len(cls) == n // 2
         assert {v for e in cls for v in e} == set(range(n))
+
+
+def circle_method(n):
+    """Reference one factorization of K_n: in round r, n-1 pairs with r and
+    (r+i) pairs with (r-i) mod (n-1) for i = 1..n/2-1."""
+    mod = n - 1
+    colour = {}
+    for r in range(mod):
+        colour[r, n - 1] = r
+        for i in range(1, n // 2):
+            u, v = (r + i) % mod, (r - i) % mod
+            colour[min(u, v), max(u, v)] = r
+    return [colour[e] for e in complete_graph(n).sorted_edges]
+
+
+def test_one_factorization_closed_form_matches_the_circle_method():
+    for n in range(2, 41, 2):
+        assert one_factorization(n) == circle_method(n)
 
 
 def test_one_factorization_rejects_odd():
@@ -175,14 +176,12 @@ def test_rainbow_m2_error_justified_by_exhaustion():
     matchings = [{(0, 2), (1, 3)}, {(0, 3), (1, 2)}]
     proper_count = 0
     for colours in itertools.product(range(2), repeat=4):
-        from totalcolour import EdgeColouring
-
-        ec = EdgeColouring(dict(zip(edges, colours)))
-        if not verify_edge(k22, ec).valid:
+        if not verify_edge(k22, colours).valid:
             continue
         proper_count += 1
+        colour = dict(zip(edges, colours))
         for matching in matchings:
-            assert len({ec.assignment[e] for e in matching}) == 1
+            assert len({colour[e] for e in matching}) == 1
     assert proper_count == 2
 
 
@@ -192,9 +191,11 @@ def test_rainbow_properties(m):
     assert square.order == m
     assert len(square.transversal_symbols()) == m
     kmm = complete_bipartite(m, m)
+    assert len(ec) == len(kmm.edges)
     rep = verify_edge(kmm, ec)
     assert rep.valid and rep.colours_used == m
-    assert len({ec.assignment[e] for e in matching}) == m
+    colour = dict(zip(kmm.sorted_edges, ec))
+    assert len({colour[e] for e in matching}) == m
     # removing the matching leaves exactly the crown graph
     assert set(kmm.edges) - matching == set(crown_graph(m).edges)
 
@@ -215,19 +216,22 @@ def test_rainbow_closed_form_for_every_order_up_to_64():
 def test_crown_edge_colouring_exact(m):
     crown = crown_graph(m)
     ec = crown_edge_colouring(m)
+    assert len(ec) == len(crown.edges)
     assert verify_edge(crown, ec).valid
-    assert ec.colours == frozenset(range(m - 1))
+    assert set(ec) == set(range(m - 1))
     for c in range(m - 1):
-        cls = colour_class(ec, c)
+        cls = colour_class(crown, ec, c)
         assert len(cls) == m
         assert {v for e in cls for v in e} == set(range(2 * m))
 
 
 def test_crown_edge_colouring_closed_form():
     for m in range(2, 65):
+        crown = crown_graph(m)
         ec = crown_edge_colouring(m)
-        assert set(ec.assignment) == crown_graph(m).edges
+        assert len(ec) == len(crown.edges)
+        colour = dict(zip(crown.sorted_edges, ec))
         for k in range(m):
             for t in range(m):
                 if k != t:
-                    assert ec.colour(k, m + t) == (t - k - 1) % m
+                    assert colour[k, m + t] == (t - k - 1) % m

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from unittest import mock
 
@@ -49,6 +50,14 @@ def test_search_budget_needs_a_limit():
         SearchBudget()
     with pytest.raises(DomainError):
         SearchBudget(max_nodes=-1)
+
+
+@pytest.mark.parametrize("seconds", [math.nan, math.inf])
+def test_search_budget_rejects_a_non_finite_wall_clock_limit(seconds):
+    with pytest.raises(DomainError, match="finite"):
+        SearchBudget(max_seconds=seconds)
+    with pytest.raises(DomainError, match="finite"):
+        SearchBudget(max_nodes=10, max_seconds=seconds)
 
 
 def test_total_graph_of_k2_is_a_triangle():

@@ -91,15 +91,13 @@ def test_degree_law(seed):
 def test_product_with_bipartite_factor_is_bipartite():
     g = complete_graph(4)
     h = cycle_graph(6)
-    hparts = find_bipartition(h)
+    h_right = find_bipartition(h)
     prod, vmap = direct_product(g, h)
-    parts = find_bipartition(prod)
-    left = set(parts.left)
-    expected_left = {vmap.index(i, x) for i in range(g.n) for x in hparts.left}
+    right = find_bipartition(prod)
     # every edge crosses {V(G) x X, V(G) x Y}; BFS may flip sides per component
     for u, v in prod.edges:
-        assert ((u in left) != (v in left))
-        assert ((u in expected_left) != (v in expected_left))
+        assert right[u] != right[v]
+        assert h_right[vmap.pair(u)[1]] != h_right[vmap.pair(v)[1]]
 
 
 def test_crown_graph_m2_is_two_disjoint_edges():
