@@ -90,3 +90,5 @@ k2 = complete_graph(2)
 broken = TotalColouring.from_parts([0, 1], {(0, 1): 0})
 rep = verify_total(k2, broken)
 print(f"  K2 with edge colour 0: valid={rep.valid}, violations={rep.violations}")
+print("  (vertex i is ('v', i) and edge uv is ('e', u, v) with u < v, the")
+print("  tuples that a report's JSON writes as [\"v\", i] and [\"e\", u, v])")

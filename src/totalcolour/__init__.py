@@ -45,10 +45,8 @@ from .errors import (
     TotalColourError,
 )
 from .graph_core import (
-    Edge,
     Element,
     Graph,
-    Vertex,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -78,7 +76,6 @@ __all__ = [
     "CertificationVerdict",
     "CrownTotalColouring",
     "DomainError",
-    "Edge",
     "Element",
     "Graph",
     "GraphConstructionError",
@@ -98,7 +95,6 @@ __all__ = [
     "TotalColouring",
     "TypeClass",
     "VerificationReport",
-    "Vertex",
     "bipartite_delta_edge_colouring",
     "certify_construction",
     "chi_total_bruteforce",

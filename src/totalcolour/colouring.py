@@ -6,7 +6,8 @@ and ``edge_colours`` aligned with ``edges``, the sorted tuple of canonical
 comparison with ``Graph.sorted_edges``.  An edge colouring is just such a
 list of colours aligned with its graph's ``sorted_edges``, which is what the
 edge-colouring primitives return.  Both verifiers share one edge-conflict
-routine.
+routine, and a report lists each conflict as two elements, ``("v", i)`` or
+``("e", u, v)``, and the colour they share.
 
 Colours are 0-based non-negative integers.  Palettes need not be contiguous;
 ``colours_used`` always counts distinct values and :func:`normalize_total`
@@ -27,7 +28,7 @@ from .errors import (
     IncompleteColouringError,
     OutOfConjectureRangeError,
 )
-from .graph_core import Edge, Element, Graph, Pair, Vertex, canonical_pair
+from .graph_core import Element, Graph, Pair, canonical_pair
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ def _edge_conflicts(
         for i, c in enumerate(here):
             buckets.setdefault(c, []).append(i)
         for i, j in sorted(p for b in buckets.values() for p in combinations(b, 2)):
-            violations.append((Edge(*edges[ids[i]]), Edge(*edges[ids[j]]), here[i]))
+            violations.append((("e", *edges[ids[i]]), ("e", *edges[ids[j]]), here[i]))
     return violations
 
 
@@ -162,12 +163,12 @@ def verify_total(g: Graph, tc: TotalColouring) -> VerificationReport:
     check_cover(g, tc)
     vc, edges, ec = tc.vertex_colours, tc.edges, tc.edge_colours
     violations: list[tuple[Element, Element, int]] = [
-        (Vertex(u), Vertex(v), vc[u]) for u, v in edges if vc[u] == vc[v]
+        (("v", u), ("v", v), vc[u]) for u, v in edges if vc[u] == vc[v]
     ]
     violations += _edge_conflicts(g.n, edges, ec)
     for (u, v), c in zip(edges, ec):
         if vc[u] == c or vc[v] == c:
-            violations += [(Vertex(w), Edge(u, v), c) for w in (u, v) if vc[w] == c]
+            violations += [(("v", w), ("e", u, v), c) for w in (u, v) if vc[w] == c]
     return VerificationReport(not violations, violations, tc.palette_size)
 
 

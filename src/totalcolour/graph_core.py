@@ -3,6 +3,10 @@
 Vertices are dense integer indices 0..n-1; optional string labels are
 metadata only and never used for identity.  Edges are canonical unordered
 pairs (min, max).  Graphs are immutable after construction.
+
+An element is a plain tuple: ``("v", i)`` for vertex i and ``("e", u, v)``
+with u < v for edge uv, which is what its JSON encoding ``["v", i]`` /
+``["e", u, v]`` reads back as.
 """
 
 from __future__ import annotations
@@ -22,30 +26,7 @@ def canonical_pair(u: int, v: int) -> Pair:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class Vertex:
-    index: int
-
-
-@dataclass(frozen=True)
-class Edge:
-    u: int
-    v: int
-
-    def __post_init__(self) -> None:
-        if self.u == self.v:
-            raise GraphConstructionError(f"self-loop on vertex {self.u}")
-        if self.u > self.v:
-            u, v = self.u, self.v
-            object.__setattr__(self, "u", v)
-            object.__setattr__(self, "v", u)
-
-    @property
-    def pair(self) -> Pair:
-        return (self.u, self.v)
-
-
-Element = Vertex | Edge
+Element = tuple[str, int] | tuple[str, int, int]
 
 
 @dataclass(frozen=True)
@@ -91,17 +72,17 @@ class Graph:
     def elements(self) -> Iterator[Element]:
         """All elements in canonical order: vertices by index, then edges sorted."""
         for i in range(self.n):
-            yield Vertex(i)
+            yield ("v", i)
         for u, v in self.sorted_edges:
-            yield Edge(u, v)
+            yield ("e", u, v)
 
     def element_count(self) -> int:
         return self.n + len(self.edges)
 
     def contains_element(self, el: Element) -> bool:
-        if isinstance(el, Vertex):
-            return 0 <= el.index < self.n
-        return el.pair in self.edges
+        if el[0] == "v" and len(el) == 2:
+            return 0 <= el[1] < self.n
+        return el[0] == "e" and el[1:] in self.edges
 
 
 def make_graph(
@@ -188,16 +169,15 @@ def incidence_conflicts(g: Graph, a: Element, b: Element) -> bool:
     """True iff two distinct elements may not share a colour in a total colouring.
 
     That is: adjacent vertices, edges sharing an endpoint, or an edge and one
-    of its endpoints.  Symmetric and irreflexive.
+    of its endpoints.  Symmetric and irreflexive.  An edge must be given as
+    ``("e", u, v)`` with u < v; ``("e", v, u)`` is not in the graph and
+    raises DomainError like any other foreign element.
     """
     _require_element(g, a)
     _require_element(g, b)
     if a == b:
         return False
-    if isinstance(a, Vertex) and isinstance(b, Vertex):
-        return g.has_edge(a.index, b.index)
-    if isinstance(a, Edge) and isinstance(b, Edge):
-        return bool({a.u, a.v} & {b.u, b.v})
-    vertex, edge = (a, b) if isinstance(a, Vertex) else (b, a)
-    assert isinstance(vertex, Vertex) and isinstance(edge, Edge)
-    return vertex.index in (edge.u, edge.v)
+    if a[0] == b[0] == "v":
+        return g.has_edge(a[1], b[1])
+    # two edges, or an edge and a vertex: do their ends meet?
+    return not set(a[1:]).isdisjoint(b[1:])

@@ -20,7 +20,7 @@ from typing import Any, Iterator
 
 from .colouring import TotalColouring, VerificationReport, check_cover
 from .errors import ParseError, TotalColourError
-from .graph_core import Element, Graph, Vertex, make_graph
+from .graph_core import Graph, make_graph
 from .oracle import OracleResult
 
 # Fill colours for DOT export; colour indices beyond the table wrap.
@@ -152,20 +152,11 @@ def colouring_from_obj(obj: Any) -> TotalColouring:
         raise ParseError(f"invalid colouring: {exc}")
 
 
-def _element_to_obj(el: Element) -> list[Any]:
-    if isinstance(el, Vertex):
-        return ["v", el.index]
-    return ["e", el.u, el.v]
-
-
 def report_to_obj(report: VerificationReport) -> dict[str, Any]:
     return {
         "valid": report.valid,
         "colours_used": report.colours_used,
-        "violations": [
-            [_element_to_obj(a), _element_to_obj(b), c]
-            for a, b, c in report.violations
-        ],
+        "violations": [[list(a), list(b), c] for a, b, c in report.violations],
     }
 
 

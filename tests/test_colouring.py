@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 import totalcolour
 from totalcolour import (
     DomainError,
-    Edge,
     GraphConstructionError,
     IncompleteColouringError,
     OutOfConjectureRangeError,
     TotalColouring,
     TypeClass,
-    Vertex,
     classify,
     complete_bipartite,
     complete_graph,
@@ -36,9 +34,9 @@ from conftest import random_graph
 
 
 def colour_of(tc, el):
-    if isinstance(el, Vertex):
-        return tc.vertex_colour(el.index)
-    return tc.edge_colour(el.u, el.v)
+    if el[0] == "v":
+        return tc.vertex_colour(el[1])
+    return tc.edge_colour(el[1], el[2])
 
 
 def edge_part(g, tc):
@@ -50,27 +48,31 @@ def with_colour(tc, el, c):
     """A copy of ``tc`` with one element recoloured."""
     vertex_colours = list(tc.vertex_colours)
     edge_colours = dict(zip(tc.edges, tc.edge_colours))
-    if isinstance(el, Vertex):
-        vertex_colours[el.index] = c
+    if el[0] == "v":
+        vertex_colours[el[1]] = c
     else:
-        edge_colours[el.pair] = c
+        edge_colours[el[1:]] = c
     return TotalColouring.from_parts(vertex_colours, edge_colours)
+
+
+def elements_of(g):
+    """Vertices by index, then sorted edges, built without Graph.elements()."""
+    return [("v", i) for i in range(g.n)] + [("e", u, v) for u, v in g.sorted_edges]
 
 
 def naive_conflict_scan(g, tc):
     """Independent quadratic check used to validate the verifier itself."""
-    els = list(g.elements())
     bad = []
-    for a, b in itertools.combinations(els, 2):
+    for a, b in itertools.combinations(elements_of(g), 2):
         if colour_of(tc, a) != colour_of(tc, b):
             continue
-        if isinstance(a, Vertex) and isinstance(b, Vertex):
-            conflict = g.has_edge(a.index, b.index)
-        elif isinstance(a, Edge) and isinstance(b, Edge):
-            conflict = bool({a.u, a.v} & {b.u, b.v})
+        if a[0] == b[0] == "v":
+            conflict = g.has_edge(a[1], b[1])
+        elif a[0] == b[0] == "e":
+            conflict = bool({a[1], a[2]} & {b[1], b[2]})
         else:
-            v, e = (a, b) if isinstance(a, Vertex) else (b, a)
-            conflict = v.index in (e.u, e.v)
+            (_, i), (_, u, v) = (a, b) if a[0] == "v" else (b, a)
+            conflict = i in (u, v)
         if conflict:
             bad.append((a, b))
     return bad
@@ -80,7 +82,7 @@ def naive_edge_conflict_scan(g, ec):
     """Independent quadratic check of an edge colouring."""
     colour = dict(zip(g.sorted_edges, ec))
     return [
-        (Edge(*e), Edge(*f))
+        (("e", *e), ("e", *f))
         for e, f in itertools.combinations(g.sorted_edges, 2)
         if set(e) & set(f) and colour[e] == colour[f]
     ]
@@ -93,8 +95,8 @@ def naive_ordered_report(g, tc):
     positions among that vertex's sorted edges, then vertex-edge pairs by
     sorted edge and endpoint.
     """
-    vertices = [Vertex(i) for i in range(g.n)]
-    edges = [Edge(*e) for e in g.sorted_edges]
+    vertices = [("v", i) for i in range(g.n)]
+    edges = [("e", u, v) for u, v in g.sorted_edges]
 
     def clash(a, b):
         c = colour_of(tc, a)
@@ -102,7 +104,7 @@ def naive_ordered_report(g, tc):
 
     out = [x for a, b in itertools.combinations(vertices, 2) for x in clash(a, b)]
     for w in range(g.n):
-        here = [e for e in edges if w in (e.u, e.v)]
+        here = [e for e in edges if w in e[1:]]
         out += [x for e, f in itertools.combinations(here, 2) for x in clash(e, f)]
     return out + [x for e in edges for a in vertices for x in clash(a, e)]
 
@@ -126,7 +128,7 @@ def test_verify_total_k2_edge_endpoint_clash():
     tc = TotalColouring.from_parts([0, 1], {(0, 1): 0})
     rep = verify_total(k2, tc)
     assert not rep.valid
-    assert rep.violations == [(Vertex(0), Edge(0, 1), 0)]
+    assert rep.violations == [(("v", 0), ("e", 0, 1), 0)]
 
 
 def test_verify_total_missing_element_is_not_invalid():
@@ -163,9 +165,9 @@ def test_verify_total_reports_all_violation_kinds():
     p3 = path_graph(3)
     tc = TotalColouring.from_parts([0, 0, 1], {(0, 1): 2, (1, 2): 2})
     rep = verify_total(p3, tc)
-    kinds = {(type(a).__name__, type(b).__name__) for a, b, _ in rep.violations}
-    assert ("Vertex", "Vertex") in kinds  # 0 and 1 adjacent, both colour 0
-    assert ("Edge", "Edge") in kinds  # both edges share vertex 1, both colour 2
+    kinds = {(a[0], b[0]) for a, b, _ in rep.violations}
+    assert ("v", "v") in kinds  # 0 and 1 adjacent, both colour 0
+    assert ("e", "e") in kinds  # both edges share vertex 1, both colour 2
     assert not rep.valid
     assert naive_conflict_scan(p3, tc) != []
 
@@ -176,8 +178,8 @@ def test_verify_total_report_order_is_pinned():
     k3 = complete_graph(3)
     tc = TotalColouring.from_parts([0, 0, 0], dict.fromkeys(k3.edges, 0))
     rep = verify_total(k3, tc)
-    e01, e02, e12 = Edge(0, 1), Edge(0, 2), Edge(1, 2)
-    v0, v1, v2 = Vertex(0), Vertex(1), Vertex(2)
+    e01, e02, e12 = ("e", 0, 1), ("e", 0, 2), ("e", 1, 2)
+    v0, v1, v2 = ("v", 0), ("v", 1), ("v", 2)
     assert rep.violations == [
         (v0, v1, 0), (v0, v2, 0), (v1, v2, 0),
         (e01, e02, 0), (e01, e12, 0), (e02, e12, 0),
@@ -191,12 +193,12 @@ def test_verify_total_report_order_is_pinned():
     )
     rep = verify_total(star, tc)
     assert rep.violations == [
-        (Vertex(0), Vertex(2), 0),
-        (Edge(0, 1), Edge(0, 3), 1),
-        (Edge(0, 1), Edge(0, 5), 1),
-        (Edge(0, 2), Edge(0, 4), 2),
-        (Edge(0, 3), Edge(0, 5), 1),
-        (Vertex(3), Edge(0, 3), 1),
+        (("v", 0), ("v", 2), 0),
+        (("e", 0, 1), ("e", 0, 3), 1),
+        (("e", 0, 1), ("e", 0, 5), 1),
+        (("e", 0, 2), ("e", 0, 4), 2),
+        (("e", 0, 3), ("e", 0, 5), 1),
+        (("v", 3), ("e", 0, 3), 1),
     ]
     assert verify_edge(star, edge_part(star, tc)).violations == rep.violations[1:5]
 
@@ -351,7 +353,7 @@ def test_verifier_catches_planted_conflicts(rng):
     exactly the pairs the naive scan finds."""
     g, _ = direct_product(complete_graph(4), complete_graph(3))
     base = knm_total_colouring(4, 3)
-    els = list(g.elements())
+    els = elements_of(g)
     for _ in range(50):
         victim = rng.choice(els)
         neighbours = [

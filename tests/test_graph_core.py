@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from totalcolour import (
     DomainError,
-    Edge,
     GraphConstructionError,
-    Vertex,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -61,11 +59,6 @@ def test_make_graph_rejects_out_of_range():
         make_graph(3, [(0, 3)])
 
 
-def test_edge_canonicalizes():
-    assert Edge(5, 2) == Edge(2, 5)
-    assert Edge(5, 2).pair == (2, 5)
-
-
 def test_complete_graph_sizes():
     assert len(complete_graph(2).edges) == 1
     g5 = complete_graph(5)
@@ -92,19 +85,30 @@ def test_builders():
 
 def test_incidence_conflicts_examples():
     k2 = complete_graph(2)
-    assert incidence_conflicts(k2, Vertex(0), Vertex(1))
-    assert incidence_conflicts(k2, Vertex(0), Edge(0, 1))
+    assert incidence_conflicts(k2, ("v", 0), ("v", 1))
+    assert incidence_conflicts(k2, ("v", 0), ("e", 0, 1))
     p3 = path_graph(3)
-    assert incidence_conflicts(p3, Edge(0, 1), Edge(1, 2))
-    assert not incidence_conflicts(p3, Vertex(0), Vertex(2))
+    assert incidence_conflicts(p3, ("e", 0, 1), ("e", 1, 2))
+    assert not incidence_conflicts(p3, ("v", 0), ("v", 2))
 
 
 def test_incidence_conflicts_rejects_foreign_elements():
     k2 = complete_graph(2)
     with pytest.raises(DomainError):
-        incidence_conflicts(k2, Vertex(5), Vertex(0))
+        incidence_conflicts(k2, ("v", 5), ("v", 0))
     with pytest.raises(DomainError):
-        incidence_conflicts(k2, Edge(0, 2), Vertex(0))
+        incidence_conflicts(k2, ("e", 0, 2), ("v", 0))
+
+
+def test_incidence_conflicts_rejects_a_reversed_edge():
+    # an edge element is ("e", u, v) with u < v; ("e", 5, 2) names no edge
+    # of the graph and is not swapped into ("e", 2, 5)
+    g = make_graph(6, [(2, 5), (5, 1)])
+    assert incidence_conflicts(g, ("e", 2, 5), ("e", 1, 5))
+    with pytest.raises(DomainError, match="not in the graph"):
+        incidence_conflicts(g, ("e", 5, 2), ("e", 1, 5))
+    with pytest.raises(DomainError, match="not in the graph"):
+        incidence_conflicts(g, ("v", 2), ("e", 5, 2))
 
 
 def test_degree_profile():
@@ -131,11 +135,11 @@ def test_conflicts_symmetric_irreflexive(g):
 def test_elements_canonical_order():
     g = make_graph(3, [(1, 2), (0, 1)])
     assert list(g.elements()) == [
-        Vertex(0),
-        Vertex(1),
-        Vertex(2),
-        Edge(0, 1),
-        Edge(1, 2),
+        ("v", 0),
+        ("v", 1),
+        ("v", 2),
+        ("e", 0, 1),
+        ("e", 1, 2),
     ]
 
 

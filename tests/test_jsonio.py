@@ -12,6 +12,7 @@ from totalcolour import (
     exact_chi_total,
     knm_total_colouring,
     make_graph,
+    path_graph,
     verify_total,
 )
 from totalcolour import jsonio
@@ -86,6 +87,19 @@ def test_report_violations_encoding():
     obj = jsonio.report_to_obj(rep)
     assert obj["valid"] is False
     assert obj["violations"] == [[["v", 0], ["e", 0, 1], 0]]
+    # P3 coloured 0, 0, 1 with both edges 2: a vertex-vertex and an edge-edge
+    # conflict; each listed element equals its JSON encoding as a tuple
+    p3 = path_graph(3)
+    rep = verify_total(p3, TotalColouring.from_parts([0, 0, 1], {(0, 1): 2, (1, 2): 2}))
+    obj = jsonio.report_to_obj(rep)
+    assert obj["violations"] == [
+        [["v", 0], ["v", 1], 0],
+        [["e", 0, 1], ["e", 1, 2], 2],
+    ]
+    for (a, b, c), listed in zip(rep.violations, obj["violations"]):
+        assert [list(a), list(b), c] == listed
+    read_back = json.loads(json.dumps(obj))["violations"]
+    assert [(tuple(a), tuple(b), c) for a, b, c in read_back] == rep.violations
 
 
 def test_oracle_result_schema():
