@@ -1,7 +1,7 @@
 """Tour of the edge-colouring primitives.
 
-Each primitive returns a list of colours aligned with its graph's
-sorted_edges: colours[i] colours g.sorted_edges[i].
+Each primitive returns a list of colours aligned with its graph's sorted
+edge tuple: colours[i] colours g.edges[i].
 
 Run with:  python3 demos/02_edge_colouring_toolkit.py
 """
@@ -65,7 +65,7 @@ for m in (5, 6):
     print(f"order-{m} square with a rainbow diagonal:")
     for i, row in enumerate(square.rows):
         marked = [
-            f"[{s}]" if j == square.transversal[i] else f" {s} "
+            f"[{s}]" if j == i else f" {s} "
             for j, s in enumerate(row)
         ]
         print("   " + " ".join(marked))

@@ -49,8 +49,7 @@ def _emit(obj: Any, output: str | None) -> None:
 
 def _write_text(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        jsonio.save_text(output, [text])
     else:
         print(text, end="")
 

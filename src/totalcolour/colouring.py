@@ -3,8 +3,8 @@
 A total colouring is two flat lists: ``vertex_colours`` indexed by vertex,
 and ``edge_colours`` aligned with ``edges``, the sorted tuple of canonical
 ``(u, v)`` pairs it colours, so checking that it covers a graph is one tuple
-comparison with ``Graph.sorted_edges``.  An edge colouring is just such a
-list of colours aligned with its graph's ``sorted_edges``, which is what the
+comparison with ``Graph.edges``, the same kind of tuple.  An edge colouring
+is a list of colours aligned with its graph's ``edges``, which is what the
 edge-colouring primitives return.  Both verifiers share one edge-conflict
 routine, and a report lists each conflict as two elements, ``("v", i)`` or
 ``("e", u, v)``, and the colour they share.
@@ -107,10 +107,11 @@ class TypeClass(Enum):
 def check_cover(g: Graph, tc: TotalColouring) -> None:
     """Raise IncompleteColouringError unless ``tc`` colours exactly g's elements."""
     n, edges = len(tc.vertex_colours), tc.edges
-    if n == g.n and (edges is g.sorted_edges or edges == g.sorted_edges):
+    if n == g.n and (edges is g.edges or edges == g.edges):
         return
     have = set(edges)
-    missing, extra = len(g.edges - have), len(have - g.edges)
+    found = sum(u < v and g.has_edge(u, v) for u, v in have)
+    missing, extra = len(g.edges) - found, len(have) - found
     raise IncompleteColouringError(
         f"colouring does not match the graph's elements "
         f"({missing + max(g.n - n, 0)} missing, {extra + max(n - g.n, 0)} unknown)"
@@ -175,15 +176,15 @@ def verify_total(g: Graph, tc: TotalColouring) -> VerificationReport:
 def verify_edge(g: Graph, colours: Sequence[int]) -> VerificationReport:
     """Certify a proper edge colouring: no two edges sharing an endpoint agree.
 
-    ``colours[i]`` colours ``g.sorted_edges[i]``; a list of another length
+    ``colours[i]`` colours ``g.edges[i]``; a list of another length
     raises IncompleteColouringError, and a negative colour DomainError.
     """
-    if len(colours) != len(g.sorted_edges):
+    if len(colours) != len(g.edges):
         raise IncompleteColouringError(
-            f"edge colouring has {len(colours)} colours for {len(g.sorted_edges)} edges"
+            f"edge colouring has {len(colours)} colours for {len(g.edges)} edges"
         )
-    _reject_negative(g.sorted_edges, colours)
-    violations = _edge_conflicts(g.n, g.sorted_edges, colours)
+    _reject_negative(g.edges, colours)
+    violations = _edge_conflicts(g.n, g.edges, colours)
     return VerificationReport(not violations, violations, len(set(colours)))
 
 

@@ -143,7 +143,7 @@ def lift_bipartite(g: Graph, f: TotalColouring, h: Graph) -> TotalColouring:
 
     f = normalize_total(f)
     phi = bipartite_delta_edge_colouring(gk2)
-    oriented = (((y, x) if right[x] else (x, y)) for x, y in h.sorted_edges)
+    oriented = (((y, x) if right[x] else (x, y)) for x, y in h.edges)
     return _lift(g, f, phi, zip(oriented, ec_h), right, False)
 
 

@@ -1,13 +1,13 @@
 """Edge-colouring primitives the total-colouring constructions consume.
 
 Each primitive returns a flat list of colours aligned with its graph's
-``sorted_edges``: the exact max-degree edge colouring of bipartite graphs
+``edges``: the exact max-degree edge colouring of bipartite graphs
 (Konig's alternating-path insertion), the one factorization of even
 complete graphs in closed form, the rainbow-matched square colouring of
-K_{m,m} realised as a Latin square with a transversal, in closed form: the
-cyclic square for odd m, the cyclic square of order m - 1 prolonged along
-its diagonal for even m, and the closed-form (m-1)-edge colouring of the
-crown graph, x_k y_t -> (t - k - 1) mod m.
+K_{m,m} realised as a Latin square with a rainbow main diagonal, in closed
+form: the cyclic square for odd m, the cyclic square of order m - 1
+prolonged along its diagonal for even m, and the closed-form (m-1)-edge
+colouring of the crown graph, x_k y_t -> (t - k - 1) mod m.
 
 All tie-breaking is lowest-colour / lowest-index first, so every output is
 deterministic.
@@ -56,7 +56,7 @@ def bipartite_delta_edge_colouring(h: Graph) -> list[int]:
     :func:`find_bipartition`, if h has an odd cycle.
     """
     find_bipartition(h)
-    colours = [0] * len(h.sorted_edges)
+    colours = [0] * len(h.edges)
     # at[v][c] = (neighbour, edge id) of the c-coloured edge at v
     at: list[dict[int, tuple[int, int]]] = [{} for _ in range(h.n)]
 
@@ -83,7 +83,7 @@ def bipartite_delta_edge_colouring(h: Graph) -> list[int]:
             at[y][nc] = (x, i)
             colours[i] = nc
 
-    for i, (u, v) in enumerate(h.sorted_edges):
+    for i, (u, v) in enumerate(h.edges):
         a = first_free(u)
         if a in at[v]:
             flip_path(v, a, first_free(v))
@@ -94,9 +94,9 @@ def bipartite_delta_edge_colouring(h: Graph) -> list[int]:
 
 
 def colour_class(g: Graph, colours: Sequence[int], c: int) -> set[Pair]:
-    """All edges of g that ``colours`` (aligned with ``g.sorted_edges``) gives
+    """All edges of g that ``colours`` (aligned with ``g.edges``) gives
     colour c; empty (not an error) if c is unused."""
-    return {e for e, col in zip(g.sorted_edges, colours) if col == c}
+    return {e for e, col in zip(g.edges, colours) if col == c}
 
 
 def one_factorization(n: int) -> list[int]:
@@ -105,7 +105,7 @@ def one_factorization(n: int) -> list[int]:
     The circle method in closed form: in round r, vertex n-1 pairs with r and
     every other pair i, j has i + j = 2r mod (n-1).  As n/2 inverts 2 mod n-1,
     the edge i < j takes i if j = n-1, else (i + j) * n/2 mod (n-1).  The
-    list is aligned with complete_graph(n).sorted_edges.
+    list is aligned with complete_graph(n).edges.
     """
     if n < 2 or n % 2:
         raise DomainError(f"one factorization of K_n needs even n >= 2, got {n}")
@@ -119,16 +119,14 @@ def one_factorization(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class LatinSquare:
-    """m x m array over symbols 0..m-1 with a designated transversal.
+    """m x m array over symbols 0..m-1 whose main diagonal is a transversal.
 
-    The transversal is a permutation sigma: cells (i, sigma(i)) are the
-    designated ones and must carry pairwise distinct symbols.  Read as an
-    edge colouring of K_{m,m} (cell (i,j) colours the edge x_i y_j), the
-    transversal is a perfect rainbow matching.
+    The diagonal cells (i, i) must carry pairwise distinct symbols.  Read as
+    an edge colouring of K_{m,m} (cell (i,j) colours the edge x_i y_j), the
+    diagonal is a perfect rainbow matching.
     """
 
     rows: tuple[tuple[int, ...], ...]
-    transversal: tuple[int, ...]
 
     def __post_init__(self) -> None:
         m = len(self.rows)
@@ -139,8 +137,6 @@ class LatinSquare:
         for j in range(m):
             if {row[j] for row in self.rows} != symbols:
                 raise DomainError("column is not a permutation of the symbols")
-        if sorted(self.transversal) != list(range(m)):
-            raise DomainError("transversal is not a permutation")
         if len(self.transversal_symbols()) != m:
             raise DomainError("transversal symbols are not pairwise distinct")
 
@@ -152,7 +148,7 @@ class LatinSquare:
         return self.rows[i][j]
 
     def transversal_symbols(self) -> set[int]:
-        return {self.rows[i][s] for i, s in enumerate(self.transversal)}
+        return {row[i] for i, row in enumerate(self.rows)}
 
 
 def _rainbow_rows(m: int) -> tuple[tuple[int, ...], ...]:
@@ -183,13 +179,12 @@ def rainbow_kmm(m: int) -> tuple[LatinSquare, list[int], set[Pair]]:
 
     Returns the Latin square, the induced edge colouring of K_{m,m} (parts
     x_i = i and y_j = m + j; the rows read in order, aligned with
-    complete_bipartite(m, m).sorted_edges), and the rainbow matching
+    complete_bipartite(m, m).edges), and the rainbow matching
     {x_i y_i}.  For odd m
     the square is cyclic: its diagonal carries 2i mod m, which are pairwise
     distinct.  For even m the cyclic diagonal is constant, so the square is
     the cyclic square of order m - 1 prolonged along its diagonal, with
-    columns permuted so that a transversal lies on the main diagonal.  The
-    transversal is the main diagonal either way.
+    columns permuted so that a transversal lies on the main diagonal.
 
     m = 2 fails for a reason, not by accident: both proper 2-edge-colourings
     of K_{2,2} make each perfect matching monochromatic.
@@ -199,7 +194,7 @@ def rainbow_kmm(m: int) -> tuple[LatinSquare, list[int], set[Pair]]:
             f"K_{{{m},{m}}} has no {m}-edge-colouring with a rainbow perfect matching"
         )
     rows = _rainbow_rows(m)
-    square = LatinSquare(rows, tuple(range(m)))
+    square = LatinSquare(rows)
     matching = {(i, m + i) for i in range(m)}
     return square, [c for row in rows for c in row], matching
 
@@ -209,7 +204,7 @@ def crown_edge_colouring(m: int) -> list[int]:
 
     x_k y_t takes (t - k - 1) mod m: at x_k the m - 1 values of t != k give
     every colour but m - 1, and likewise the values of k != t at y_t.  The
-    list is aligned with crown_graph(m).sorted_edges, row-major in (k, t).
+    list is aligned with crown_graph(m).edges, row-major in (k, t).
     """
     if m < 2:
         raise DomainError("crown edge colouring needs m >= 2")

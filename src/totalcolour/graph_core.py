@@ -2,7 +2,7 @@
 
 Vertices are dense integer indices 0..n-1; optional string labels are
 metadata only and never used for identity.  Edges are canonical unordered
-pairs (min, max).  Graphs are immutable after construction.
+pairs (min, max) in one sorted tuple.  Graphs are immutable once built.
 
 An element is a plain tuple: ``("v", i)`` for vertex i and ``("e", u, v)``
 with u < v for edge uv, which is what its JSON encoding ``["v", i]`` /
@@ -31,15 +31,16 @@ Element = tuple[str, int] | tuple[str, int, int]
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1."""
+    """Simple undirected graph on vertices 0..n-1; ``edges`` holds its
+    canonical pairs (u < v) in ascending order, without repeats."""
 
     n: int
-    edges: frozenset[Pair]
+    edges: tuple[Pair, ...]
     labels: tuple[str, ...] | None = None
 
     @cached_property
-    def sorted_edges(self) -> tuple[Pair, ...]:
-        return tuple(sorted(self.edges))
+    def _edge_set(self) -> frozenset[Pair]:
+        return frozenset(self.edges)
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
@@ -62,7 +63,7 @@ class Graph:
         return self.degrees[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return canonical_pair(u, v) in self.edges
+        return canonical_pair(u, v) in self._edge_set
 
     def label(self, v: int) -> str:
         if self.labels is not None:
@@ -73,7 +74,7 @@ class Graph:
         """All elements in canonical order: vertices by index, then edges sorted."""
         for i in range(self.n):
             yield ("v", i)
-        for u, v in self.sorted_edges:
+        for u, v in self.edges:
             yield ("e", u, v)
 
     def element_count(self) -> int:
@@ -82,7 +83,7 @@ class Graph:
     def contains_element(self, el: Element) -> bool:
         if el[0] == "v" and len(el) == 2:
             return 0 <= el[1] < self.n
-        return el[0] == "e" and el[1:] in self.edges
+        return el[0] == "e" and el[1:] in self._edge_set
 
 
 def make_graph(
@@ -113,10 +114,7 @@ def make_graph(
                 f"{len(label_tuple)} labels for {vertex_count} vertices"
             )
     # sorted() takes linear time on pairs that are already in order
-    ordered = tuple(dict.fromkeys(sorted(pairs)))
-    g = Graph(vertex_count, frozenset(ordered), label_tuple)
-    g.__dict__["sorted_edges"] = ordered  # fill the cached property
-    return g
+    return Graph(vertex_count, tuple(dict.fromkeys(sorted(pairs))), label_tuple)
 
 
 def complete_graph(n: int) -> Graph:
@@ -157,7 +155,7 @@ def star_graph(leaves: int) -> Graph:
 def edgeless_graph(n: int) -> Graph:
     if n < 0:
         raise GraphConstructionError(f"negative vertex count {n}")
-    return Graph(n, frozenset())
+    return Graph(n, ())
 
 
 def _require_element(g: Graph, el: Element) -> None:

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import json
 import operator
+from itertools import chain
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from .colouring import TotalColouring, VerificationReport, check_cover
 from .errors import ParseError, TotalColourError
@@ -47,9 +48,16 @@ def save_json(path: str | Path, obj: Any) -> None:
     Lists longer than ``_SLICE`` go through the C encoder a slice at a time,
     so memory stays bounded by the text of one slice.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_json_pieces(obj))
-        fh.write("\n")
+    save_text(path, chain(_json_pieces(obj), ["\n"]))
+
+
+def save_text(path: str | Path, pieces: Iterable[str]) -> None:
+    """Write the pieces to ``path``; an OSError becomes a ParseError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}")
 
 
 _SLICE = 2048
@@ -73,7 +81,7 @@ def _json_pieces(obj: Any) -> Iterator[str]:
 def graph_to_obj(g: Graph) -> dict[str, Any]:
     obj: dict[str, Any] = {
         "n": g.n,
-        "edges": list(map(list, g.sorted_edges)),
+        "edges": list(map(list, g.edges)),
     }
     if g.labels is not None:
         obj["labels"] = list(g.labels)
@@ -219,7 +227,7 @@ def to_dot(g: Graph, tc: TotalColouring | None = None) -> str:
             lines.append(f'  {i} [label="{label}\\n{clabel}", fillcolor="{fill}"];')
         else:
             lines.append(f'  {i} [label="{label}", fillcolor="#dddddd"];')
-    for i, (u, v) in enumerate(g.sorted_edges):
+    for i, (u, v) in enumerate(g.edges):
         if tc is not None:
             stroke, clabel = _dot_colour(tc.edge_colours[i])
             lines.append(

@@ -4,7 +4,7 @@ The main solver reduces total colouring to vertex colouring of the total
 graph T(G) (one vertex per element, adjacency = the conflict relation) and
 runs a DSATUR-ordered branch and bound on T(G).  A solve, in order:
 
-* T(G): adjacency masks built straight from ``g.sorted_edges``
+* T(G): adjacency masks built straight from ``g.edges``
   (:func:`_total_masks`), relabelled once by degree (:func:`_relabel`);
   every later phase works on the relabelled masks;
 * lower bound: ω(T(G)) = max(Δ+1, 3), or 1 when G has no edge, with a
@@ -133,10 +133,8 @@ def total_graph(g: Graph) -> Graph:
     Vertices 0..n-1 of T(G) are g's vertices in index order; the rest are
     g's edges in sorted order.  chi(T(G)) equals the total chromatic number.
     """
-    edge_list = g.sorted_edges
-    index_of = {e: g.n + i for i, e in enumerate(edge_list)}
-    t_edges: list[tuple[int, int]] = []
-    t_edges.extend(g.sorted_edges)  # adjacent vertices conflict
+    index_of = {e: g.n + i for i, e in enumerate(g.edges)}
+    t_edges = list(g.edges)  # adjacent vertices conflict
     for e, te in index_of.items():
         t_edges.append((e[0], te))  # edge conflicts with both endpoints
         t_edges.append((e[1], te))
@@ -149,9 +147,9 @@ def total_graph(g: Graph) -> Graph:
             for j in range(i + 1, len(group)):
                 t_edges.append((group[i], group[j]))
     labels = tuple(f"v{i}" for i in range(g.n)) + tuple(
-        f"e{u}-{v}" for u, v in edge_list
+        f"e{u}-{v}" for u, v in g.edges
     )
-    return make_graph(g.n + len(edge_list), t_edges, labels)
+    return make_graph(g.n + len(g.edges), t_edges, labels)
 
 
 class _BudgetExhausted(Exception):
@@ -192,14 +190,14 @@ def _adjacency_masks(t: Graph) -> list[int]:
 
 def _total_masks(g: Graph) -> list[int]:
     """The adjacency masks of :func:`total_graph` (same labels), built
-    straight from ``g.sorted_edges`` with no intermediate graph."""
+    straight from ``g.edges`` with no intermediate graph."""
     n = g.n
-    masks = [0] * (n + len(g.sorted_edges))
-    for i, (u, v) in enumerate(g.sorted_edges, n):
+    masks = [0] * (n + len(g.edges))
+    for i, (u, v) in enumerate(g.edges, n):
         masks[u] |= 1 << v | 1 << i
         masks[v] |= 1 << u | 1 << i
     edge_bits = ~((1 << n) - 1)
-    for i, (u, v) in enumerate(g.sorted_edges, n):
+    for i, (u, v) in enumerate(g.edges, n):
         # the edges at either end (both end masks hold i, so drop it), the ends
         masks[i] = (masks[u] | masks[v]) & edge_bits ^ 1 << i | 1 << u | 1 << v
     return masks
@@ -217,10 +215,10 @@ def _clique(g: Graph) -> list[int]:
     if not g.edges:
         return [0]
     if g.max_degree == 1:
-        u, v = g.sorted_edges[0]
+        u, v = g.edges[0]
         return [u, v, g.n]
     v = g.degrees.index(g.max_degree)
-    return [v] + [g.n + i for i, e in enumerate(g.sorted_edges) if v in e]
+    return [v] + [g.n + i for i, e in enumerate(g.edges) if v in e]
 
 
 def _relabel(masks: list[int]) -> tuple[list[int], list[int]]:
@@ -606,7 +604,7 @@ def chi_total_bruteforce(g: Graph, max_elements: int = 16) -> int:
     for cross-validation on graphs with at most ~a dozen elements.
     """
     elements: list[tuple[str, int, int]] = [("v", i, -1) for i in range(g.n)]
-    elements += [("e", u, v) for u, v in g.sorted_edges]
+    elements += [("e", u, v) for u, v in g.edges]
     ne = len(elements)
     if ne == 0:
         return 0

@@ -40,10 +40,10 @@ def direct_product(g: Graph, h: Graph) -> tuple[Graph, ProductVertexMap]:
     if g.n == 0 or h.n == 0:
         raise DomainError("direct product factors must have at least one vertex")
     edges: list[Pair] = []
-    for gu, gv in g.sorted_edges:
+    for gu, gv in g.edges:
         # gu < gv, so every product edge is already canonical: row gu < row gv
         ru, rv = gu * h.n, gv * h.n
-        for hu, hv in h.sorted_edges:
+        for hu, hv in h.edges:
             edges.append((ru + hu, rv + hv))
             edges.append((ru + hv, rv + hu))
     labels = tuple(

@@ -180,7 +180,7 @@ def test_criterion_6_bipartite_edge_colouring_exactness():
                 continue
             assert verify_edge(h, ec).valid
             assert set(ec) == set(range(delta))
-            colour = dict(zip(h.sorted_edges, ec))
+            colour = dict(zip(h.edges, ec))
             for v in range(h.n):
                 if h.degree(v) == delta:
                     assert sorted(
@@ -196,7 +196,7 @@ def test_criterion_7_rainbow_witness():
             kmm = complete_bipartite(m, m)
             rep = verify_edge(kmm, ec)
             assert rep.valid and rep.colours_used == m
-            colour = dict(zip(kmm.sorted_edges, ec))
+            colour = dict(zip(kmm.edges, ec))
             assert len({colour[e] for e in matching}) == m
         with pytest.raises(NoRainbowError):
             rainbow_kmm(2)

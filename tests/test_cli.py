@@ -313,6 +313,29 @@ def test_export_dot(tmp_path):
     assert dot.count("fillcolor=") == 6
 
 
+@pytest.mark.parametrize("target", ["missing/out", ""], ids=["missing-dir", "a-dir"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["colour", "knm", "4", "3"],
+        ["colour", "knm", "4", "3", "--format", "dot"],
+        ["product", "{k2}", "{k2}"],
+        ["export-dot", "{bundle}"],
+    ],
+    ids=["colour-json", "colour-dot", "product", "export-dot"],
+)
+def test_unwritable_output_exits_2(argv, target, k2_file, tmp_path, capsys):
+    bundle = tmp_path / "bundle.json"
+    assert main(["colour", "crown", "3", "-o", str(bundle)]) == 0
+    capsys.readouterr()
+    out = tmp_path / target
+    argv = [a.format(k2=k2_file, bundle=bundle) for a in argv] + ["-o", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+
+
 def test_export_dot_corrupted_bundle_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"graph": 3}')

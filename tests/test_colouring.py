@@ -40,8 +40,8 @@ def colour_of(tc, el):
 
 
 def edge_part(g, tc):
-    """The edge colouring that ``tc`` restricts to, aligned with g.sorted_edges."""
-    return [tc.edge_colour(u, v) for u, v in g.sorted_edges]
+    """The edge colouring that ``tc`` restricts to, aligned with g.edges."""
+    return [tc.edge_colour(u, v) for u, v in g.edges]
 
 
 def with_colour(tc, el, c):
@@ -57,7 +57,7 @@ def with_colour(tc, el, c):
 
 def elements_of(g):
     """Vertices by index, then sorted edges, built without Graph.elements()."""
-    return [("v", i) for i in range(g.n)] + [("e", u, v) for u, v in g.sorted_edges]
+    return [("v", i) for i in range(g.n)] + [("e", u, v) for u, v in g.edges]
 
 
 def naive_conflict_scan(g, tc):
@@ -80,10 +80,10 @@ def naive_conflict_scan(g, tc):
 
 def naive_edge_conflict_scan(g, ec):
     """Independent quadratic check of an edge colouring."""
-    colour = dict(zip(g.sorted_edges, ec))
+    colour = dict(zip(g.edges, ec))
     return [
         (("e", *e), ("e", *f))
-        for e, f in itertools.combinations(g.sorted_edges, 2)
+        for e, f in itertools.combinations(g.edges, 2)
         if set(e) & set(f) and colour[e] == colour[f]
     ]
 
@@ -96,7 +96,7 @@ def naive_ordered_report(g, tc):
     sorted edge and endpoint.
     """
     vertices = [("v", i) for i in range(g.n)]
-    edges = [("e", u, v) for u, v in g.sorted_edges]
+    edges = [("e", u, v) for u, v in g.edges]
 
     def clash(a, b):
         c = colour_of(tc, a)
@@ -209,7 +209,7 @@ def test_verifiers_match_naive_scans_on_random_colourings(seed, palette):
     g = random_graph(r, max_n=8, p=0.5)
     tc = TotalColouring.from_parts(
         [r.randrange(palette) for _ in range(g.n)],
-        {e: r.randrange(palette) for e in g.sorted_edges},
+        {e: r.randrange(palette) for e in g.edges},
     )
     rep = verify_total(g, tc)
     assert reported_pairs(rep) == set(naive_conflict_scan(g, tc))
@@ -234,7 +234,7 @@ def test_cover_check_is_part_of_the_trust_root():
     """Equal vertex and edge counts are not enough: every pair must match."""
     g, _ = direct_product(complete_graph(4), complete_graph(3))
     tc = knm_total_colouring(4, 3)
-    u, v = g.sorted_edges[5]
+    u, v = g.edges[5]
     w = next(w for w in range(g.n) if w not in (u, v) and not g.has_edge(u, w))
     other = make_graph(g.n, [e for e in g.edges if e != (u, v)] + [(u, w)])
     assert other.n == g.n and len(other.edges) == len(g.edges)

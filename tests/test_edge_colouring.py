@@ -75,7 +75,7 @@ def test_delta_exactness_random_sweep(rng):
         h, a, b = random_bipartite(rng)
         ec = bipartite_delta_edge_colouring(h)
         assert len(ec) == len(h.edges)
-        colour = dict(zip(h.sorted_edges, ec))
+        colour = dict(zip(h.edges, ec))
         delta = h.max_degree
         assert verify_edge(h, ec).valid or delta == 0
         assert len(set(ec)) == (delta if delta else 0)
@@ -133,7 +133,7 @@ def circle_method(n):
         for i in range(1, n // 2):
             u, v = (r + i) % mod, (r - i) % mod
             colour[min(u, v), max(u, v)] = r
-    return [colour[e] for e in complete_graph(n).sorted_edges]
+    return [colour[e] for e in complete_graph(n).edges]
 
 
 def test_one_factorization_closed_form_matches_the_circle_method():
@@ -148,18 +148,15 @@ def test_one_factorization_rejects_odd():
 
 def test_latin_square_invariants_enforced():
     with pytest.raises(DomainError):
-        LatinSquare(((0, 1), (0, 1)), (0, 1))
-    with pytest.raises(DomainError):
-        LatinSquare(((0, 1), (1, 0)), (0, 0))
+        LatinSquare(((0, 1), (0, 1)))
     with pytest.raises(DomainError):
         # cyclic square of order 2: constant diagonal
-        LatinSquare(((0, 1), (1, 0)), (0, 1))
+        LatinSquare(((0, 1), (1, 0)))
 
 
 def test_rainbow_m3_is_the_cyclic_square():
     square, ec, matching = rainbow_kmm(3)
     assert square.rows == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    assert square.transversal == (0, 1, 2)
     # diagonal symbols 2i mod 3: (0, 2, 1)
     assert [square.symbol(i, i) for i in range(3)] == [0, 2, 1]
     assert matching == {(0, 3), (1, 4), (2, 5)}
@@ -194,7 +191,7 @@ def test_rainbow_properties(m):
     assert len(ec) == len(kmm.edges)
     rep = verify_edge(kmm, ec)
     assert rep.valid and rep.colours_used == m
-    colour = dict(zip(kmm.sorted_edges, ec))
+    colour = dict(zip(kmm.edges, ec))
     assert len({colour[e] for e in matching}) == m
     # removing the matching leaves exactly the crown graph
     assert set(kmm.edges) - matching == set(crown_graph(m).edges)
@@ -209,7 +206,7 @@ def test_rainbow_closed_form_for_every_order_up_to_64():
     # LatinSquare validates rows, columns and the rainbow diagonal itself.
     for m in range(3, 65):
         square, _, _ = rainbow_kmm(m)
-        assert square.order == m and square.transversal == tuple(range(m))
+        assert square.order == m
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 8])
@@ -230,7 +227,7 @@ def test_crown_edge_colouring_closed_form():
         crown = crown_graph(m)
         ec = crown_edge_colouring(m)
         assert len(ec) == len(crown.edges)
-        colour = dict(zip(crown.sorted_edges, ec))
+        colour = dict(zip(crown.edges, ec))
         for k in range(m):
             for t in range(m):
                 if k != t:

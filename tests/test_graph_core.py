@@ -18,10 +18,11 @@ from totalcolour import (
 )
 
 
-def small_graphs():
+def small_edge_lists():
+    """(n, edge list) with 1 <= n <= 7: pairs in either orientation, repeats allowed."""
     return st.integers(1, 7).flatmap(
-        lambda n: st.builds(
-            lambda edges: make_graph(n, edges),
+        lambda n: st.tuples(
+            st.just(n),
             st.lists(
                 st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
                     lambda e: e[0] != e[1]
@@ -32,10 +33,14 @@ def small_graphs():
     )
 
 
+def small_graphs():
+    return small_edge_lists().map(lambda case: make_graph(*case))
+
+
 def test_make_graph_k2():
     g = make_graph(2, [(0, 1)])
     assert g.n == 2
-    assert g.edges == frozenset({(0, 1)})
+    assert g.edges == ((0, 1),)
 
 
 def test_make_graph_k3():
@@ -116,6 +121,24 @@ def test_degree_profile():
     assert p4.degrees == (1, 2, 2, 1)
     assert p4.max_degree == 2
     assert edgeless_graph(3).max_degree == 0
+
+
+@given(small_edge_lists(), st.randoms(use_true_random=False))
+def test_edges_are_one_sorted_canonical_tuple(case, rng):
+    n, edge_list = case
+    g = make_graph(n, edge_list)
+    # the same edges shuffled, each maybe flipped, with some given twice
+    variant = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edge_list]
+    variant += rng.sample(variant, rng.randint(0, len(variant)))
+    rng.shuffle(variant)
+    other = make_graph(n, variant)
+    assert g == other and hash(g) == hash(other)
+    assert all(a < b for a, b in zip(g.edges, g.edges[1:]))
+    assert all(u < v for u, v in g.edges)
+    for u, v in itertools.product(range(-1, n + 1), repeat=2):
+        expected = (u, v) in edge_list or (v, u) in edge_list
+        assert g.has_edge(u, v) == expected
+        assert g.contains_element(("e", u, v)) == (expected and u < v)
 
 
 @given(small_graphs())
