@@ -9,8 +9,10 @@ error; its type and message go to stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from pathlib import Path
 from typing import Any
 
 from . import jsonio
@@ -54,7 +56,23 @@ def _write_text(text: str, output: str | None) -> None:
         print(text, end="")
 
 
+def _check_output(output: str | None) -> None:
+    """Refuse an ``-o`` target that cannot be a file before any work is done.
+
+    Other write failures (permissions, a full disk) still surface when the
+    file is written, through :func:`jsonio.save_text`.
+    """
+    if not output:
+        return
+    target = Path(output)
+    if not target.parent.is_dir():
+        raise ParseError(f"cannot write {output}: {target.parent} is not a directory")
+    if target.is_dir():
+        raise ParseError(f"cannot write {output}: it is a directory")
+
+
 def cmd_product(args: argparse.Namespace) -> int:
+    _check_output(args.output)
     g = jsonio.graph_from_obj(jsonio.load_json(args.g))
     h = jsonio.graph_from_obj(jsonio.load_json(args.h))
     prod, _ = direct_product(g, h)
@@ -93,6 +111,7 @@ def _build_colouring(args: argparse.Namespace) -> tuple[Graph, Any, dict[str, An
 
 
 def cmd_colour(args: argparse.Namespace) -> int:
+    _check_output(args.output)
     g, tc, meta = _build_colouring(args)
     report = verify_total(g, tc)
     meta["colours_used"] = report.colours_used
@@ -145,6 +164,7 @@ def cmd_chi(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
+    _check_output(args.output)
     g, tc, _ = jsonio.bundle_from_obj(jsonio.load_json(args.bundle))
     _write_text(jsonio.to_dot(g, tc), args.output)
     return EXIT_OK
@@ -167,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("h")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--format", choices=["json", "dot"], default="json")
-    p.set_defaults(func=cmd_product)
 
     c = sub.add_parser("colour", help="run a construction and emit a certificate bundle")
     kinds = c.add_subparsers(dest="kind", required=True)
@@ -188,31 +207,34 @@ def build_parser() -> argparse.ArgumentParser:
     for sp in (knm, crown, lift, knb):
         sp.add_argument("-o", "--output", default=None)
         sp.add_argument("--format", choices=["json", "dot"], default="json")
-    c.set_defaults(func=cmd_colour)
 
     v = sub.add_parser("verify", help="verify a colouring against its graph")
     v.add_argument("paths", nargs="+", help="bundle.json, or graph.json colouring.json")
-    v.set_defaults(func=cmd_verify)
 
     x = sub.add_parser("chi", help="exact total chromatic number (small graphs)")
     x.add_argument("graphs", nargs="+", help="graph JSON files")
     x.add_argument("--nodes", type=int, default=None, help="search node limit")
     x.add_argument("--seconds", type=float, default=None, help="wall-clock limit")
-    x.set_defaults(func=cmd_chi)
 
     d = sub.add_parser("export-dot", help="render a certificate bundle as DOT")
     d.add_argument("bundle")
     d.add_argument("-o", "--output", default=None)
-    d.set_defaults(func=cmd_export_dot)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()  # on first use, not at import
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; may be called any number of times in one process."""
+    args = _parser().parse_args(argv)
+    # looked up on each call, so that a replaced cmd_* is the one that runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (ParseError, IncompleteColouringError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

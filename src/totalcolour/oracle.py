@@ -4,9 +4,9 @@ The main solver reduces total colouring to vertex colouring of the total
 graph T(G) (one vertex per element, adjacency = the conflict relation) and
 runs a DSATUR-ordered branch and bound on T(G).  A solve, in order:
 
-* T(G): adjacency masks built straight from ``g.edges``
-  (:func:`_total_masks`), relabelled once by degree (:func:`_relabel`);
-  every later phase works on the relabelled masks;
+* T(G): built once, straight from ``g.edges`` and relabelled by degree in
+  closed form (:func:`_relabelled_total`); the greedy and the search share
+  its adjacency masks, every local-search run its neighbour lists;
 * lower bound: ω(T(G)) = max(Δ+1, 3), or 1 when G has no edge, with a
   maximum clique of T(G) in closed form (:func:`_clique`);
 * upper bound: DSATUR greedy (:func:`_dsatur_greedy`);
@@ -188,21 +188,6 @@ def _adjacency_masks(t: Graph) -> list[int]:
     return masks
 
 
-def _total_masks(g: Graph) -> list[int]:
-    """The adjacency masks of :func:`total_graph` (same labels), built
-    straight from ``g.edges`` with no intermediate graph."""
-    n = g.n
-    masks = [0] * (n + len(g.edges))
-    for i, (u, v) in enumerate(g.edges, n):
-        masks[u] |= 1 << v | 1 << i
-        masks[v] |= 1 << u | 1 << i
-    edge_bits = ~((1 << n) - 1)
-    for i, (u, v) in enumerate(g.edges, n):
-        # the edges at either end (both end masks hold i, so drop it), the ends
-        masks[i] = (masks[u] | masks[v]) & edge_bits ^ 1 << i | 1 << u | 1 << v
-    return masks
-
-
 def _clique(g: Graph) -> list[int]:
     """A maximum clique of T(G), in closed form, as T(G) vertex indices.
 
@@ -221,28 +206,45 @@ def _clique(g: Graph) -> list[int]:
     return [v] + [g.n + i for i, e in enumerate(g.edges) if v in e]
 
 
-def _relabel(masks: list[int]) -> tuple[list[int], list[int]]:
-    """Relabel T(G) in DSATUR tie-break order: degree descending, then index.
+def _relabelled_total(g: Graph) -> tuple[list[int], list[int], list[list[int]]]:
+    """T(G) built straight from ``g.edges`` and relabelled in DSATUR order.
 
-    Returns ``pos`` (the new label of each vertex) and the adjacency masks
-    over the new labels.  After relabelling, the DSATUR choice "highest
-    saturation, then highest degree, then lowest index" is the lowest set
-    bit of the most saturated vertices.
+    The order is degree descending, then the index of :func:`total_graph`.
+    In T(G) a vertex v has degree 2·deg(v) and an edge uv has
+    deg(u) + deg(v), so the order comes from ``g.degrees``.  Returns ``pos``
+    (the new label of each vertex of T(G)), and the adjacency masks and
+    neighbour lists over the new labels.  The DSATUR choice "highest
+    saturation, then highest degree, then lowest index" is then the lowest
+    set bit of the most saturated vertices.
     """
-    order = sorted(range(len(masks)), key=lambda v: (-masks[v].bit_count(), v))
-    pos = [0] * len(masks)
-    for i, v in enumerate(order):
-        pos[v] = i
-    adj = []
-    for v in order:
-        relabelled = 0
-        m = masks[v]
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            relabelled |= 1 << pos[u]
-        adj.append(relabelled)
-    return pos, adj
+    n, degs = g.n, g.degrees
+    degree = [2 * d for d in degs] + [degs[u] + degs[v] for u, v in g.edges]
+    # a stable sort, reversed or not, keeps ties in index order
+    order = sorted(range(len(degree)), key=degree.__getitem__, reverse=True)
+    pos = [0] * len(order)
+    for i, x in enumerate(order):
+        pos[x] = i
+    adj = [0] * len(order)
+    nbrs: list[list[int]] = [[] for _ in order]
+    at: list[list[int]] = [[] for _ in range(n)]  # at[w]: the edges at w
+    for (u, v), e in zip(g.edges, pos[n:]):
+        pu, pv = pos[u], pos[v]
+        adj[pu] |= 1 << pv
+        adj[pv] |= 1 << pu
+        adj[e] = 1 << pu | 1 << pv
+        nbrs[pu].append(pv)
+        nbrs[pv].append(pu)
+        nbrs[e] += (pu, pv)
+        at[u].append(e)
+        at[v].append(e)
+    for w, edges in enumerate(at):  # w meets its edges, and they meet each other
+        star = sum(1 << e for e in edges)
+        adj[pos[w]] |= star
+        nbrs[pos[w]] += edges
+        for i, e in enumerate(edges):
+            adj[e] |= star ^ 1 << e
+            nbrs[e] += edges[:i] + edges[i + 1 :]
+    return pos, adj, nbrs
 
 
 def _pick(levels: list[int], uncoloured: int) -> int:
@@ -274,7 +276,7 @@ def _saturate(levels: list[int], raised: int, bit: int) -> list[int]:
 
 
 def _dsatur_greedy(adj: list[int]) -> list[int]:
-    """DSATUR greedy colouring of a graph relabelled by :func:`_relabel`."""
+    """DSATUR greedy colouring of a graph in :func:`_relabelled_total` order."""
     n = len(adj)
     colours = [-1] * n
     near: list[int] = []  # near[c]: vertices adjacent to colour class c
@@ -296,15 +298,17 @@ def _dsatur_greedy(adj: list[int]) -> list[int]:
 
 
 def _tabucol(
-    masks: list[int], start: list[int], k: int, clock: _Clock
+    nbrs: list[list[int]], start: list[int], k: int, clock: _Clock
 ) -> list[int] | None:
     """TabuCol: a proper colouring of T(G) on colours 0..k-1, or None.
 
     Hertz and de Werra's local search ("Using tabu search techniques for
     graph coloring", Computing 39, 1987) with the tabu tenure of Galinier
-    and Hao (J. Comb. Optim. 3, 1999).  :func:`_solve` runs it on the
-    relabelled T(G) from the best colouring so far and, when that run fails
-    at the lower bound, once more from a seeded random colouring.
+    and Hao (J. Comb. Optim. 3, 1999).  ``nbrs`` are the neighbour lists of
+    the relabelled T(G) that :func:`_relabelled_total` builds once per
+    solve; their order within a list does not matter.  :func:`_solve` runs
+    it from the best colouring so far and, when that run fails at the lower
+    bound, once more from a seeded random colouring.
     Vertices of ``start`` coloured k or above first take, in index order,
     the colour fewest of their placed neighbours have.  Each move then
     recolours one conflicting vertex: the non-tabu move that lowers the
@@ -316,13 +320,7 @@ def _tabucol(
     vertices (a bit mask) in index order.  Returns None after ``_TABU_CAP``
     moves or at the wall-clock deadline; ticks no nodes.
     """
-    n = len(masks)
-    nbrs: list[list[int]] = []
-    for m in masks:
-        nbrs.append([])
-        while m:
-            nbrs[-1].append((m & -m).bit_length() - 1)
-            m &= m - 1
+    n = len(nbrs)
     colours = [0] * n
     gamma = [0] * (n * k)
     for v in range(n):
@@ -394,7 +392,7 @@ def _branch_and_bound(
 ) -> tuple[bool, list[int]]:
     """DSATUR branch and bound; returns (completed, best colouring found).
 
-    The search runs on T(G) relabelled by :func:`_relabel` (``clique`` and
+    The search runs on T(G) relabelled by :func:`_relabelled_total` (``clique`` and
     the colourings use the new labels too), with an explicit stack of frames
     ``[v, colour tried, cmax, saved levels, saved near]`` instead of
     recursion, so its depth is not bounded by Python's recursion limit.
@@ -543,7 +541,7 @@ def _solve(
         k = trivial_lower
         return OracleResult(OracleStatus.EXACT, k, k, k, 0), seed
 
-    pos, adj = _relabel(_total_masks(g))
+    pos, adj, nbrs = _relabelled_total(g)
     clique = [pos[v] for v in _clique(g)]
     lb = len(clique)
     start = _dsatur_greedy(adj)
@@ -567,10 +565,10 @@ def _solve(
     for k in (lb, lb + 1):  # one more colour only when the first runs fail
         if completed or k >= ub:
             break
-        found = _tabucol(adj, start, k, clock)
+        found = _tabucol(nbrs, start, k, clock)
         if found is None and k == lb:  # restart once, from a random colouring
             rng = random.Random(_RNG_SEED)
-            found = _tabucol(adj, [rng.randrange(k) for _ in adj], k, clock)
+            found = _tabucol(nbrs, [rng.randrange(k) for _ in adj], k, clock)
         if found is not None:
             start, ub = found, max(found) + 1
             break

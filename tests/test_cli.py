@@ -324,16 +324,55 @@ def test_export_dot(tmp_path):
     ],
     ids=["colour-json", "colour-dot", "product", "export-dot"],
 )
-def test_unwritable_output_exits_2(argv, target, k2_file, tmp_path, capsys):
+def test_unwritable_output_exits_2(argv, target, k2_file, tmp_path, capsys, monkeypatch):
     bundle = tmp_path / "bundle.json"
     assert main(["colour", "crown", "3", "-o", str(bundle)]) == 0
     capsys.readouterr()
+    built = []  # the target is refused before any product is built
+    monkeypatch.setattr(cli, "knm_total_colouring", lambda *a: built.append(a))
+    monkeypatch.setattr(cli, "direct_product", lambda *a: built.append(a))
     out = tmp_path / target
     argv = [a.format(k2=k2_file, bundle=bundle) for a in argv] + ["-o", str(out)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert built == []
+
+
+def test_main_runs_repeatedly_in_one_process(k3_file, tmp_path, capsys, monkeypatch):
+    # each call gives the exit code and stdout it gives alone, with a parser
+    # built for it; in sequence, the parser is built once
+    monkeypatch.setenv("COLUMNS", "80")  # the --help text wraps to it
+    bundle = str(tmp_path / "bundle.json")
+    argvs = [
+        ["colour", "knm", "4", "3", "-o", bundle],
+        ["verify", bundle],
+        ["chi", k3_file, "--nodes", "1000"],
+        ["chi", "--nodes", "x", k3_file],
+        ["chi", "--help"],
+        ["verify", bundle],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: a bad argv exits 2, --help 0
+            code = ("exit", exc.code)
+        return code, capsys.readouterr().out
+
+    alone = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        alone.append(run(argv))
+    assert [code for code, _ in alone] == [0, 0, 0, ("exit", 2), ("exit", 0), 0]
+
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    cli._parser.cache_clear()
+    assert [run(argv) for argv in argvs] == alone
+    assert len(calls) == 1
 
 
 def test_export_dot_corrupted_bundle_exits_2(tmp_path):

@@ -34,10 +34,9 @@ from totalcolour.oracle import (
     _Clock,
     _conformable,
     _dsatur_greedy,
-    _relabel,
+    _relabelled_total,
     _solve,
     _tabucol,
-    _total_masks,
 )
 
 from conftest import random_graph
@@ -194,15 +193,32 @@ def test_odd_products_are_type_i(n, m, chi):
     assert report.valid and report.colours_used == chi
 
 
+def relabel(masks):
+    """Relabel a graph by scanning its masks: degree descending, then index.
+    Returns the new label of each vertex and the masks over the new labels."""
+    order = sorted(range(len(masks)), key=lambda v: (-masks[v].bit_count(), v))
+    pos = [0] * len(masks)
+    for i, v in enumerate(order):
+        pos[v] = i
+    n = len(masks)
+    adj = [sum(1 << pos[u] for u in range(n) if masks[v] >> u & 1) for v in order]
+    return pos, adj
+
+
 @given(st.integers(0, 9), st.integers(0, 3), st.integers(0, 2**32 - 1))
-def test_total_masks_match_the_total_graph(n, isolated, seed):
+def test_relabelled_total_matches_the_total_graph(n, isolated, seed):
     # edges among the first n vertices only, so the last ones stay isolated;
     # n = isolated = 0 is the empty graph
     r = random.Random(seed)
     p = r.choice([0.0, r.random(), 1.0])
     edges = [e for e in itertools.combinations(range(n), 2) if r.random() < p]
     g = make_graph(n + isolated, edges)
-    assert _total_masks(g) == _adjacency_masks(total_graph(g))
+    pos, adj, nbrs = _relabelled_total(g)
+    want_pos, want_adj = relabel(_adjacency_masks(total_graph(g)))
+    assert (pos, adj) == (want_pos, want_adj)
+    assert [sorted(vs) for vs in nbrs] == [
+        [u for u in range(len(adj)) if m >> u & 1] for m in want_adj
+    ]
 
 
 @settings(max_examples=150, deadline=None)
@@ -254,7 +270,7 @@ def naive_dsatur(masks):
 def test_dsatur_greedy_matches_naive_rescan(seed):
     r = random.Random(seed)
     g = random_graph(r, max_n=12, p=r.random())
-    _, adj = _relabel(_adjacency_masks(g))
+    _, adj = relabel(_adjacency_masks(g))
     assert _dsatur_greedy(adj) == naive_dsatur(adj)
 
 
@@ -303,12 +319,12 @@ def _colouring_of(g, colours):
 def test_local_search_colourings_verify(seed):
     r = random.Random(seed)
     g = random_graph(r, max_n=8, p=r.random())
-    pos, adj = _relabel(_total_masks(g))
+    pos, adj, nbrs = _relabelled_total(g)
     lb = len(_clique(g))
     starts = [_dsatur_greedy(adj), [r.randrange(lb) for _ in adj]]
     for k, start in itertools.product((lb, lb + 1), starts):
-        found = _tabucol(adj, start, k, _no_deadline())
-        assert found == _tabucol(adj, start, k, _no_deadline())
+        found = _tabucol(nbrs, start, k, _no_deadline())
+        assert found == _tabucol(nbrs, start, k, _no_deadline())
         if found is not None:
             report = verify_total(g, _colouring_of(g, [found[p] for p in pos]))
             assert report.valid and report.colours_used <= k
@@ -317,8 +333,8 @@ def test_local_search_colourings_verify(seed):
 def test_local_search_returns_none_where_no_colouring_exists():
     # chi''(C_4) = 4 and chi''(K_{4,4}) = 6
     for g, k in [(cycle_graph(4), 3), (complete_bipartite(4, 4), 5)]:
-        _, adj = _relabel(_total_masks(g))
-        assert _tabucol(adj, _dsatur_greedy(adj), k, _no_deadline()) is None
+        _, adj, nbrs = _relabelled_total(g)
+        assert _tabucol(nbrs, _dsatur_greedy(adj), k, _no_deadline()) is None
 
 
 def test_bruteforce_small_values():
@@ -417,7 +433,7 @@ def test_certify_palette_is_the_first_upper_bound():
     # K_{8,8}: lower bound 9, greedy palette 11; a 10-colouring must bound
     # the answer even though one node cannot finish the search
     g, tc = complete_bipartite(8, 8), _kaa_total_colouring(8)
-    assert max(_dsatur_greedy(_relabel(_total_masks(g))[1])) == 10
+    assert max(_dsatur_greedy(_relabelled_total(g)[1])) == 10
     verdict = certify_construction(g, tc, SearchBudget(max_nodes=1))
     assert verdict.status is CertificationStatus.VALID_BUT_UNPROVEN
     assert verdict.colours_used == 10
