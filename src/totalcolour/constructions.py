@@ -8,15 +8,16 @@ the product's maximum degree:
   and pushing each deleted edge's colour onto its endpoints.
 * ``lift_bipartite``: given a max-degree-plus-one total colouring of
   G x K_2, extend it to G x H for any bipartite H.
-* ``knm_total_colouring``: K_n x K_m with a factor even, as that lift of
-  the crown over a one factorization (both odd is open; we refuse).
+* ``knm_total_colouring`` (a factor even; both odd is open, and we refuse),
+  ``kn_k2_total_colouring`` and ``kn_times_bipartite``: that lift of the
+  crown over a one factorization of the even factor, over K_2 and over H.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .colouring import TotalColouring, normalize_total, verify_total
 from .edge_colouring import (
@@ -65,35 +66,32 @@ def crown_total_colouring(m: int) -> CrownTotalColouring:
     return CrownTotalColouring(TotalColouring(list(diag * 2), edges, colours), diag)
 
 
+# (half, fibres): a colouring of G x K_2 in the form ``_lift`` reads
+K2Colouring = tuple[list[dict[int, tuple[int, int]]], tuple[Sequence[int], ...]]
+
+
+def _crown_k2(b: int) -> K2Colouring:
+    """K_b x K_2 read from the crown: (v_s, z_1)(v_t, z_2) is x_s y_t, coloured
+    by the crown's total colouring and its closed-form (b-1)-edge colouring."""
+    crown = crown_total_colouring(b)
+    tc = crown.colouring
+    half: list[dict[int, tuple[int, int]]] = [{} for _ in range(b)]
+    # both list x_s y_t row-major, aligned with crown_graph(b).edges
+    for (s, y), fc, pc in zip(tc.edges, tc.edge_colours, crown_edge_colouring(b)):
+        half[s][y - b] = (fc, pc)
+    return half, (crown.vertex_permutation,) * 2
+
+
 def kn_k2_total_colouring(n: int) -> TotalColouring:
     """n-colour total colouring of the direct product K_n x K_2 (n >= 3).
 
     The product is isomorphic to the crown graph on 2n vertices via
-    x_k -> (v_k, z_1), y_k -> (v_k, z_2); this transports the crown
-    colouring across that relabelling, reading it from the square.
+    x_k -> (v_k, z_1), y_k -> (v_k, z_2); this is the crown lift over K_2,
+    which carries the crown colouring across that relabelling.
     """
     if n < 3:
         raise DomainError("K_n x K_2 is only type I for n >= 3")
-    square, _, _ = rainbow_kmm(n)
-    vertex_colours = [square.symbol(k, k) for k in range(n) for _ in (1, 2)]
-    arcs = _kn_k2_arcs(n)
-    colours = [square.symbol(k, t) for _, k, t in arcs]
-    return TotalColouring(vertex_colours, tuple(e for e, _, _ in arcs), colours)
-
-
-def _kn_k2_arcs(n: int) -> list[tuple[Pair, int, int]]:
-    """K_n x K_2's edges in sorted order, each with the (k, t) of its crown edge.
-
-    (v_k, z_1) is 2k and (v_t, z_2) is 2t + 1, so the crown edge x_k y_t is
-    (2k, 2t + 1) when k < t and (2t + 1, 2k) when k > t.
-    """
-    arcs = []
-    for a in range(n):
-        for z in (0, 1):
-            for b in range(a + 1, n):
-                k, t = (b, a) if z else (a, b)
-                arcs.append(((2 * a + z, 2 * b + 1 - z), k, t))
-    return arcs
+    return _lift(*_crown_k2(n), n - 1, [((0, 1), 0)], [False, True], False)
 
 
 def lift_bipartite(g: Graph, f: TotalColouring, h: Graph) -> TotalColouring:
@@ -117,8 +115,7 @@ def lift_bipartite(g: Graph, f: TotalColouring, h: Graph) -> TotalColouring:
 
     If h is edgeless so is the product, and the single colour 0 suffices.
     """
-    k2 = complete_graph(2)
-    gk2, _ = direct_product(g, k2)
+    gk2, _ = direct_product(g, complete_graph(2))
     try:
         report = verify_total(gk2, f)
     except IncompleteColouringError as exc:
@@ -134,71 +131,84 @@ def lift_bipartite(g: Graph, f: TotalColouring, h: Graph) -> TotalColouring:
             f"expected exactly {dg + 1}"
         )
 
-    right = find_bipartition(h)
-    ec_h = bipartite_delta_edge_colouring(h)
-    if not h.edges:
-        # Edgeless H: the product is edgeless, and one colour is both enough
-        # and exactly max_degree(g) * 0 + 1.
-        return TotalColouring([0] * (g.n * h.n), (), [])
+    def decode() -> K2Colouring:
+        # (v_k, z_1) is 2k and (v_k, z_2) is 2k + 1 in G x K_2
+        nf = normalize_total(f)
+        phi = bipartite_delta_edge_colouring(gk2)
+        half: list[dict[int, tuple[int, int]]] = [{} for _ in range(g.n)]
+        for (p, q), fc, pc in zip(nf.edges, nf.edge_colours, phi):
+            s, t = (p // 2, q // 2) if p % 2 == 0 else (q // 2, p // 2)
+            half[s][t] = (fc, pc)
+        return half, (nf.vertex_colours[0::2], nf.vertex_colours[1::2])
 
-    f = normalize_total(f)
-    phi = bipartite_delta_edge_colouring(gk2)
+    return _lift_over_h(h, g.n, dg, decode)
+
+
+def _lift_over_h(
+    h: Graph, gn: int, dg: int, source: Callable[[], K2Colouring]
+) -> TotalColouring:
+    """Lift ``source()``, a colouring of G x K_2, over bipartite H's edges
+    oriented left -> right and classed by an exact edge colouring of H.
+
+    H with no vertices is refused like direct_product refuses it.  An
+    edgeless product takes colour 0 alone, exactly dg * max_degree(h) + 1.
+    """
+    if h.n == 0:
+        raise DomainError("direct product factors must have at least one vertex")
+    right = find_bipartition(h)
+    if not (dg and h.edges):
+        return TotalColouring([0] * (gn * h.n), (), [])
     oriented = (((y, x) if right[x] else (x, y)) for x, y in h.edges)
-    return _lift(g, f, phi, zip(oriented, ec_h), right, False)
+    classes = zip(oriented, bipartite_delta_edge_colouring(h))
+    return _lift(*source(), dg, classes, right, False)
 
 
 def _lift(
-    g: Graph,
-    f: TotalColouring,
-    phi: Sequence[int],
+    half: list[dict[int, tuple[int, int]]],
+    fibres: tuple[Sequence[int], ...],
+    dg: int,
     classes: Iterable[tuple[Pair, int]],
     right: list[bool],
     h_first: bool,
 ) -> TotalColouring:
     """Colour G x H from a total colouring of G x K_2 and matching classes of H.
 
-    In G x K_2, (v_k, z_1) is 2k and (v_k, z_2) is 2k + 1; ``f`` colours it on
-    palette 0..max_degree(g), and ``phi``, aligned with ``f.edges``,
-    edge-colours it with max_degree(g) colours.  ``classes`` pairs each H-edge,
-    oriented x -> y, with its class in a proper edge colouring of H.  Vertex
-    (v_k, w) takes f((v_k, z_2)) if right[w], else f((v_k, z_1)).  With
-    e = (v_s, z_1)(v_t, z_2), the edge (v_s, x)(v_t, y) takes f(e) over class
-    0 and d * max_degree(g) + 1 + phi(e) over class d >= 1.
+    half[s][t] = (f(e), phi(e)) for each arc s -> t of G and
+    e = (v_s, z_1)(v_t, z_2), where f is a total colouring of G x K_2 on
+    palette 0..dg and phi a dg-edge colouring of it; fibres[z][k] is f's
+    colour of (v_k, z_{z+1}).  ``classes`` pairs each H-edge, oriented x -> y,
+    with its class in a proper edge colouring of H.  Vertex (v_k, w) takes
+    fibres[right[w]][k], and (v_s, x)(v_t, y) takes f(e) over class 0 and
+    d * dg + 1 + phi(e) over class d >= 1.  This is proper when every H-edge
+    runs from right False to right True, and for any orientation when f
+    colours both fibres alike, as the crown does.
 
-    This is proper when every H-edge runs from a vertex with right False to one
-    with right True, and for any orientation when f gives (v_k, z_1) and
-    (v_k, z_2) the same colour, as the crown does.
-
-    The result colours direct_product(g, H), or direct_product(H, g) when
+    The result colours direct_product(G, H), or direct_product(H, G) when
     ``h_first``, with its edges emitted in that graph's sorted order.
     """
     hn = len(right)
-    # lanes[s][t] = (f(e), f(e'), phi(e), phi(e')) with e = (v_s, z_1)(v_t, z_2)
-    # and e' = (v_t, z_1)(v_s, z_2); steps[x][y] = (offset, lane) of the H-edge
-    # {x, y} seen from x, so that (v_s, x)(v_t, y) takes offset + lanes[s][t][lane]
-    half: list[dict[int, tuple[int, int]]] = [{} for _ in range(g.n)]
-    for (p, q), fc, pc in zip(f.edges, f.edge_colours, phi):
-        s, t = (p // 2, q // 2) if p % 2 == 0 else (q // 2, p // 2)
-        half[s][t] = (fc, pc)  # (f(e), phi(e)) with e = (v_s, z_1)(v_t, z_2)
+    # lanes[s][t] = (f(e), f(e'), phi(e), phi(e')) with e' = (v_t, z_1)(v_s, z_2);
+    # steps[x][y] = (offset, lane) of the H-edge {x, y} seen from x, so that
+    # (v_s, x)(v_t, y) takes offset + lanes[s][t][lane]
     lanes = [
         {t: (fc, half[t][s][0], pc, half[t][s][1]) for t, (fc, pc) in here.items()}
         for s, here in enumerate(half)
     ]
     steps: list[dict[int, tuple[int, int]]] = [{} for _ in range(hn)]
     for (x, y), d in classes:
-        offset, lane = (d * g.max_degree + 1, 2) if d else (0, 0)
+        offset, lane = (d * dg + 1, 2) if d else (0, 0)
         steps[x][y], steps[y][x] = (offset, lane), (offset, lane + 1)
     # vertex (i, j) of A x B is i * |B| + j, and its edges to larger vertices
     # go to (i2, j2) with i2 > i, in the order (i2, j2)
     a_adj, b_adj = (steps, lanes) if h_first else (lanes, steps)
     b_runs = [sorted(adj.items()) for adj in b_adj]
-    vertex_colours, edges, colours = [0] * (g.n * hn), [], []
+    vertex_colours, edges, colours = [0] * (len(half) * hn), [], []
     for i, a_here in enumerate(a_adj):
         ahead = sorted((i2, a) for i2, a in a_here.items() if i2 > i)
         for j, run in enumerate(b_runs):
             p = i * len(b_runs) + j
             k, w = (j, i) if h_first else (i, j)
-            vertex_colours[p] = f.vertex_colour(2 * k + right[w])
+            vertex_colours[p] = fibres[right[w]][k]
             for i2, a in ahead:
                 edges += [(p, i2 * len(b_runs) + j2) for j2, _ in run]
                 if h_first:  # a is an H-edge's step, run holds G-arcs' lanes
@@ -234,15 +244,10 @@ def knm_total_colouring(n: int, m: int) -> TotalColouring:
     a, b = n, m
     if a % 2 or (b % 2 == 0 and b > a):
         a, b = b, a
-    f = kn_k2_total_colouring(b)
-    crown = crown_edge_colouring(b)
-    # the crown lists x_k y_t (t != k) row-major, so x_k y_t is entry
-    # k * (b - 1) + t - (t > k)
-    phi = [crown[k * (b - 1) + t - (t > k)] for _, k, t in _kn_k2_arcs(b)]
     # K_a comes first in the caller's product when a == n; a one-factor edge
     # i < j runs i -> j
     classes = zip(combinations(range(a), 2), one_factorization(a))
-    return _lift(complete_graph(b), f, phi, classes, [False] * a, a == n)
+    return _lift(*_crown_k2(b), b - 1, classes, [False] * a, a == n)
 
 
 def kn_times_bipartite(n: int, h: Graph) -> TotalColouring:
@@ -250,8 +255,8 @@ def kn_times_bipartite(n: int, h: Graph) -> TotalColouring:
 
     n = 2 is refused: K_2 x K_2 is type II, so no such colouring can exist
     for every bipartite H.  n = 1 gives an edgeless product and the single
-    colour 0.  For n >= 3 the type-I colouring of K_n x K_2 is generated
-    internally and lifted across h.
+    colour 0.  For n >= 3 the crown colouring of K_n x K_2 is lifted across
+    h, with the crown's closed-form (n-1)-edge colouring as phi.
     """
     if n == 2:
         raise DomainError(
@@ -260,10 +265,4 @@ def kn_times_bipartite(n: int, h: Graph) -> TotalColouring:
         )
     if n < 1:
         raise DomainError("K_n needs n >= 1")
-    if n == 1:
-        # K_1 x K_2 is two isolated vertices; lifting its one-colour
-        # colouring checks that h is bipartite like any other n.
-        f = TotalColouring([0, 0], (), [])
-    else:
-        f = kn_k2_total_colouring(n)
-    return lift_bipartite(complete_graph(n), f, h)
+    return _lift_over_h(h, n, n - 1, lambda: _crown_k2(n))

@@ -4,7 +4,14 @@ import sys
 
 import pytest
 
-from totalcolour import jsonio, make_graph, complete_graph, edgeless_graph, verify_total
+from totalcolour import (
+    complete_graph,
+    edgeless_graph,
+    jsonio,
+    kn_k2_total_colouring,
+    make_graph,
+    verify_total,
+)
 from totalcolour import cli
 from totalcolour.cli import main
 
@@ -112,6 +119,19 @@ def test_colour_kn_bipartite(tmp_path):
     out = tmp_path / "bundle.json"
     assert main(["colour", "kn-bipartite", "4", str(h_path), "-o", str(out)]) == 0
     assert jsonio.load_json(out)["report"]["colours_used"] == 7
+
+
+@pytest.mark.parametrize("kind", ["kn-bipartite", "lift"])
+def test_colour_over_an_h_with_no_vertices_exits_3(kind, k3_file, tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    jsonio.save_json(empty, {"n": 0, "edges": []})
+    f_path = tmp_path / "f.json"
+    jsonio.save_json(f_path, jsonio.colouring_to_obj(kn_k2_total_colouring(3)))
+    args = ["3", str(empty)] if kind == "kn-bipartite" else [k3_file, str(f_path), str(empty)]
+    assert main(["colour", kind, *args, "-o", str(tmp_path / "out.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: direct product factors must have at least one vertex\n"
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_verify_detects_corruption(tmp_path, capsys):

@@ -23,6 +23,7 @@ from totalcolour import (
     make_graph,
     one_factorization,
     path_graph,
+    rainbow_kmm,
     star_graph,
     verify_total,
 )
@@ -374,11 +375,86 @@ def test_kn_times_bipartite_k1_is_trivial():
         kn_times_bipartite(1, complete_graph(3))
 
 
+def test_an_h_with_no_vertices_is_refused_like_its_product():
+    with pytest.raises(DomainError) as product_error:
+        direct_product(complete_graph(3), edgeless_graph(0))
+    for build in (
+        lambda: kn_times_bipartite(3, edgeless_graph(0)),
+        lambda: kn_times_bipartite(1, edgeless_graph(0)),
+        lambda: lift_bipartite(complete_graph(3), kn_k2_total_colouring(3), edgeless_graph(0)),
+    ):
+        with pytest.raises(DomainError) as exc:
+            build()
+        assert str(exc.value) == str(product_error.value)
+
+
 def test_kn_times_bipartite_rejects_odd_cycle():
     from totalcolour import NotBipartiteError
 
     with pytest.raises(NotBipartiteError):
         kn_times_bipartite(4, cycle_graph(5))
+
+
+# ------------------------------------------------------ crown closed form
+
+
+def _assert_crown_lift(tc, b, h, classes, h_first):
+    """tc is the crown of K_b x K_2 lifted over H = (h, classes), where
+    ``classes`` pairs each H-edge, oriented x -> y, with its class: with
+    S the rainbow square of order b, vertex (v_k, w) takes S[k][k], and
+    (v_s, x)(v_t, y) takes S[s][t] over class 0 and
+    d(b-1) + 1 + ((t - s - 1) mod b) over class d >= 1."""
+    rows = rainbow_kmm(b)[0].rows
+    g = complete_graph(b)
+    _, pmap = direct_product(h, g) if h_first else direct_product(g, h)
+
+    def index(k, w):
+        return pmap.index(w, k) if h_first else pmap.index(k, w)
+
+    for k in range(b):
+        for w in range(h.n):
+            assert tc.vertex_colour(index(k, w)) == rows[k][k]
+    seen = 0
+    for (x, y), d in classes:
+        for s in range(b):
+            for t in range(b):
+                if s != t:
+                    want = d * (b - 1) + 1 + (t - s - 1) % b if d else rows[s][t]
+                    assert tc.edge_colour(index(s, x), index(t, y)) == want
+                    seen += 1
+    assert seen == len(tc.edges)
+
+
+def test_crown_lifts_follow_the_closed_form():
+    for n, m in [(4, 3), (3, 4), (6, 5), (5, 6), (6, 4), (4, 6), (8, 8)]:
+        a, b = n, m
+        if a % 2 or (b % 2 == 0 and b > a):
+            a, b = b, a
+        ka = complete_graph(a)
+        # a one-factor edge i < j runs i -> j
+        classes = zip(ka.edges, one_factorization(a))
+        _assert_crown_lift(knm_total_colouring(n, m), b, ka, classes, a == n)
+
+    rng = random.Random(1807)
+    for n in range(3, 8):
+        for _ in range(6):
+            h = edgeless_graph(1)
+            while not h.edges:  # an edgeless product takes one colour instead
+                h, _, _ = random_bipartite(rng, max_part=5, p=0.6)
+            right = find_bipartition(h)
+            oriented = [(y, x) if right[x] else (x, y) for x, y in h.edges]
+            classes = zip(oriented, bipartite_delta_edge_colouring(h))
+            _assert_crown_lift(kn_times_bipartite(n, h), n, h, classes, False)
+
+    for n in range(3, 33):
+        crown = crown_total_colouring(n).colouring
+        # x_k -> (v_k, z_1) = 2k and y_t -> (v_t, z_2) = 2t + 1
+        moved = [2 * v if v < n else 2 * (v - n) + 1 for v in range(2 * n)]
+        vertex_colours = [0] * (2 * n)
+        for v, c in enumerate(crown.vertex_colours):
+            vertex_colours[moved[v]] = c
+        edges = {(moved[u], moved[v]): c for (u, v), c in zip(crown.edges, crown.edge_colours)}
+        assert kn_k2_total_colouring(n) == TotalColouring.from_parts(vertex_colours, edges)
 
 
 # ------------------------------------------------- master property sweep
@@ -387,9 +463,14 @@ def test_kn_times_bipartite_rejects_odd_cycle():
 def test_master_property_every_construction_verifies(rng):
     """Randomized sweep: every emitted colouring passes the verifier with the
     exact promised palette."""
-    for _ in range(25):
-        n = rng.randint(3, 6)
-        h, _, _ = random_bipartite(rng, max_part=4, p=0.5)
+    cases = [
+        (rng.choice([1, 3, 4, 5, 6, 7]), random_bipartite(rng, max_part=4, p=0.5)[0])
+        for _ in range(25)
+    ]
+    # an edgeless H and an H with isolated vertices, under K_1 and K_4
+    fixed = [edgeless_graph(3), make_graph(7, [(0, 4), (1, 4), (1, 5)])]
+    cases += [(n, h) for n in (1, 4) for h in fixed]
+    for n, h in cases:
         tc = kn_times_bipartite(n, h)
         prod, _ = direct_product(complete_graph(n), h)
         rep = verify_total(prod, tc)
