@@ -87,7 +87,8 @@ print("saying no:")
 from totalcolour import TotalColouring
 
 k2 = complete_graph(2)
-broken = TotalColouring.from_parts([0, 1], {(0, 1): 0})
+# from_parts takes (u, v, colour) triples in any order and orientation
+broken = TotalColouring.from_parts([0, 1], [(1, 0, 0)])
 rep = verify_total(k2, broken)
 print(f"  K2 with edge colour 0: valid={rep.valid}, violations={rep.violations}")
 print("  (vertex i is ('v', i) and edge uv is ('e', u, v) with u < v, the")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DomainError,
@@ -36,7 +36,8 @@ class TotalColouring:
     """One colour per vertex (listed by index) and per edge of a target graph.
 
     ``edge_colours[i]`` colours ``edges[i]``, and ``edges`` holds canonical
-    pairs in ascending order; :meth:`from_parts` builds one from a mapping.
+    pairs in ascending order; :meth:`from_parts` builds one from
+    ``(u, v, colour)`` triples listed in any order.
     """
 
     vertex_colours: list[int]
@@ -53,25 +54,20 @@ class TotalColouring:
 
     @classmethod
     def from_parts(
-        cls,
-        vertex_colours: Sequence[int],
-        edge_colours: Mapping[Pair, int],
+        cls, vertex_colours: Sequence[int], triples: Iterable[Sequence[int]]
     ) -> "TotalColouring":
-        """Check a pair-keyed edge colouring (either orientation, not both); sort it."""
+        """Build one from ``(u, v, colour)`` triples in any order and orientation,
+        refusing a self-loop or a pair given twice, repeated or reversed."""
         fixed: dict[Pair, int] = {}
-        for (u, v), c in edge_colours.items():
+        for u, v, c in triples:
             if u == v:
                 raise GraphConstructionError(f"self-loop on vertex {u}")
-            if c < 0:
-                raise DomainError(f"negative colour {c} on edge ({u},{v})")
-            pair = canonical_pair(u, v)
-            if pair in fixed:  # (u, v) and (v, u) both given
-                raise GraphConstructionError(
-                    f"edge ({pair[0]},{pair[1]}) is coloured more than once"
-                )
+            pair = (u, v) if u < v else (v, u)
+            if pair in fixed:
+                raise GraphConstructionError("edge (%d,%d) is coloured more than once" % pair)
             fixed[pair] = c
         edges = tuple(sorted(fixed))
-        return cls(list(vertex_colours), edges, [fixed[e] for e in edges])
+        return cls(list(vertex_colours), edges, list(map(fixed.__getitem__, edges)))
 
     @cached_property
     def _edge_ids(self) -> dict[Pair, int]:

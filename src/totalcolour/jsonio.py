@@ -14,7 +14,6 @@ Schemas (all canonical, so serialize-parse round-trips are identity):
 from __future__ import annotations
 
 import json
-import operator
 from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -88,6 +87,18 @@ def graph_to_obj(g: Graph) -> dict[str, Any]:
     return obj
 
 
+def _pairs(edges: list[Any]) -> Iterator[list[int]]:
+    """Each ``[u, v]`` entry as it stands, once it holds two ints."""
+    for item in edges:
+        # type() rather than isinstance(): a bool is an int but not a vertex
+        if type(item) is not list or len(item) != 2:
+            raise ParseError(f"bad edge entry {item!r}")
+        u, v = item
+        if not type(u) is type(v) is int:
+            raise ParseError(f"bad edge entry {item!r}")
+        yield item
+
+
 def graph_from_obj(obj: Any) -> Graph:
     if not isinstance(obj, dict):
         raise ParseError("graph document must be a JSON object")
@@ -97,21 +108,14 @@ def graph_from_obj(obj: Any) -> Graph:
     edges = obj.get("edges")
     if not isinstance(edges, list):
         raise ParseError('graph field "edges" must be a list of [u, v] pairs')
-    pairs: list[tuple[int, int]] = []
-    for item in edges:
-        # type() rather than isinstance(): a bool is an int but not a vertex
-        if type(item) is not list or len(item) != 2:
-            raise ParseError(f"bad edge entry {item!r}")
-        u, v = item
-        if not type(u) is type(v) is int:
-            raise ParseError(f"bad edge entry {item!r}")
-        pairs.append((u, v))
     labels = obj.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
             raise ParseError('graph field "labels" must be a list of strings')
     try:
-        return make_graph(n, pairs, labels)
+        return make_graph(n, _pairs(edges), labels)
+    except ParseError:
+        raise
     except TotalColourError as exc:
         raise ParseError(f"invalid graph: {exc}")
 
@@ -123,6 +127,18 @@ def colouring_to_obj(tc: TotalColouring) -> dict[str, Any]:
     }
 
 
+def _triples(edge_colours: list[Any]) -> Iterator[list[int]]:
+    """Each ``[u, v, colour]`` entry as it stands, once it holds three ints."""
+    for item in edge_colours:
+        # type() rather than isinstance(): a bool is an int but not a colour
+        if type(item) is not list or len(item) != 3:
+            raise ParseError(f"bad edge colour entry {item!r}")
+        u, v, c = item
+        if not type(u) is type(v) is type(c) is int:
+            raise ParseError(f"bad edge colour entry {item!r}")
+        yield item
+
+
 def colouring_from_obj(obj: Any) -> TotalColouring:
     if not isinstance(obj, dict):
         raise ParseError("colouring document must be a JSON object")
@@ -132,30 +148,10 @@ def colouring_from_obj(obj: Any) -> TotalColouring:
         raise ParseError('"vertex_colours" must be a list of non-negative integers')
     if not isinstance(ecs, list):
         raise ParseError('"edge_colours" must be a list of [u, v, colour] triples')
-    colour_of: dict[tuple[int, int], int] = {}
-    for item in ecs:
-        # type() rather than isinstance(): a bool is an int but not a colour
-        if type(item) is not list or len(item) != 3:
-            raise ParseError(f"bad edge colour entry {item!r}")
-        u, v, c = item
-        if not type(u) is type(v) is type(c) is int:
-            raise ParseError(f"bad edge colour entry {item!r}")
-        # from_parts rejects (u, v) beside (v, u); an exact repeat would
-        # already have collapsed into one key of this dict
-        if (u, v) in colour_of:
-            raise ParseError(f"edge ({u},{v}) is coloured more than once")
-        colour_of[(u, v)] = c
-    pairs, colours = tuple(colour_of), list(colour_of.values())
     try:
-        # ascending canonical pairs with non-negative colours are aligned as
-        # they stand; from_parts re-keys anything else and names a bad entry
-        if (
-            all(map(operator.lt, pairs, pairs[1:]))
-            and all(u < v for u, v in pairs)
-            and min(colours, default=0) >= 0
-        ):
-            return TotalColouring(list(vcs), pairs, colours)
-        return TotalColouring.from_parts(vcs, colour_of)
+        return TotalColouring.from_parts(vcs, _triples(ecs))
+    except ParseError:
+        raise
     except TotalColourError as exc:
         raise ParseError(f"invalid colouring: {exc}")
 

@@ -586,9 +586,11 @@ def exact_chi_total(g: Graph, budget: SearchBudget | None = None) -> OracleResul
     """Exact total chromatic number of g, within a search budget.
 
     Returns Exact when the lower and upper bounds meet (or the search space
-    is exhausted), TimedOut with the best bounds otherwise.  A budget that
-    is spent before the first greedy colouring finishes yields
-    LowerBoundOnly with the trivial bounds.
+    is exhausted), TimedOut with the best bounds otherwise.  The clock is
+    first read before T(G) is built, so only a budget already spent there
+    (``max_nodes=0`` or ``max_seconds=0``) yields LowerBoundOnly, with the
+    trivial bounds [Δ+1, |V|+|E|]; any other budget gets at least the
+    greedy colouring's upper bound.
     """
     return _solve(g, budget, None)[0]
 

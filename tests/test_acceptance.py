@@ -138,11 +138,10 @@ def test_criterion_5_lift_reproduction():
         # build an explicit valid 4-colour total colouring of the product cycle
         order = _cycle_order(c10)
         vertex_colours = [0] * 10
-        edge_colours = {}
+        edge_colours = []
         for pos, v in enumerate(order):
             vertex_colours[v] = pos % 2
-            w = order[(pos + 1) % 10]
-            edge_colours[(min(v, w), max(v, w))] = 2 + (pos % 2)
+            edge_colours.append((v, order[(pos + 1) % 10], 2 + (pos % 2)))
         four_colour = TotalColouring.from_parts(vertex_colours, edge_colours)
         assert verify_total(c10, four_colour).valid
         with pytest.raises(PreconditionError):

@@ -443,3 +443,34 @@ def test_console_script_runs():
     )
     assert proc.returncode == 4
     assert "open problem" in proc.stderr
+
+
+
+REPEATED = "invalid colouring: edge (0,1) is coloured more than once"
+
+
+@pytest.mark.parametrize(
+    "graph_edges, edge_colours, message",
+    [
+        (
+            [[0, 5], [0, "x"]],
+            [[0, 1, 2]],
+            "invalid graph: edge (0,5) has an endpoint outside [0,2)",
+        ),
+        ([[0, 1]], [[0, 0, 1], [0, "x", 1]], "invalid colouring: self-loop on vertex 0"),
+        ([[0, 1]], [[1, 0, 1], [1, 0, 2]], REPEATED),
+        ([[0, 1]], [[0, 1, 1], [1, 0, 2]], REPEATED),
+    ],
+    ids=["range-before-type", "self-loop-before-type", "exact-repeat", "reversed-repeat"],
+)
+def test_decode_errors_follow_list_order(tmp_path, capsys, graph_edges, edge_colours, message):
+    """Each entry is checked as it is decoded, so the first bad one is named,
+    and a repeated pair is named canonically whichever way it was listed."""
+    doc = {
+        "graph": {"n": 2, "edges": graph_edges},
+        "colouring": {"vertex_colours": [0, 1], "edge_colours": edge_colours},
+    }
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -52,7 +52,9 @@ def with_colour(tc, el, c):
         vertex_colours[el[1]] = c
     else:
         edge_colours[el[1:]] = c
-    return TotalColouring.from_parts(vertex_colours, edge_colours)
+    return TotalColouring.from_parts(
+        vertex_colours, [(u, v, c) for (u, v), c in edge_colours.items()]
+    )
 
 
 def elements_of(g):
@@ -117,7 +119,7 @@ def reported_pairs(report):
 
 def test_verify_total_k2_valid():
     k2 = complete_graph(2)
-    tc = TotalColouring.from_parts([0, 1], {(0, 1): 2})
+    tc = TotalColouring.from_parts([0, 1], [(0, 1, 2)])
     rep = verify_total(k2, tc)
     assert rep.valid
     assert rep.colours_used == 3
@@ -125,7 +127,7 @@ def test_verify_total_k2_valid():
 
 def test_verify_total_k2_edge_endpoint_clash():
     k2 = complete_graph(2)
-    tc = TotalColouring.from_parts([0, 1], {(0, 1): 0})
+    tc = TotalColouring.from_parts([0, 1], [(0, 1, 0)])
     rep = verify_total(k2, tc)
     assert not rep.valid
     assert rep.violations == [(("v", 0), ("e", 0, 1), 0)]
@@ -134,17 +136,20 @@ def test_verify_total_k2_edge_endpoint_clash():
 def test_verify_total_missing_element_is_not_invalid():
     k2 = complete_graph(2)
     with pytest.raises(IncompleteColouringError):
-        verify_total(k2, TotalColouring.from_parts([0, 1], {}))
+        verify_total(k2, TotalColouring.from_parts([0, 1], []))
     with pytest.raises(IncompleteColouringError):
-        verify_total(k2, TotalColouring.from_parts([0, 1], {(0, 1): 2, (0, 2): 1}))
+        verify_total(k2, TotalColouring.from_parts([0, 1], [(0, 1, 2), (0, 2, 1)]))
     with pytest.raises(GraphConstructionError):
-        TotalColouring.from_parts([0, 1], {(0, 1): 2, (0, 0): 1})
+        TotalColouring.from_parts([0, 1], [(0, 1, 2), (0, 0, 1)])
 
 
 def test_edge_coloured_in_both_orientations_is_rejected():
     # kept silently, the last entry would be the only one the verifier judges
-    with pytest.raises(GraphConstructionError):
-        TotalColouring.from_parts([0, 1, 2], {(0, 1): 2, (1, 0): 0, (1, 2): 0, (0, 2): 1})
+    with pytest.raises(GraphConstructionError, match=r"edge \(0,1\) is coloured more"):
+        TotalColouring.from_parts([0, 1, 2], [(0, 1, 2), (1, 0, 0), (1, 2, 0), (0, 2, 1)])
+    # an exact repeat is refused the same way, even with the same colour
+    with pytest.raises(GraphConstructionError, match=r"edge \(0,1\) is coloured more"):
+        TotalColouring.from_parts([0, 1], [(1, 0, 2), (1, 0, 2)])
 
 
 def test_verify_total_matches_naive_scan_on_knm_output():
@@ -163,7 +168,7 @@ def test_verify_total_matches_naive_scan_on_knm_output():
 
 def test_verify_total_reports_all_violation_kinds():
     p3 = path_graph(3)
-    tc = TotalColouring.from_parts([0, 0, 1], {(0, 1): 2, (1, 2): 2})
+    tc = TotalColouring.from_parts([0, 0, 1], [(0, 1, 2), (1, 2, 2)])
     rep = verify_total(p3, tc)
     kinds = {(a[0], b[0]) for a, b, _ in rep.violations}
     assert ("v", "v") in kinds  # 0 and 1 adjacent, both colour 0
@@ -176,7 +181,7 @@ def test_verify_total_report_order_is_pinned():
     """Vertex pairs, then edge pairs by shared vertex and incidence position,
     then vertex-edge pairs, each by sorted edge."""
     k3 = complete_graph(3)
-    tc = TotalColouring.from_parts([0, 0, 0], dict.fromkeys(k3.edges, 0))
+    tc = TotalColouring.from_parts([0, 0, 0], [(u, v, 0) for u, v in k3.edges])
     rep = verify_total(k3, tc)
     e01, e02, e12 = ("e", 0, 1), ("e", 0, 2), ("e", 1, 2)
     v0, v1, v2 = ("v", 0), ("v", 1), ("v", 2)
@@ -189,7 +194,7 @@ def test_verify_total_report_order_is_pinned():
     # Interleaved colour classes at the centre still come out in (i, j) order.
     star = star_graph(5)
     tc = TotalColouring.from_parts(
-        [0, 3, 0, 1, 4, 5], {(0, 1): 1, (0, 2): 2, (0, 3): 1, (0, 4): 2, (0, 5): 1}
+        [0, 3, 0, 1, 4, 5], [(0, 1, 1), (0, 2, 2), (0, 3, 1), (0, 4, 2), (0, 5, 1)]
     )
     rep = verify_total(star, tc)
     assert rep.violations == [
@@ -209,7 +214,7 @@ def test_verifiers_match_naive_scans_on_random_colourings(seed, palette):
     g = random_graph(r, max_n=8, p=0.5)
     tc = TotalColouring.from_parts(
         [r.randrange(palette) for _ in range(g.n)],
-        {e: r.randrange(palette) for e in g.edges},
+        [(u, v, r.randrange(palette)) for u, v in g.edges],
     )
     rep = verify_total(g, tc)
     assert reported_pairs(rep) == set(naive_conflict_scan(g, tc))
@@ -304,7 +309,7 @@ def test_classify_out_of_range_is_loud():
 
 
 def test_normalize_total_compacts_order_preserving():
-    tc = TotalColouring.from_parts([5, 9], {(0, 1): 7})
+    tc = TotalColouring.from_parts([5, 9], [(0, 1, 7)])
     norm = normalize_total(tc)
     assert norm.vertex_colour(0) == 0
     assert norm.edge_colour(0, 1) == 1
@@ -318,7 +323,7 @@ def test_injective_relabelling_preserves_validity(perm):
     base = knm_colouring_of_c6()
     relabelled = TotalColouring.from_parts(
         [perm[c] for c in base.vertex_colours],
-        {e: perm[c] for e, c in zip(base.edges, base.edge_colours)},
+        [(u, v, perm[c]) for (u, v), c in zip(base.edges, base.edge_colours)],
     )
     rep = verify_total(g, relabelled)
     assert rep.valid
@@ -330,12 +335,9 @@ def knm_colouring_of_c6():
     # product cycle order 0-3-4-1-2-5-0; colours repeat 0,1,2 around it.
     cycle = [0, 3, 4, 1, 2, 5]
     vertex_colours = {}
-    edge_colours = {}
     for pos, v in enumerate(cycle):
         vertex_colours[v] = pos % 3
-    for pos, v in enumerate(cycle):
-        w = cycle[(pos + 1) % 6]
-        edge_colours[(min(v, w), max(v, w))] = (pos + 2) % 3
+    edge_colours = [(v, cycle[(pos + 1) % 6], (pos + 2) % 3) for pos, v in enumerate(cycle)]
     return TotalColouring.from_parts(
         [vertex_colours[i] for i in range(6)], edge_colours
     )

@@ -137,7 +137,7 @@ def test_lift_accepts_noncontiguous_input_palette():
     f = kn_k2_total_colouring(3)
     spread = TotalColouring.from_parts(
         [c * 7 + 2 for c in f.vertex_colours],
-        {e: c * 7 + 2 for e, c in zip(f.edges, f.edge_colours)},
+        [(u, v, c * 7 + 2) for (u, v), c in zip(f.edges, f.edge_colours)],
     )
     tc = lift_bipartite(g, spread, cycle_graph(6))
     prod, _ = direct_product(g, cycle_graph(6))
@@ -156,19 +156,22 @@ def test_lift_edgeless_h_uses_one_colour():
     assert rep.colours_used == 1  # max_degree(g) * 0 + 1
 
 
+def _recoloured(tc, edge, c):
+    """tc with the colour of one of its edges replaced by c."""
+    triples = [(u, v, old) for (u, v), old in zip(tc.edges, tc.edge_colours)]
+    triples[tc.edges.index(edge)] = (*edge, c)
+    return TotalColouring.from_parts(tc.vertex_colours, triples)
+
+
 def test_lift_rejects_improper_or_over_palette_f():
     g = complete_graph(3)
     f = kn_k2_total_colouring(3)
     # corrupt one edge colour: improper
-    bad = TotalColouring.from_parts(
-        f.vertex_colours, {**dict(zip(f.edges, f.edge_colours)), (0, 3): f.vertex_colour(0)}
-    )
+    bad = _recoloured(f, (0, 3), f.vertex_colour(0))
     with pytest.raises(PreconditionError):
         lift_bipartite(g, bad, cycle_graph(6))
     # valid but uses max_degree + 2 colours
-    wide = TotalColouring.from_parts(
-        f.vertex_colours, {**dict(zip(f.edges, f.edge_colours)), (0, 3): 3}
-    )
+    wide = _recoloured(f, (0, 3), 3)
     prod, _ = direct_product(g, complete_graph(2))
     assert verify_total(prod, wide).valid
     with pytest.raises(PreconditionError):
@@ -187,15 +190,14 @@ def _two_component_source(g, component_orders):
     """3-colour total colouring for a product g x K2 that splits into paths
     or cycles, built per component by hand."""
     vertex_colours = {}
-    edge_colours = {}
+    edge_colours = []
     for order in component_orders:
         for pos, v in enumerate(order):
             vertex_colours[v] = pos % 3
         closed = len(order) > 2 and g.has_edge(order[0], order[-1])
         steps = len(order) if closed else len(order) - 1
         for pos in range(steps):
-            v, w = order[pos], order[(pos + 1) % len(order)]
-            edge_colours[(min(v, w), max(v, w))] = (pos + 2) % 3
+            edge_colours.append((order[pos], order[(pos + 1) % len(order)], (pos + 2) % 3))
     return TotalColouring.from_parts(
         [vertex_colours[i] for i in range(g.n)], edge_colours
     )
@@ -205,7 +207,7 @@ def _p3_k2_source():
     """3-colour total colouring of P3 x K2, which is two disjoint paths."""
     return TotalColouring.from_parts(
         [0, 0, 1, 1, 2, 2],
-        {(0, 3): 2, (3, 4): 0, (1, 2): 2, (2, 5): 0},
+        [(0, 3, 2), (3, 4, 0), (1, 2, 2), (2, 5, 0)],
     )
 
 
@@ -215,7 +217,7 @@ def _p3_k2_asymmetric_source():
     from its left end."""
     return TotalColouring.from_parts(
         [0, 0, 1, 2, 1, 2],
-        {(0, 3): 1, (1, 2): 2, (2, 5): 0, (3, 4): 0},
+        [(0, 3, 1), (1, 2, 2), (2, 5, 0), (3, 4, 0)],
     )
 
 
@@ -453,7 +455,7 @@ def test_crown_lifts_follow_the_closed_form():
         vertex_colours = [0] * (2 * n)
         for v, c in enumerate(crown.vertex_colours):
             vertex_colours[moved[v]] = c
-        edges = {(moved[u], moved[v]): c for (u, v), c in zip(crown.edges, crown.edge_colours)}
+        edges = [(moved[u], moved[v], c) for (u, v), c in zip(crown.edges, crown.edge_colours)]
         assert kn_k2_total_colouring(n) == TotalColouring.from_parts(vertex_colours, edges)
 
 

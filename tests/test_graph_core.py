@@ -12,6 +12,7 @@ from totalcolour import (
     cycle_graph,
     edgeless_graph,
     incidence_conflicts,
+    jsonio,
     make_graph,
     path_graph,
     star_graph,
@@ -133,6 +134,9 @@ def test_edges_are_one_sorted_canonical_tuple(case, rng):
     rng.shuffle(variant)
     other = make_graph(n, variant)
     assert g == other and hash(g) == hash(other)
+    # the JSON decoder hands its [u, v] lists to make_graph as they stand
+    decoded = jsonio.graph_from_obj({"n": n, "edges": [list(e) for e in variant]})
+    assert decoded == g
     assert all(a < b for a, b in zip(g.edges, g.edges[1:]))
     assert all(u < v for u, v in g.edges)
     for u, v in itertools.product(range(-1, n + 1), repeat=2):

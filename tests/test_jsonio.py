@@ -83,14 +83,14 @@ def test_report_violations_encoding():
     from totalcolour import TotalColouring
 
     k2 = complete_graph(2)
-    rep = verify_total(k2, TotalColouring.from_parts([0, 1], {(0, 1): 0}))
+    rep = verify_total(k2, TotalColouring.from_parts([0, 1], [(0, 1, 0)]))
     obj = jsonio.report_to_obj(rep)
     assert obj["valid"] is False
     assert obj["violations"] == [[["v", 0], ["e", 0, 1], 0]]
     # P3 coloured 0, 0, 1 with both edges 2: a vertex-vertex and an edge-edge
     # conflict; each listed element equals its JSON encoding as a tuple
     p3 = path_graph(3)
-    rep = verify_total(p3, TotalColouring.from_parts([0, 0, 1], {(0, 1): 2, (1, 2): 2}))
+    rep = verify_total(p3, TotalColouring.from_parts([0, 0, 1], [(0, 1, 2), (1, 2, 2)]))
     obj = jsonio.report_to_obj(rep)
     assert obj["violations"] == [
         [["v", 0], ["v", 1], 0],
@@ -126,7 +126,7 @@ def test_dot_export_edgeless_and_wrapped_colours():
     from totalcolour import TotalColouring, edgeless_graph
 
     g = edgeless_graph(2)
-    tc = TotalColouring.from_parts([0, len(jsonio.DOT_PALETTE) + 1], {})
+    tc = TotalColouring.from_parts([0, len(jsonio.DOT_PALETTE) + 1], [])
     dot = jsonio.to_dot(g, tc)
     assert " -- " not in dot
     assert "(wrapped)" in dot
@@ -138,7 +138,7 @@ def test_dot_labels_are_escaped():
     from totalcolour import TotalColouring
 
     g = make_graph(4, [(0, 1), (2, 3)], ['a"b', "c\\", '\\"', "plain"])
-    tc = TotalColouring.from_parts([0, 1, 0, 1], {(0, 1): 2, (2, 3): 2})
+    tc = TotalColouring.from_parts([0, 1, 0, 1], [(0, 1, 2), (2, 3, 2)])
     escaped = ['a\\"b', "c\\\\", '\\\\\\"', "plain"]
     # a DOT quoted string runs to the first quote that no backslash escapes
     quoted = re.compile(r'^  \d+ \[label="((?:[^"\\]|\\.)*)"', re.M)

@@ -310,7 +310,7 @@ def _no_deadline():
 def _colouring_of(g, colours):
     """The TotalColouring of g behind a colouring of T(G) in T(G) labels."""
     return TotalColouring.from_parts(
-        colours[: g.n], {e: colours[g.n + i] for i, e in enumerate(g.edges)}
+        colours[: g.n], [(u, v, colours[g.n + i]) for i, (u, v) in enumerate(g.edges)]
     )
 
 
@@ -375,7 +375,7 @@ def test_certify_flags_suboptimal():
     c6 = cycle_graph(6)
     tc = TotalColouring.from_parts(
         [0, 1, 0, 1, 0, 1],
-        {(0, 1): 2, (1, 2): 3, (2, 3): 2, (3, 4): 3, (4, 5): 2, (0, 5): 3},
+        [(0, 1, 2), (1, 2, 3), (2, 3, 2), (3, 4, 3), (4, 5, 2), (0, 5, 3)],
     )
     verdict = certify_construction(c6, tc, BUDGET)
     assert verdict.status is CertificationStatus.SUBOPTIMAL
@@ -395,7 +395,7 @@ def _kaa_total_colouring(a):
     and each part takes one colour of its own."""
     return TotalColouring.from_parts(
         [a] * a + [a + 1] * a,
-        {(i, a + j): (i + j) % a for i in range(a) for j in range(a)},
+        [(i, a + j, (i + j) % a) for i in range(a) for j in range(a)],
     )
 
 
@@ -487,7 +487,7 @@ def test_certify_rejects_invalid_colouring():
     c6 = cycle_graph(6)
     tc = TotalColouring.from_parts(
         [0, 0, 0, 0, 0, 0],
-        {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 4): 1, (4, 5): 1, (0, 5): 1},
+        [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (0, 5, 1)],
     )
     with pytest.raises(PreconditionError):
         certify_construction(c6, tc, BUDGET)
