@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 from .colouring import TotalColouring, normalize_total, verify_total
 from .edge_colouring import (
-    bipartite_delta_edge_colouring,
+    _konig_insertion,
     crown_edge_colouring,
     find_bipartition,
     one_factorization,
@@ -132,9 +132,10 @@ def lift_bipartite(g: Graph, f: TotalColouring, h: Graph) -> TotalColouring:
         )
 
     def decode() -> K2Colouring:
-        # (v_k, z_1) is 2k and (v_k, z_2) is 2k + 1 in G x K_2
+        # (v_k, z_1) is 2k and (v_k, z_2) is 2k + 1 in G x K_2, which is
+        # bipartite with the fibres over z_1 and z_2 as its sides
         nf = normalize_total(f)
-        phi = bipartite_delta_edge_colouring(gk2)
+        phi = _konig_insertion(gk2)
         half: list[dict[int, tuple[int, int]]] = [{} for _ in range(g.n)]
         for (p, q), fc, pc in zip(nf.edges, nf.edge_colours, phi):
             s, t = (p // 2, q // 2) if p % 2 == 0 else (q // 2, p // 2)
@@ -159,7 +160,7 @@ def _lift_over_h(
     if not (dg and h.edges):
         return TotalColouring([0] * (gn * h.n), (), [])
     oriented = (((y, x) if right[x] else (x, y)) for x, y in h.edges)
-    classes = zip(oriented, bipartite_delta_edge_colouring(h))
+    classes = zip(oriented, _konig_insertion(h))  # find_bipartition checked h
     return _lift(*source(), dg, classes, right, False)
 
 

@@ -15,7 +15,6 @@ deterministic.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,19 +28,23 @@ def find_bipartition(g: Graph) -> list[bool]:
 
     Raises NotBipartiteError if some component contains an odd cycle.
     """
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:  # sorted edges fill each list in ascending order
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     side = [-1] * g.n
     for start in range(g.n):
         if side[start] != -1:
             continue
         side[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in sorted(g.adjacency[u]):
+        queue = [start]
+        for u in queue:  # the loop reaches every vertex appended to it
+            su = side[u]
+            for v in nbrs[u]:
                 if side[v] == -1:
-                    side[v] = 1 - side[u]
+                    side[v] = 1 - su
                     queue.append(v)
-                elif side[v] == side[u]:
+                elif side[v] == su:
                     raise NotBipartiteError(f"odd cycle through vertices {u} and {v}")
     return [s == 1 for s in side]
 
@@ -56,6 +59,13 @@ def bipartite_delta_edge_colouring(h: Graph) -> list[int]:
     :func:`find_bipartition`, if h has an odd cycle.
     """
     find_bipartition(h)
+    return _konig_insertion(h)
+
+
+def _konig_insertion(h: Graph) -> list[int]:
+    """:func:`bipartite_delta_edge_colouring` without the bipartite check,
+    for an h known to be bipartite: on an odd cycle a flipped path can reach
+    u, and the colouring it returns need not be proper."""
     colours = [0] * len(h.edges)
     # at[v][c] = (neighbour, edge id) of the c-coloured edge at v
     at: list[dict[int, tuple[int, int]]] = [{} for _ in range(h.n)]

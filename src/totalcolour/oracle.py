@@ -10,11 +10,11 @@ runs a DSATUR-ordered branch and bound on T(G).  A solve, in order:
 * lower bound: ω(T(G)) = max(Δ+1, 3), or 1 when G has no edge, with a
   maximum clique of T(G) in closed form (:func:`_clique`);
 * upper bound: DSATUR greedy (:func:`_dsatur_greedy`);
-* probe: unless the parity certificate below has raised the lower bound,
+* probe: unless the counting certificate below has raised the lower bound,
   the branch and bound runs with a cap of ``_PROBE_NODES`` nodes per
   vertex of T(G), when that cap fits strictly inside the node budget left.
   It settles most graphs that have no colouring with lb colours (C_n with
-  n not a multiple of 3, K_{2,2}) in less time than a local search takes
+  n not a multiple of 3) in less time than a local search takes
   to fail on them.  A completed probe is exact; a cut one hands on the
   best colouring it found.  Its nodes count in the result's ``nodes``;
 * local search: a seeded, move-capped TabuCol run (:func:`_tabucol`) for
@@ -32,18 +32,31 @@ Two certificates can close the gap between the bounds before the search:
   to the solver, and its palette becomes the first upper bound (and the
   local search starts from it) when it is smaller than the greedy one.  A
   palette equal to Δ+1 is optimal with no search at all;
-* the parity (conformability) lower bound of Chetwynd and Hilton ("Some
-  refinements of the total chromatic number conjecture", Congr. Numer. 66,
-  1988).  In a (Δ+1)-total colouring each vertex v misses exactly
-  Δ - deg(v) colours, and every colour c splits V into the vertices
-  coloured c, the endpoints of the matching of edges coloured c, and the
-  vertices missing c.  So a class of vertex colour c whose size differs in
-  parity from |V| forces an odd, hence positive, number of vertices to miss
-  c, and the vertex colours form a (Δ+1)-vertex-colouring of G in which at
-  most def(G) = sum(Δ - deg(v)) classes, empty ones included, have the
-  wrong parity.  :func:`_conformable` searches for such a colouring of G;
-  when it proves there is none, the lower bound is Δ+2, no probe runs, and
-  the local search that follows aims at Δ+2.
+* a counting lower bound.  In a (Δ+1)-total colouring each vertex v
+  misses exactly Δ - deg(v) colours, and every colour c splits V into the
+  vertices coloured c, the endpoints of the matching of edges coloured c,
+  and the vertices missing c.  The vertex colours then form a
+  (Δ+1)-vertex-colouring of G, empty classes included, with:
+
+  - on a bipartite G with parts A and B (the biconformable graphs of
+    Hilton, J. Combin. Theory Ser. B 52, 1991): write a_c and b_c for the
+    vertices of colour c in A and in B.  Each c-edge has one end in each
+    part, so |A| - |B| = (a_c - b_c) + (missA_c - missB_c), and the missA_c
+    sum over all colours to def(A) = sum over v in A of Δ - deg(v).  So
+    sum_c max(0, |A| - |B| - (a_c - b_c)) <= def(A), and likewise with A
+    and B swapped;
+  - on any other G, the parity (conformability) bound of Chetwynd and
+    Hilton ("Some refinements of the total chromatic number conjecture",
+    Congr. Numer. 66, 1988): a class whose size differs in parity from |V|
+    forces an odd, hence positive, number of vertices to miss its colour,
+    so at most def(G) = sum(Δ - deg(v)) classes have the wrong parity.
+
+  As |A| - |B| - (a_c - b_c) ≡ |V| - |V_c| (mod 2), the side counts imply
+  the parity bound, so a bipartite G is held to them alone.  They prove
+  K_{a,a} type II for every a, and C_4 and C_8, though these pass the
+  parity bound when a is even.  :func:`_conformable` searches for such a
+  colouring of G; when it proves there is none, the lower bound is Δ+2, no
+  probe runs, and the local search that follows aims at Δ+2.
 
 The DSATUR greedy and the search share one bit-parallel core.  T(G) is
 labelled by degree descending, then index, so the DSATUR choice is the
@@ -60,7 +73,7 @@ relation recomputed from first principles rather than through T(G).
 
 Nothing here assumes the conjectured upper bound max_degree + 2; the solver
 reports whatever it proves, and a lower bound of max_degree + 2 comes only
-from the parity certificate or from the search.
+from the counting certificate or from the search.
 """
 
 from __future__ import annotations
@@ -72,11 +85,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .colouring import TotalColouring, normalize_total, verify_total
-from .errors import DomainError, PreconditionError
+from .edge_colouring import find_bipartition
+from .errors import DomainError, NotBipartiteError, PreconditionError
 from .graph_core import Graph, make_graph
 
 _RNG_SEED = 0x5EEDC01
-_PARITY_CAP = 2000  # placements of the parity search, which ticks no nodes
+_PARITY_CAP = 2000  # placements of the counting search, which ticks no nodes
 _TABU_CAP = 1000  # moves of one local-search run, which ticks no nodes
 _PROBE_NODES = 2  # node cap of the probe per vertex of T(G)
 
@@ -459,24 +473,47 @@ def _branch_and_bound(
 def _conformable(g: Graph) -> bool | None:
     """Whether g has a vertex colouring that a (Δ+1)-total colouring induces.
 
-    Searches for a (Δ+1)-vertex-colouring of g in which at most def(g)
-    classes, empty ones included, have a size whose parity differs from
-    |V| (see the module docstring).  Vertices are placed in index order on
-    an explicit stack; restricted growth lets a vertex take an open class or
-    the next one, since classes are interchangeable.  A wrong-parity class
-    that no later vertex can join stays wrong, and each later vertex flips
-    the parity of one class, so a branch is cut when the stuck wrong classes
-    plus the other wrong classes beyond the vertices left exceed def(g).
+    Searches for a (Δ+1)-vertex-colouring of g that meets the counting
+    condition of the module docstring.  Each vertex counts +1 to its class,
+    or -1 when it lies on side B of a bipartite g, so a class is off target
+    by e = |A| - |B| - (its count).  The classes with e > 0 must total at
+    most def(A), those with e < 0 at most def(B) in |e|.  The counts hold
+    for any split of g into two independent sides; A and B are the ones
+    :func:`find_bipartition` gives.  When g has an odd cycle every vertex
+    is on side A and e is taken mod 2: that is the parity rule, with
+    def(A) = def(G).
+
+    Vertices are placed in index order on an explicit stack; restricted
+    growth lets a vertex take an open class or the next one, since classes
+    are interchangeable.  Only a later vertex of side A lowers a positive e,
+    and of side B a negative one, by 1, and only in a class it is not
+    adjacent to.  So of a side's excess E at least max(E - R, E - L) stays,
+    where R sums over the classes the part of |e| that such vertices can
+    reach and L counts the side's later vertices; a branch is cut when that
+    exceeds the side's deficiency.
 
     Returns False when no such colouring exists, which proves
     chi''(g) >= Δ+2, and None when ``_PARITY_CAP`` placements run out first.
     """
     n, k = g.n, g.max_degree + 1
-    slack = sum(k - 1 - d for d in g.degrees)
     masks = _adjacency_masks(g)
-    target = (1 << k) - 1 if n & 1 else 0  # parity that makes each class right
+    try:
+        right, odd = find_bipartition(g), False
+    except NotBipartiteError:
+        right, odd = [False] * n, True
+    sign = [-1 if r else 1 for r in right]
+    target = sum(sign)  # |A| - |B|
+    side_a = side_b = slack_a = slack_b = 0  # the sides, and def(A), def(B)
+    for v, (r, dv) in enumerate(zip(right, g.degrees)):
+        if r:
+            side_b |= 1 << v
+            slack_b += k - 1 - dv
+        else:
+            side_a |= 1 << v
+            slack_a += k - 1 - dv
+    empty = target & 1 if odd else target  # e of an empty class
     near = [0] * k  # near[c]: vertices adjacent to class c
-    parity = 0  # bit c: parity of the size of class c
+    count = [0] * k  # count[c]: signed size of class c
     colour, saved = [-1] * n, [0] * n
     opened = [0] * (n + 1)  # classes open before vertex d is placed
     placements, d = 0, 0
@@ -486,7 +523,7 @@ def _conformable(g: Graph) -> bool | None:
         c = colour[d]
         if c >= 0:  # undo the class tried last
             near[c] = saved[d]
-            parity ^= 1 << c
+            count[c] -= sign[d]
         top = min(opened[d], k - 1)
         c += 1
         while c <= top and near[c] >> d & 1:
@@ -500,18 +537,38 @@ def _conformable(g: Graph) -> bool | None:
             return None
         saved[d], colour[d] = near[c], c
         near[c] |= masks[d]
-        parity ^= 1 << c
+        count[c] += sign[d]
+        used = max(opened[d], c + 1)
         later = (1 << n) - (2 << d)  # the vertices after d
-        wrong = parity ^ target
-        stuck = 0  # wrong classes that no later vertex can join
-        m = wrong
-        while m:
-            w = m & -m
-            m ^= w
-            stuck += not later & ~near[w.bit_length() - 1]
-        if stuck + max(0, wrong.bit_count() - stuck - (n - d - 1)) > slack:
+        later_a, later_b = later & side_a, later & side_b
+        # per side: the total excess, and how much of it later vertices reach
+        over_a = over_b = fix_a = fix_b = 0
+        for x in range(used):
+            e = target - count[x]
+            if odd:
+                e &= 1
+            if e > 0:
+                r = (later_a & ~near[x]).bit_count()
+                over_a += e
+                fix_a += r if r < e else e
+            elif e:
+                r = (later_b & ~near[x]).bit_count()
+                over_b -= e
+                fix_b += r if r < -e else -e
+        left_a, left_b = later_a.bit_count(), later_b.bit_count()
+        if empty > 0:  # the k - used empty classes, adjacent to no vertex
+            over_a += (k - used) * empty
+            fix_a += (k - used) * (left_a if left_a < empty else empty)
+        elif empty:
+            over_b -= (k - used) * empty
+            fix_b += (k - used) * (left_b if left_b < -empty else -empty)
+        # each later vertex lowers the excess of its own side by at most 1
+        if (
+            over_a - min(fix_a, left_a) > slack_a
+            or over_b - min(fix_b, left_b) > slack_b
+        ):
             continue
-        opened[d + 1] = max(opened[d], c + 1)
+        opened[d + 1] = used
         d += 1
     return False
 
@@ -551,7 +608,7 @@ def _solve(
     ub = max(start) + 1
     completed = False
     if lb == trivial_lower < ub and _conformable(g) is False:
-        lb += 1  # parity certificate: no (Δ+1)-total colouring
+        lb += 1  # counting certificate: no (Δ+1)-total colouring
     elif lb < ub:
         # probe: a short search settles most graphs with no (Δ+1)-colouring,
         # where the local search would spend all its moves in vain

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from totalcolour import (
     CertificationStatus,
     DomainError,
+    NotBipartiteError,
     OracleStatus,
     PreconditionError,
     SearchBudget,
@@ -22,6 +23,7 @@ from totalcolour import (
     direct_product,
     edgeless_graph,
     exact_chi_total,
+    find_bipartition,
     knm_total_colouring,
     make_graph,
     total_graph,
@@ -30,6 +32,7 @@ from totalcolour import (
 from totalcolour import oracle
 from totalcolour.oracle import (
     _adjacency_masks,
+    _branch_and_bound,
     _clique,
     _Clock,
     _conformable,
@@ -39,7 +42,7 @@ from totalcolour.oracle import (
     _tabucol,
 )
 
-from conftest import random_graph
+from conftest import random_bipartite, random_graph
 
 BUDGET = SearchBudget(max_seconds=30.0)
 
@@ -115,9 +118,9 @@ def test_exact_edgeless():
 
 
 def test_timeout_reports_bounds():
-    # K_{8,8} is type II yet passes the parity test, so the local search has
-    # no (Δ+1)-colouring to find and the search must prove Δ+2
-    g = complete_bipartite(8, 8)
+    # K9 x K5 (both factors odd) stays open at 150,000 nodes: the local
+    # search finds no (Δ+1)-colouring, and half a second proves nothing
+    g = _knm(9, 5)
     res = exact_chi_total(g, SearchBudget(max_seconds=0.5))
     assert res.status in (OracleStatus.TIMED_OUT, OracleStatus.LOWER_BOUND_ONLY)
     if res.status is OracleStatus.TIMED_OUT:
@@ -146,11 +149,13 @@ def test_deterministic_given_fixed_budget():
         (_knm(4, 3), 10_000, ("exact", 7, 7, 7, 0)),  # greedy palette Δ+1
         (complete_bipartite(2, 3), 150_000, ("exact", 4, 4, 4, 12)),
         (complete_bipartite(4, 5), 150_000, ("exact", 6, 6, 6, 59)),
-        # type II but conformable: the search, not the parity certificate, proves 6
-        (complete_bipartite(4, 4), 150_000, ("exact", 6, 6, 6, 2977)),
-        # greedy palette 11: the local search brings the upper bound to Δ+2;
-        # a 160-node probe does not fit in 50 nodes
-        (complete_bipartite(8, 8), 50, ("timed_out", None, 9, 10, 51)),
+        # type II, and the side-count certificate proves it with no search;
+        # with 50 nodes for K_{8,8}, far too few for a search to prove Δ+2
+        (complete_bipartite(4, 4), 150_000, ("exact", 6, 6, 6, 0)),
+        (complete_bipartite(8, 8), 50, ("exact", 10, 10, 10, 0)),
+        # type II but past the parity test: the local search has no
+        # (Δ+1)-colouring to find, and a 28-node probe does not fit in 5 nodes
+        (cycle_graph(7), 5, ("timed_out", None, 3, 4, 6)),
         (complete_graph(8), 20_000, ("exact", 9, 9, 9, 0)),  # parity certificate
         (_knm(6, 3), 20_000, ("exact", 11, 11, 11, 217)),
         (_knm(5, 4), 5_000, ("exact", 13, 13, 13, 281)),
@@ -164,13 +169,18 @@ def test_deterministic_given_fixed_budget():
 
 
 def test_k44_search_is_pinned():
-    # the local search closes the type-I gaps of the small products, so
-    # K_{4,4}, type II but conformable, keeps an exact search under test:
-    # a probe cut at its cap of 48 nodes (49 ticks), then 2,928 nodes of search
-    res = exact_chi_total(complete_bipartite(4, 4), SearchBudget(max_nodes=150_000))
-    assert (res.status.value, res.chi_total, res.lower, res.upper, res.nodes) == (
-        "exact", 6, 6, 6, 2977
-    )
+    # the local search closes the type-I gaps of the small products and the
+    # side-count certificate settles K_{4,4}, so the branch and bound runs
+    # here on its own: from the local search's 6-colouring of T(K_{4,4}) it
+    # proves in 2,928 nodes that 5 colours do not suffice
+    g = complete_bipartite(4, 4)
+    pos, adj, nbrs = _relabelled_total(g)
+    clique = [pos[v] for v in _clique(g)]
+    clock = _Clock(SearchBudget(max_nodes=150_000))
+    start = _tabucol(nbrs, _dsatur_greedy(adj), 6, clock)
+    assert start is not None and max(start) == 5
+    completed, best = _branch_and_bound(adj, len(clique), start, clique, clock)
+    assert (completed, max(best) + 1, clock.nodes) == (True, 6, 2928)
 
 
 def test_long_cycle_needs_no_deep_recursion():
@@ -399,13 +409,26 @@ def _kaa_total_colouring(a):
     )
 
 
+def _c7_total_colouring():
+    """A 4-total colouring of C_7."""
+    return TotalColouring.from_parts(
+        [0, 1, 0, 1, 0, 1, 2],
+        [(0, 1, 2), (1, 2, 3), (2, 3, 2), (3, 4, 3), (4, 5, 2), (5, 6, 0), (0, 6, 1)],
+    )
+
+
 def test_certify_timeout_is_unproven():
-    # K_{8,8} has chi'' = 10 but passes the parity test, so the lower bound
-    # stays 9 and five nodes cannot prove the 10-colouring optimal
-    g, tc = complete_bipartite(8, 8), _kaa_total_colouring(8)
+    # C_7 has chi'' = 4 = Δ+2 but passes the parity test, so the lower bound
+    # stays 3 and five nodes cannot prove the 4-colouring optimal
+    g, tc = cycle_graph(7), _c7_total_colouring()
     verdict = certify_construction(g, tc, SearchBudget(max_nodes=5))
     assert verdict.status is CertificationStatus.VALID_BUT_UNPROVEN
-    assert verdict.colours_used == 10
+    assert verdict.colours_used == 4
+    # the side counts prove K_{8,8}'s 10-colouring optimal with no search
+    g, tc = complete_bipartite(8, 8), _kaa_total_colouring(8)
+    verdict = certify_construction(g, tc, SearchBudget(max_nodes=5))
+    assert verdict.status is CertificationStatus.OPTIMAL
+    assert (verdict.colours_used, verdict.oracle.nodes) == (10, 0)
 
 
 def test_certify_extra_colour_is_suboptimal():
@@ -430,14 +453,14 @@ def test_certify_palette_at_lower_bound_needs_no_search():
 
 
 def test_certify_palette_is_the_first_upper_bound():
-    # K_{8,8}: lower bound 9, greedy palette 11; a 10-colouring must bound
-    # the answer even though one node cannot finish the search
-    g, tc = complete_bipartite(8, 8), _kaa_total_colouring(8)
-    assert max(_dsatur_greedy(_relabelled_total(g)[1])) == 10
+    # C_7: lower bound 3, greedy palette 5; a 4-colouring must bound the
+    # answer even though one node cannot finish the search
+    g, tc = cycle_graph(7), _c7_total_colouring()
+    assert max(_dsatur_greedy(_relabelled_total(g)[1])) == 4
     verdict = certify_construction(g, tc, SearchBudget(max_nodes=1))
     assert verdict.status is CertificationStatus.VALID_BUT_UNPROVEN
-    assert verdict.colours_used == 10
-    assert (verdict.oracle.lower, verdict.oracle.upper) == (9, 10)
+    assert verdict.colours_used == 4
+    assert (verdict.oracle.lower, verdict.oracle.upper) == (3, 4)
     # K8 x K5: started from the greedy colouring and restarted from a
     # random one, the local search misses Δ+1 = 29; started from the seed
     # (a 29-colouring with one vertex moved to a 30th colour), it finds 29
@@ -452,24 +475,29 @@ def test_certify_palette_is_the_first_upper_bound():
 
 
 def test_parity_certificate_proves_type_ii_closed_forms():
+    # K_n (n even) and K_{a,a} (a odd) fail the parity test; K_{a,a} (a even)
+    # and C_8 pass it but fail the side counts
     cases = [(complete_graph(n), n + 1) for n in (2, 4, 6, 8, 10)]
-    cases += [(complete_bipartite(a, a), a + 2) for a in (1, 3, 5, 7)]
-    cases.append((cycle_graph(5), 4))
+    cases += [(complete_bipartite(a, a), a + 2) for a in range(1, 11)]
+    cases += [(cycle_graph(5), 4), (cycle_graph(8), 4)]
     for g, chi in cases:
         res = exact_chi_total(g, SearchBudget(max_nodes=150_000))
         assert (res.status, res.chi_total, res.nodes) == (OracleStatus.EXACT, chi, 0)
 
 
 def test_parity_search_at_its_cap_gives_no_bound():
-    # K_{9,9} has no conformable colouring, but the capped search cannot
-    # show it, so the clique bound stands and the search runs; the local
-    # search still brings the upper bound to chi'' = Δ+2
-    g = complete_bipartite(9, 9)
+    # K_{9,9} minus a matching of 5 edges is type I, but the capped search
+    # finds no colouring that meets the side counts, so it proves nothing:
+    # the clique bound stands, and the local search finds Δ+1 colours
+    edges = [(i, 9 + j) for i in range(9) for j in range(9) if i != j or i >= 5]
+    g = make_graph(18, edges)
     assert _conformable(g) is None
     res = exact_chi_total(g, SearchBudget(max_nodes=50))
-    assert (res.status.value, res.lower, res.upper, res.nodes) == (
-        "timed_out", 10, 11, 51
-    )
+    assert (res.status.value, res.chi_total, res.nodes) == ("exact", 10, 0)
+    # the parity search hit the cap on K_{9,9} itself; the side counts
+    # refute it at the first vertex
+    res = exact_chi_total(complete_bipartite(9, 9), SearchBudget(max_nodes=50))
+    assert (res.status.value, res.chi_total, res.nodes) == ("exact", 11, 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -481,6 +509,91 @@ def test_parity_refutation_is_sound(seed):
     g = make_graph(n, r.sample(pool, r.randint(1, min(len(pool), 14 - n))))
     if _conformable(g) is False:
         assert chi_total_bruteforce(g, max_elements=14) >= g.max_degree + 2
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_side_count_refutation_is_sound(seed):
+    r = random.Random(seed)
+    a, b = r.randint(1, 6), r.randint(1, 6)
+    pool = [(i, a + j) for i in range(a) for j in range(b)]
+    g = make_graph(a + b, r.sample(pool, r.randint(1, min(len(pool), 14 - a - b))))
+    if _conformable(g) is False:
+        assert chi_total_bruteforce(g, max_elements=14) >= g.max_degree + 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_side_counts_refute_what_parity_refutes(seed):
+    # with every vertex on one side the search applies the parity rule alone;
+    # each wrong-parity class is off target by an odd, so nonzero, amount,
+    # so the side counts cut every branch the parity rule cuts
+    r = random.Random(seed)
+    g = random_bipartite(r, max_part=7, p=r.random())[0]
+    with mock.patch.object(
+        oracle, "find_bipartition", side_effect=NotBipartiteError("parity only")
+    ):
+        parity = _conformable(g)
+    if parity is False:
+        assert _conformable(g) is False
+
+
+def _independent_partitions(g, k):
+    """Every split of g's vertices into at most k independent classes, each
+    yielded as a list of classes (the same list, changed in place)."""
+    classes = []
+
+    def grow(v):
+        if v == g.n:
+            yield classes
+            return
+        for cls in classes:
+            if not any(g.has_edge(u, v) for u in cls):
+                cls.append(v)
+                yield from grow(v + 1)
+                cls.pop()
+        if len(classes) < k:
+            classes.append([v])
+            yield from grow(v + 1)
+            classes.pop()
+
+    yield from grow(0)
+
+
+def _meets_counts(g, classes, k):
+    """The counting condition on a proper (Δ+1)-vertex-colouring, computed
+    from the classes themselves: the parity rule when g has an odd cycle,
+    the side counts when it is bipartite."""
+    deficiency = [g.max_degree - d for d in g.degrees]
+    classes = classes + [[]] * (k - len(classes))
+    try:
+        right = find_bipartition(g)
+    except NotBipartiteError:
+        return sum((g.n - len(cls)) % 2 for cls in classes) <= sum(deficiency)
+    diff = right.count(False) - right.count(True)
+    excess = [0, 0]  # classes short of side-A vertices, and of side-B ones
+    for cls in classes:
+        e = diff - sum(-1 if right[v] else 1 for v in cls)
+        excess[e < 0] += abs(e)
+    return all(
+        excess[s] <= sum(x for x, r in zip(deficiency, right) if r == s) for s in (0, 1)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_conformable_matches_enumeration(seed):
+    # the pruned search finds a colouring exactly when plain enumeration does
+    r = random.Random(seed)
+    if r.random() < 0.5:
+        g = random_bipartite(r, max_part=4, p=r.random())[0]
+    else:
+        g = random_graph(r, max_n=8, p=r.random())
+    k = g.max_degree + 1
+    found = _conformable(g)
+    if found is not None:
+        partitions = _independent_partitions(g, k)
+        assert found == any(_meets_counts(g, cls, k) for cls in partitions)
 
 
 def test_certify_rejects_invalid_colouring():
