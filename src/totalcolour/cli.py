@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from pathlib import Path
@@ -233,6 +234,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     # looked up on each call, so that a replaced cmd_* is the one that runs
     handler = globals()["cmd_" + args.command.replace("-", "_")]
+    # The cyclic GC is paused while the handler runs: it would rescan every
+    # [u, v] list that decode and encode build, and none can form a cycle.
+    # The caller's GC state is restored on the way out.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return handler(args)
     except (ParseError, IncompleteColouringError) as exc:
@@ -247,6 +253,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a bug must not exit 1, which reads as "invalid"
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def main_entry() -> None:

@@ -11,10 +11,8 @@ with u < v for edge uv, which is what its JSON encoding ``["v", i]`` /
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import DomainError, GraphConstructionError
@@ -52,8 +50,11 @@ class Graph:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        count = Counter(chain.from_iterable(self.edges))
-        return tuple(count[v] for v in range(self.n))
+        count = [0] * self.n
+        for u, v in self.edges:
+            count[u] += 1
+            count[v] += 1
+        return tuple(count)
 
     @property
     def max_degree(self) -> int:

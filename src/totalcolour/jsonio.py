@@ -45,7 +45,9 @@ def save_json(path: str | Path, obj: Any) -> None:
     """Write ``json.dumps(obj, separators=(",", ":"))`` and a newline.
 
     Lists longer than ``_SLICE`` go through the C encoder a slice at a time,
-    so memory stays bounded by the text of one slice.
+    so memory stays bounded by the text of one slice.  ``obj`` must be
+    acyclic, as every ``*_to_obj`` tree is: the encoder skips the
+    circular-reference check.
     """
     save_text(path, chain(_json_pieces(obj), ["\n"]))
 
@@ -60,21 +62,22 @@ def save_text(path: str | Path, pieces: Iterable[str]) -> None:
 
 
 _SLICE = 2048
+# json.dumps(obj, separators=(",", ":")) without the circular-reference check
+_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def _json_pieces(obj: Any) -> Iterator[str]:
     if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
         for i, (key, value) in enumerate(obj.items()):
-            yield ("," if i else "{") + json.dumps(key) + ":"
+            yield ("," if i else "{") + _compact(key) + ":"
             yield from _json_pieces(value)
         yield "}"
     elif isinstance(obj, list) and len(obj) > _SLICE:
         for i in range(0, len(obj), _SLICE):
-            text = json.dumps(obj[i : i + _SLICE], separators=(",", ":"))
-            yield ("," if i else "[") + text[1:-1]
+            yield ("," if i else "[") + _compact(obj[i : i + _SLICE])[1:-1]
         yield "]"
     else:
-        yield json.dumps(obj, separators=(",", ":"))
+        yield _compact(obj)
 
 
 def graph_to_obj(g: Graph) -> dict[str, Any]:

@@ -39,17 +39,20 @@ def direct_product(g: Graph, h: Graph) -> tuple[Graph, ProductVertexMap]:
     """
     if g.n == 0 or h.n == 0:
         raise DomainError("direct product factors must have at least one vertex")
+    # vertex (i, j) is i * |V(H)| + j, so its edges to larger vertices go to
+    # (i2, j2) with i2 > i, and walking i2 then j2 upwards emits them sorted;
+    # simple factors give no loop or repeat, so no make_graph re-check
+    h_runs = [sorted(a) for a in h.adjacency]
     edges: list[Pair] = []
-    for gu, gv in g.edges:
-        # gu < gv, so every product edge is already canonical: row gu < row gv
-        ru, rv = gu * h.n, gv * h.n
-        for hu, hv in h.edges:
-            edges.append((ru + hu, rv + hv))
-            edges.append((ru + hv, rv + hu))
+    for i, g_here in enumerate(g.adjacency):
+        rows = sorted(i2 * h.n for i2 in g_here if i2 > i)
+        for p, run in enumerate(h_runs, i * h.n):
+            for row in rows:
+                edges += [(p, row + j2) for j2 in run]
     labels = tuple(
         f"({g.label(i)},{h.label(j)})" for i in range(g.n) for j in range(h.n)
     )
-    return make_graph(g.n * h.n, edges, labels), ProductVertexMap(g.n, h.n)
+    return Graph(g.n * h.n, tuple(edges), labels), ProductVertexMap(g.n, h.n)
 
 
 def crown_graph(m: int) -> Graph:

@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -235,6 +236,41 @@ def test_internal_error_exits_6(k2_file, monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_product", boom)
     assert main(["product", k2_file, k2_file]) == cli.EXIT_INTERNAL == 6
     assert "internal error: RuntimeError: solver bug" in capsys.readouterr().err
+
+
+def test_main_restores_the_callers_gc_state(knm_4_3_bundle, tmp_path, monkeypatch, capsys):
+    # the cyclic GC is off while a handler runs, whatever its exit code, and
+    # is back in the caller's state afterwards, off included
+    planted = tmp_path / "planted.json"
+    bundle = jsonio.load_json(knm_4_3_bundle)
+    bundle["colouring"]["vertex_colours"][0] = bundle["colouring"]["vertex_colours"][4]
+    jsonio.save_json(planted, bundle)
+    seen = []
+
+    def boom(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("solver bug")
+
+    runs = [
+        (["verify", str(knm_4_3_bundle)], 0),
+        (["verify", str(planted)], 1),
+        (["verify", str(tmp_path / "missing.json")], 2),
+    ]
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for argv, code in runs:
+                assert main(argv) == code
+                assert gc.isenabled() is enabled
+            with monkeypatch.context() as m:
+                m.setattr(cli, "cmd_verify", boom)
+                assert main(["verify", str(knm_4_3_bundle)]) == 6
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False, False]
+    capsys.readouterr()
 
 
 def test_chi_timeout_exit_5(tmp_path, capsys):

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from totalcolour import (
@@ -15,8 +15,6 @@ from totalcolour import (
     find_bipartition,
     make_graph,
 )
-
-from conftest import random_graph
 
 
 def brute_product_edges(g, h):
@@ -75,17 +73,35 @@ def test_product_labels_carry_provenance():
     assert prod.labels == ("(a,c)", "(a,d)", "(b,c)", "(b,d)")
 
 
-@given(st.integers(0, 2**32 - 1))
-def test_degree_law(seed):
+def _factor(rng, n, p):
+    return make_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+
+
+# p = 0 gives edgeless factors, n = 1 gives K_1, and p = 0.4 leaves vertices
+# isolated; the product must equal the one make_graph builds from the
+# brute-force edge set, labels included, as verify_total's reference graph
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.sampled_from((0.0, 0.4, 1.0)),
+    st.sampled_from((0.0, 0.4, 1.0)),
+)
+@example(0, 1, 1, 0.0, 0.0)
+@example(0, 1, 4, 0.0, 1.0)
+@example(0, 4, 3, 0.0, 1.0)
+def test_degree_law(seed, gn, hn, gp, hp):
     rng = random.Random(seed)
-    g = random_graph(rng, max_n=5)
-    h = random_graph(rng, max_n=5)
+    g = _factor(rng, gn, gp)
+    h = _factor(rng, hn, hp)
     prod, vmap = direct_product(g, h)
     for i in range(g.n):
         for j in range(h.n):
             assert prod.degree(vmap.index(i, j)) == g.degree(i) * h.degree(j)
     assert prod.max_degree == g.max_degree * h.max_degree
     assert len(prod.edges) == 2 * len(g.edges) * len(h.edges)
+    labels = [f"({g.label(i)},{h.label(j)})" for i in range(g.n) for j in range(h.n)]
+    assert prod == make_graph(g.n * h.n, brute_product_edges(g, h), labels)
 
 
 def test_product_with_bipartite_factor_is_bipartite():
