@@ -135,7 +135,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         g, tc, _ = jsonio.bundle_from_obj(jsonio.load_json(args.paths[0]))
     elif len(args.paths) == 2:
         g = jsonio.graph_from_obj(jsonio.load_json(args.paths[0]))
-        tc = jsonio.colouring_from_obj(jsonio.load_json(args.paths[1]))
+        tc = jsonio.colouring_from_obj(jsonio.load_json(args.paths[1]), g.edges)
     else:
         raise ParseError("verify takes a bundle, or a graph and a colouring")
     report = verify_total(g, tc)

@@ -3,7 +3,8 @@
 A total colouring is two flat lists: ``vertex_colours`` indexed by vertex,
 and ``edge_colours`` aligned with ``edges``, the sorted tuple of canonical
 ``(u, v)`` pairs it colours, so checking that it covers a graph is one tuple
-comparison with ``Graph.edges``, the same kind of tuple.  An edge colouring
+comparison with ``Graph.edges``, the same kind of tuple, or an identity test
+when it shares that tuple.  An edge colouring
 is a list of colours aligned with its graph's ``edges``, which is what the
 edge-colouring primitives return.  Both verifiers share one edge-conflict
 routine, and a report lists each conflict as two elements, ``("v", i)`` or
@@ -101,7 +102,12 @@ class TypeClass(Enum):
 
 
 def check_cover(g: Graph, tc: TotalColouring) -> None:
-    """Raise IncompleteColouringError unless ``tc`` colours exactly g's elements."""
+    """Raise IncompleteColouringError unless ``tc`` colours exactly g's elements.
+
+    A colouring decoded against ``g`` (a ``colour -o`` bundle, or a colouring
+    document listed in ``g.edges`` order) shares the ``g.edges`` tuple, so
+    the check is an identity test; any other is compared pair by pair.
+    """
     n, edges = len(tc.vertex_colours), tc.edges
     if n == g.n and (edges is g.edges or edges == g.edges):
         return
@@ -127,25 +133,29 @@ def _edge_conflicts(
     """Every pair of equal-coloured edges that share an endpoint.
 
     ``colours[i]`` colours ``edges[i]``, and the edges are sorted.  Incident
-    edges are bucketed by colour at each vertex, so only the conflicting pairs
-    are ever formed.  Two distinct edges of a simple graph share at most one
-    endpoint, so each pair is reported exactly once: by shared vertex, then by
-    its (i, j) positions in that vertex's sorted incidence list.
+    edge ids are bucketed by colour at each vertex, so only the conflicting
+    pairs are ever formed.  Two distinct edges of a simple graph share at most
+    one endpoint, so each pair is reported exactly once: by shared vertex, then
+    by its (i, j) edge ids, which is its order in that vertex's incidence list.
+    Each edge's ``("e", u, v)`` element is built once, at the first conflict,
+    and shared by every pair it is in.
     """
     incident: list[list[int]] = [[] for _ in range(n)]
     for i, (u, v) in enumerate(edges):
         incident[u].append(i)
         incident[v].append(i)
     violations: list[tuple[Element, Element, int]] = []
+    elements: list[Element] = []
     for ids in incident:
-        here = [colours[i] for i in ids]
-        if len(set(here)) == len(here):
+        if len(set(map(colours.__getitem__, ids))) == len(ids):
             continue
+        if not elements:
+            elements = [("e", u, v) for u, v in edges]
         buckets: dict[int, list[int]] = {}
-        for i, c in enumerate(here):
-            buckets.setdefault(c, []).append(i)
+        for i in ids:
+            buckets.setdefault(colours[i], []).append(i)
         for i, j in sorted(p for b in buckets.values() for p in combinations(b, 2)):
-            violations.append((("e", *edges[ids[i]]), ("e", *edges[ids[j]]), here[i]))
+            violations.append((elements[i], elements[j], colours[i]))
     return violations
 
 

@@ -11,8 +11,10 @@ with u < v for edge uv, which is what its JSON encoding ``["v", i]`` /
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .errors import DomainError, GraphConstructionError
@@ -95,6 +97,10 @@ def make_graph(
     """Build a graph, deduplicating and canonicalizing the edge list.
 
     Raises GraphConstructionError for self-loops or out-of-range endpoints.
+    A list of canonical pairs in strictly ascending order, the form of
+    ``Graph.edges`` and of every graph document this package writes, becomes
+    ``edges`` after one linear check; any other list is sorted and
+    deduplicated, which gives the same graph.
     """
     if vertex_count < 0:
         raise GraphConstructionError(f"negative vertex count {vertex_count}")
@@ -114,7 +120,8 @@ def make_graph(
             raise GraphConstructionError(
                 f"{len(label_tuple)} labels for {vertex_count} vertices"
             )
-    # sorted() takes linear time on pairs that are already in order
+    if all(map(operator.lt, pairs, islice(pairs, 1, None))):
+        return Graph(vertex_count, tuple(pairs), label_tuple)
     return Graph(vertex_count, tuple(dict.fromkeys(sorted(pairs))), label_tuple)
 
 

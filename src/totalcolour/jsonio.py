@@ -20,7 +20,7 @@ from typing import Any, Iterable, Iterator
 
 from .colouring import TotalColouring, VerificationReport, check_cover
 from .errors import ParseError, TotalColourError
-from .graph_core import Graph, make_graph
+from .graph_core import Graph, Pair, make_graph
 from .oracle import OracleResult
 
 # Fill colours for DOT export; colour indices beyond the table wrap.
@@ -142,7 +142,32 @@ def _triples(edge_colours: list[Any]) -> Iterator[list[int]]:
         yield item
 
 
-def colouring_from_obj(obj: Any) -> TotalColouring:
+def _aligned_colours(ecs: list[Any], edges: tuple[Pair, ...]) -> list[int] | None:
+    """The colours of ``ecs`` when it lists exactly ``edges`` as ``[u, v, c]``
+    entries of three ints, in that order; None at the first entry that does not."""
+    if len(ecs) != len(edges):
+        return None
+    colours = []
+    for item, (a, b) in zip(ecs, edges):
+        # type() rather than isinstance(): True == 1, but a bool is not a vertex
+        if type(item) is not list or len(item) != 3:
+            return None
+        u, v, c = item
+        if u != a or v != b or not type(u) is type(v) is type(c) is int:
+            return None
+        colours.append(c)
+    return colours
+
+
+def colouring_from_obj(obj: Any, edges: tuple[Pair, ...] = ()) -> TotalColouring:
+    """Decode a colouring document, given its graph's ``edges`` when known.
+
+    Triples that list exactly those pairs in that order, the form
+    ``colour -o`` writes, are decoded in one pass into a colouring that shares
+    the ``edges`` tuple, so the cover check is an identity test.  Every other
+    list decodes through :meth:`TotalColouring.from_parts`; both paths give
+    the same colouring, and the same error for the same first bad entry.
+    """
     if not isinstance(obj, dict):
         raise ParseError("colouring document must be a JSON object")
     vcs = obj.get("vertex_colours")
@@ -152,6 +177,9 @@ def colouring_from_obj(obj: Any) -> TotalColouring:
     if not isinstance(ecs, list):
         raise ParseError('"edge_colours" must be a list of [u, v, colour] triples')
     try:
+        colours = _aligned_colours(ecs, edges)
+        if colours is not None:
+            return TotalColouring(list(vcs), edges, colours)
         return TotalColouring.from_parts(vcs, _triples(ecs))
     except ParseError:
         raise
@@ -187,7 +215,7 @@ def bundle_from_obj(obj: Any) -> tuple[Graph, TotalColouring, dict[str, Any]]:
     if not isinstance(obj, dict) or "graph" not in obj or "colouring" not in obj:
         raise ParseError('bundle must be an object with "graph" and "colouring"')
     g = graph_from_obj(obj["graph"])
-    tc = colouring_from_obj(obj["colouring"])
+    tc = colouring_from_obj(obj["colouring"], g.edges)
     report = obj.get("report")
     if report is not None and not isinstance(report, dict):
         raise ParseError('bundle field "report" must be an object')

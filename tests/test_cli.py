@@ -483,30 +483,59 @@ def test_console_script_runs():
 
 
 REPEATED = "invalid colouring: edge (0,1) is coloured more than once"
+PATH = {"n": 3, "edges": [[0, 1], [1, 2]]}
 
 
 @pytest.mark.parametrize(
-    "graph_edges, edge_colours, message",
+    "graph, edge_colours, message",
     [
         (
-            [[0, 5], [0, "x"]],
+            {"n": 2, "edges": [[0, 5], [0, "x"]]},
             [[0, 1, 2]],
             "invalid graph: edge (0,5) has an endpoint outside [0,2)",
         ),
-        ([[0, 1]], [[0, 0, 1], [0, "x", 1]], "invalid colouring: self-loop on vertex 0"),
-        ([[0, 1]], [[1, 0, 1], [1, 0, 2]], REPEATED),
-        ([[0, 1]], [[0, 1, 1], [1, 0, 2]], REPEATED),
+        (
+            {"n": 2, "edges": [[0, 1]]},
+            [[0, 0, 1], [0, "x", 1]],
+            "invalid colouring: self-loop on vertex 0",
+        ),
+        ({"n": 2, "edges": [[0, 1]]}, [[1, 0, 1], [1, 0, 2]], REPEATED),
+        ({"n": 2, "edges": [[0, 1]]}, [[0, 1, 1], [1, 0, 2]], REPEATED),
+        # bad entries after a prefix listed in the graph's edge order
+        (PATH, [[0, 1, 0], [1, 2, True]], "bad edge colour entry [1, 2, True]"),
+        (
+            PATH,
+            [[0, 1, 0], [1, 2, 1], [1, 2, 2]],
+            "invalid colouring: edge (1,2) is coloured more than once",
+        ),
+        (
+            PATH,
+            [[0, 1, 0], [1, 2, 1], [2, 1, 2]],
+            "invalid colouring: edge (1,2) is coloured more than once",
+        ),
+        (
+            PATH,
+            [[0, 1, 0], [1, 2, -1]],
+            "invalid colouring: negative colour -1 on edge (1,2)",
+        ),
     ],
-    ids=["range-before-type", "self-loop-before-type", "exact-repeat", "reversed-repeat"],
+    ids=[
+        "range-before-type", "self-loop-before-type", "exact-repeat", "reversed-repeat",
+        "aligned-then-bool", "aligned-then-repeat", "aligned-then-reversed-repeat",
+        "aligned-then-negative",
+    ],
 )
-def test_decode_errors_follow_list_order(tmp_path, capsys, graph_edges, edge_colours, message):
+def test_decode_errors_follow_list_order(tmp_path, capsys, graph, edge_colours, message):
     """Each entry is checked as it is decoded, so the first bad one is named,
-    and a repeated pair is named canonically whichever way it was listed."""
-    doc = {
-        "graph": {"n": 2, "edges": graph_edges},
-        "colouring": {"vertex_colours": [0, 1], "edge_colours": edge_colours},
-    }
-    path = tmp_path / "bundle.json"
-    path.write_text(json.dumps(doc))
-    assert main(["verify", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    and a repeated pair is named canonically whichever way it was listed.
+    The bundle and the two-file form of verify say the same."""
+    colouring = {"vertex_colours": list(range(graph["n"])), "edge_colours": edge_colours}
+    bundle, graph_path, colouring_path = (
+        tmp_path / name for name in ("bundle.json", "graph.json", "colouring.json")
+    )
+    bundle.write_text(json.dumps({"graph": graph, "colouring": colouring}))
+    graph_path.write_text(json.dumps(graph))
+    colouring_path.write_text(json.dumps(colouring))
+    for paths in ([bundle], [graph_path, colouring_path]):
+        assert main(["verify", *map(str, paths)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"

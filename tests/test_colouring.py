@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -371,6 +372,30 @@ def test_verifier_catches_planted_conflicts(rng):
         assert any(victim in (a, b) for a, b, _ in rep.violations)
         assert reported_pairs(rep) == set(naive_conflict_scan(g, mutated))
         assert rep.violations == naive_ordered_report(g, mutated)
+
+
+@pytest.mark.parametrize("n, m", [(5, 4), (6, 5), (7, 4)])
+def test_listing_matches_naive_order_with_merged_classes(n, m):
+    """Ten colour classes merged into two leave most vertices with several
+    conflicts in two interleaved classes; both verifiers must still list
+    them in order."""
+    g, _ = direct_product(complete_graph(n), complete_graph(m))
+    base = knm_total_colouring(n, m)
+    r = random.Random(n * 100 + m)
+    for _ in range(3):
+        classes = r.sample(sorted(base.colours), 10)
+        merge = {c: classes[i // 5 * 5] for i, c in enumerate(classes)}
+        tc = TotalColouring(
+            [merge.get(c, c) for c in base.vertex_colours],
+            base.edges,
+            [merge.get(c, c) for c in base.edge_colours],
+        )
+        naive = naive_ordered_report(g, tc)
+        assert verify_total(g, tc).violations == naive
+        edge_pairs = [x for x in naive if x[0][0] == x[1][0] == "e"]
+        assert verify_edge(g, tc.edge_colours).violations == edge_pairs
+        touched = Counter(w for a, b, _ in naive for w in {*a[1:], *b[1:]})
+        assert sum(k > 1 for k in touched.values()) > g.n // 2
 
 
 def _conflicts(g, a, b):

@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 
 from totalcolour import (
+    IncompleteColouringError,
     ParseError,
     SearchBudget,
     complete_graph,
@@ -16,6 +18,9 @@ from totalcolour import (
     verify_total,
 )
 from totalcolour import jsonio
+from totalcolour.colouring import check_cover
+
+from conftest import random_graph
 
 
 def test_graph_round_trip_is_identity():
@@ -65,6 +70,96 @@ def test_colouring_from_obj_rejects_malformed():
     ):
         with pytest.raises(ParseError):
             jsonio.colouring_from_obj(bad)
+
+
+DEFECTS = (
+    "bool", "short", "self-loop", "out-of-range",
+    "exact-repeat", "reversed-repeat", "foreign-pair", "negative",
+)
+
+
+def _plant(r, g, triples, defect):
+    """``triples`` with one entry of the given defect at a random position,
+    or None when the graph leaves no room for it."""
+    triples = [list(t) for t in triples]
+    non_edges = [
+        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)
+    ]
+    if not triples or (defect == "foreign-pair" and not non_edges):
+        return None
+    if defect.endswith("repeat"):
+        u, v, _ = r.choice(triples)
+        pair = [u, v] if defect == "exact-repeat" else [v, u]
+        triples.insert(r.randrange(len(triples) + 1), pair + [r.randrange(3)])
+        return triples
+    at = r.randrange(len(triples))
+    u, v, c = triples[at]
+    if defect == "bool":
+        triples[at][r.randrange(3)] = r.random() < 0.5
+    elif defect == "short":
+        triples[at] = triples[at][: r.randrange(3)]
+    elif defect == "self-loop":
+        triples[at] = [u, u, c]
+    elif defect == "out-of-range":
+        triples[at] = [u, g.n + r.randrange(3), c]
+    elif defect == "foreign-pair":
+        triples[at] = [*r.choice(non_edges), c]
+    else:
+        triples[at] = [u, v, -1 - r.randrange(3)]
+    return triples
+
+
+def _shuffled_flipped(r, triples):
+    """The triples in random order, each entry of three ints flipped at random;
+    a planted bool or short entry stays as written, so its message is unchanged."""
+    out = []
+    for t in r.sample(triples, len(triples)):
+        ints = len(t) == 3 and all(type(x) is int for x in t)
+        out.append([t[1], t[0], t[2]] if ints and r.random() < 0.5 else t)
+    return out
+
+
+def _decoded(graph, vertex_colours, triples):
+    """The bundle's graph and colouring, or the text of the error its decode
+    or cover check raises."""
+    doc = {
+        "graph": graph,
+        "colouring": {"vertex_colours": vertex_colours, "edge_colours": triples},
+    }
+    try:
+        g, tc, _ = jsonio.bundle_from_obj(json.loads(json.dumps(doc)))
+        check_cover(g, tc)
+    except (ParseError, IncompleteColouringError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    in_order = [tuple(t[:2]) for t in triples] == list(g.edges)
+    assert (tc.edges is g.edges) == in_order
+    return g, tc
+
+
+def test_decode_against_the_graph_matches_any_order():
+    """A bundle in the graph's edge order decodes in one pass, sharing the
+    graph's edges; listed in any other order it decodes through from_parts.
+    Both give the same colouring, or the same error for the same defect."""
+    r = random.Random(2121)
+    shared = errors = 0
+    for _ in range(600):
+        g = random_graph(r, max_n=8, p=0.5)
+        graph = jsonio.graph_to_obj(g)
+        vcs = [r.randrange(4) for _ in range(g.n)]
+        triples = [[u, v, r.randrange(4)] for u, v in g.edges]
+        defect = r.choice(DEFECTS) if r.random() < 0.6 else None
+        if defect is not None:
+            triples = _plant(r, g, triples, defect)
+            if triples is None:
+                continue
+        written = _decoded(graph, vcs, triples)
+        assert isinstance(written, str) == (defect is not None), (defect, written)
+        assert _decoded(graph, vcs, _shuffled_flipped(r, triples)) == written
+        if isinstance(written, str):
+            errors += 1
+        else:
+            shared += written[1].edges is written[0].edges
+    assert shared > 150 and errors > 250
 
 
 def test_bundle_round_trip():
