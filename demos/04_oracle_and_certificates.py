@@ -46,9 +46,10 @@ res = exact_chi_total(cycle_graph(6), budget)
 print(f"C6:      chi'' = {res.chi_total} -> type I")
 print()
 
-# Cross-check against the second, dumber oracle on something tiny.
+# Cross-check against the second, dumber oracle on something tiny; the
+# oracle answers paths and cycles in closed form, with no search.
 g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
-print(f"path on 4 vertices: branch-and-bound={exact_chi_total(g, budget).chi_total}, "
+print(f"path on 4 vertices: closed form={exact_chi_total(g, budget).chi_total}, "
       f"brute-force={chi_total_bruteforce(g)}")
 print()
 

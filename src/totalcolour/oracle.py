@@ -4,19 +4,22 @@ The main solver reduces total colouring to vertex colouring of the total
 graph T(G) (one vertex per element, adjacency = the conflict relation) and
 runs a DSATUR-ordered branch and bound on T(G).  A solve, in order:
 
+* closed form: a graph with Δ <= 2 is a disjoint union of paths and
+  cycles, and its χ'' and an optimal colouring come with no T(G), bound or
+  search node (:func:`_paths_and_cycles`); every later step sees Δ >= 3;
 * T(G): built once, straight from ``g.edges`` and relabelled by degree in
   closed form (:func:`_relabelled_total`); the greedy and the search share
   its adjacency masks, every local-search run its neighbour lists;
-* lower bound: ω(T(G)) = max(Δ+1, 3), or 1 when G has no edge, with a
-  maximum clique of T(G) in closed form (:func:`_clique`);
+* lower bound: ω(T(G)) = Δ+1, with a maximum clique of T(G) in closed
+  form (:func:`_clique`);
 * upper bound: DSATUR greedy (:func:`_dsatur_greedy`);
 * probe: unless the counting certificate below has raised the lower bound,
   the branch and bound runs with a cap of ``_PROBE_NODES`` nodes per
   vertex of T(G), when that cap fits strictly inside the node budget left.
-  It settles most graphs that have no colouring with lb colours (C_n with
-  n not a multiple of 3) in less time than a local search takes
-  to fail on them.  A completed probe is exact; a cut one hands on the
-  best colouring it found.  Its nodes count in the result's ``nodes``;
+  It settles most graphs that have no colouring with lb colours (K_4 plus
+  an isolated vertex) in less time than a local search takes to fail on
+  them.  A completed probe is exact; a cut one hands on the best colouring
+  it found.  Its nodes count in the result's ``nodes``;
 * local search: a seeded, move-capped TabuCol run (:func:`_tabucol`) for
   exactly lb colours from the best colouring so far; when it fails, one
   more run for lb colours from a seeded random colouring (the greedy start
@@ -54,7 +57,8 @@ Two certificates can close the gap between the bounds before the search:
   As |A| - |B| - (a_c - b_c) ≡ |V| - |V_c| (mod 2), the side counts imply
   the parity bound, so a bipartite G is held to them alone.  They prove
   K_{a,a} type II for every a, and C_4 and C_8, though these pass the
-  parity bound when a is even.  :func:`_conformable` searches for such a
+  parity bound when a is even (the closed form answers the cycles before
+  the certificate is asked).  :func:`_conformable` searches for such a
   colouring of G; when it proves there is none, the lower bound is Δ+2, no
   probe runs, and the local search that follows aims at Δ+2.
 
@@ -73,7 +77,8 @@ relation recomputed from first principles rather than through T(G).
 
 Nothing here assumes the conjectured upper bound max_degree + 2; the solver
 reports whatever it proves, and a lower bound of max_degree + 2 comes only
-from the counting certificate or from the search.
+from the closed form (a cycle C_n with n not a multiple of 3), the counting
+certificate or the search.
 """
 
 from __future__ import annotations
@@ -203,19 +208,13 @@ def _adjacency_masks(t: Graph) -> list[int]:
 
 
 def _clique(g: Graph) -> list[int]:
-    """A maximum clique of T(G), in closed form, as T(G) vertex indices.
+    """A maximum clique of T(G) when Δ >= 2, in closed form, as T(G) indices.
 
     A clique of T(G) is a clique of G (at most Δ+1 vertices), a vertex with
     some of its edges (at most Δ+1), an edge with its two ends (3), or edges
-    that pairwise meet: a star (at most Δ) or a triangle (3).  So a
-    max-degree vertex with its incident edges is maximum when Δ >= 2, an
-    edge with its two ends when Δ = 1, and one vertex when g has no edge.
+    that pairwise meet: a star (at most Δ) or a triangle (3).  So when
+    Δ >= 2 a max-degree vertex with its incident edges is maximum.
     """
-    if not g.edges:
-        return [0]
-    if g.max_degree == 1:
-        u, v = g.edges[0]
-        return [u, v, g.n]
     v = g.degrees.index(g.max_degree)
     return [v] + [g.n + i for i, e in enumerate(g.edges) if v in e]
 
@@ -573,6 +572,51 @@ def _conformable(g: Graph) -> bool | None:
     return False
 
 
+def _paths_and_cycles(g: Graph) -> list[int]:
+    """An optimal total colouring of g when Δ <= 2, in closed form.
+
+    Such a g is a disjoint union of paths and cycles.  Each component is
+    walked as its element sequence v0 e0 v1 e1 ..., in which two elements
+    conflict exactly when they are at most two apart (around the cycle, on
+    a cycle).  A path takes ``i % 3``: 3 colours, or 1 on an isolated
+    vertex.  A cycle C_n has 2n elements, and T(C_n) is the square of
+    C_2n: any three consecutive elements pairwise conflict, so a
+    3-colouring repeats with period 3 around the 2n-cycle, which needs
+    3 | n; such a cycle takes ``i % 3`` too.  A cycle with 3 ∤ n takes
+    blocks ``0 1 2`` and then one block ``0 1 2 3`` when 2n ≡ 1 (mod 3), or
+    two when 2n ≡ 2, so it needs and uses 4 colours (H. P. Yap, *Total
+    Colourings of Graphs*, LNM 1623, 1996).  Each component uses its own
+    total chromatic number of colours, so the palette, the largest of
+    these, is χ''(g).  Returns the colouring of T(G) in element order:
+    vertices, then ``g.edges``.
+    """
+    n = g.n
+    at: list[list[int]] = [[] for _ in range(n)]  # at[v]: the edge ids at v
+    for i, (u, v) in enumerate(g.edges):
+        at[u].append(i)
+        at[v].append(i)
+    colours = [-1] * (n + len(g.edges))
+    # paths first, each from an end, so the vertices left lie on cycles
+    for s in [v for v in range(n) if len(at[v]) < 2] + list(range(n)):
+        if colours[s] >= 0:
+            continue
+        walk, v, e = [s], s, (at[s] or [-1])[0]
+        while e >= 0:
+            walk.append(n + e)
+            u, w = g.edges[e]
+            v = w if u == v else u
+            if v == s:
+                break
+            walk.append(v)
+            a = at[v]  # e, and the next edge when v has one
+            e = a[a[0] == e] if len(a) == 2 else -1
+        # a walk that stops on an edge (e >= 0) closed a cycle
+        cut = len(walk) - 4 * (len(walk) % 3 if e >= 0 else 0)
+        for i, x in enumerate(walk):
+            colours[x] = i % 3 if i < cut else (i - cut) % 4
+    return colours
+
+
 def _solve(
     g: Graph, budget: SearchBudget | None, seed: list[int] | None
 ) -> tuple[OracleResult, list[int] | None]:
@@ -597,6 +641,10 @@ def _solve(
     if seed is not None and max(seed) + 1 == trivial_lower:
         k = trivial_lower
         return OracleResult(OracleStatus.EXACT, k, k, k, 0), seed
+    if g.max_degree <= 2:
+        colouring = _paths_and_cycles(g)
+        k = max(colouring) + 1
+        return OracleResult(OracleStatus.EXACT, k, k, k, 0), colouring
 
     pos, adj, nbrs = _relabelled_total(g)
     clique = [pos[v] for v in _clique(g)]
@@ -607,7 +655,7 @@ def _solve(
             start[pos[v]] = c
     ub = max(start) + 1
     completed = False
-    if lb == trivial_lower < ub and _conformable(g) is False:
+    if lb < ub and _conformable(g) is False:
         lb += 1  # counting certificate: no (Δ+1)-total colouring
     elif lb < ub:
         # probe: a short search settles most graphs with no (Δ+1)-colouring,
@@ -647,7 +695,8 @@ def exact_chi_total(g: Graph, budget: SearchBudget | None = None) -> OracleResul
     first read before T(G) is built, so only a budget already spent there
     (``max_nodes=0`` or ``max_seconds=0``) yields LowerBoundOnly, with the
     trivial bounds [Δ+1, |V|+|E|]; any other budget gets at least the
-    greedy colouring's upper bound.
+    greedy colouring's upper bound, and a graph with Δ <= 2 its exact value
+    in closed form, with 0 nodes.
     """
     return _solve(g, budget, None)[0]
 

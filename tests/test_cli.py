@@ -226,7 +226,7 @@ def test_chi_long_cycle_exits_0(tmp_path, capsys):
     jsonio.save_json(path, jsonio.graph_to_obj(cycle_graph(601)))
     assert main(["chi", str(path), "--nodes", "150000"]) == 0
     obj = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert (obj["status"], obj["chi_total"], obj["nodes"]) == ("exact", 4, 1204)
+    assert (obj["status"], obj["chi_total"], obj["nodes"]) == ("exact", 4, 0)
 
 
 def test_internal_error_exits_6(k2_file, monkeypatch, capsys):

@@ -143,8 +143,10 @@ def _knm(n, m):
 
 def test_deterministic_given_fixed_budget():
     # (status, chi_total, lower, upper, nodes): a probe of 2|T(G)| nodes runs
-    # first; it settles K_{2,3} and C_61, and where it fails (its cap plus
-    # the tick that stops it) the local search closes the type-I gaps
+    # first; it settles K_{2,3}, and where it fails (its cap plus the tick
+    # that stops it) the local search closes the type-I gaps.  Paths and
+    # cycles are answered in closed form with no node, even on a budget far
+    # too small for any search
     pinned = [
         (_knm(4, 3), 10_000, ("exact", 7, 7, 7, 0)),  # greedy palette Δ+1
         (complete_bipartite(2, 3), 150_000, ("exact", 4, 4, 4, 12)),
@@ -153,13 +155,11 @@ def test_deterministic_given_fixed_budget():
         # with 50 nodes for K_{8,8}, far too few for a search to prove Δ+2
         (complete_bipartite(4, 4), 150_000, ("exact", 6, 6, 6, 0)),
         (complete_bipartite(8, 8), 50, ("exact", 10, 10, 10, 0)),
-        # type II but past the parity test: the local search has no
-        # (Δ+1)-colouring to find, and a 28-node probe does not fit in 5 nodes
-        (cycle_graph(7), 5, ("timed_out", None, 3, 4, 6)),
+        (cycle_graph(7), 5, ("exact", 4, 4, 4, 0)),
         (complete_graph(8), 20_000, ("exact", 9, 9, 9, 0)),  # parity certificate
         (_knm(6, 3), 20_000, ("exact", 11, 11, 11, 217)),
         (_knm(5, 4), 5_000, ("exact", 13, 13, 13, 281)),
-        (cycle_graph(61), 150_000, ("exact", 4, 4, 4, 124)),
+        (cycle_graph(61), 150_000, ("exact", 4, 4, 4, 0)),
     ]
     for g, max_nodes, expected in pinned:
         a = exact_chi_total(g, SearchBudget(max_nodes=max_nodes))
@@ -185,10 +185,62 @@ def test_k44_search_is_pinned():
 
 def test_long_cycle_needs_no_deep_recursion():
     # T(C_601) has 1202 vertices, deeper than Python's default recursion
-    # limit; the probe (cap 2,404 nodes) proves chi'' = 4
-    res = exact_chi_total(cycle_graph(601), SearchBudget(max_nodes=150_000))
-    assert res.status is OracleStatus.EXACT
-    assert (res.chi_total, res.nodes) == (4, 1204)
+    # limit.  The oracle answers a cycle in closed form, so the branch and
+    # bound runs here on its own: from the greedy colouring and the clique
+    # bound 3 it proves chi'' = 4 on a stack 1,202 frames deep
+    g = cycle_graph(601)
+    pos, adj, _ = _relabelled_total(g)
+    clique = [pos[v] for v in _clique(g)]
+    clock = _Clock(SearchBudget(max_nodes=150_000))
+    completed, best = _branch_and_bound(adj, 3, _dsatur_greedy(adj), clique, clock)
+    assert (completed, max(best) + 1, clock.nodes) == (True, 4, 1204)
+    res = exact_chi_total(g, SearchBudget(max_nodes=150_000))
+    assert (res.status, res.chi_total, res.nodes) == (OracleStatus.EXACT, 4, 0)
+
+
+_components = st.one_of(
+    st.tuples(st.just(False), st.integers(1, 14)),  # a path
+    st.tuples(st.just(True), st.integers(3, 14)),  # a cycle
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_components, min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+def test_paths_and_cycles_in_closed_form(parts, seed):
+    # chi'' of P_1 is 1, of a longer path 3, and of C_n 3 when 3 | n, else 4
+    n = sum(size for _, size in parts)
+    label = list(range(n))
+    random.Random(seed).shuffle(label)
+    edges, chi, first = [], 0, 0
+    for cycle, size in parts:
+        ring = list(range(first, first + size)) + [first] * cycle
+        edges += [(label[u], label[v]) for u, v in zip(ring, ring[1:])]
+        if cycle:
+            chi = max(chi, 3 if size % 3 == 0 else 4)
+        else:
+            chi = max(chi, 1 if size == 1 else 3)
+        first += size
+    g = make_graph(n, edges)
+    res, colours = _solve(g, SearchBudget(max_nodes=150_000), None)
+    assert (res.status, res.chi_total, res.lower, res.upper, res.nodes) == (
+        OracleStatus.EXACT, chi, chi, chi, 0
+    )
+    report = verify_total(g, _colouring_of(g, colours))
+    assert report.valid and report.colours_used == chi
+    res = exact_chi_total(g, SearchBudget(max_nodes=0))
+    assert res.status is OracleStatus.LOWER_BOUND_ONLY
+    if g.element_count() <= 12:
+        assert chi_total_bruteforce(g, max_elements=12) == chi
+
+
+def test_cycles_in_closed_form():
+    for n in range(3, 201):
+        g = cycle_graph(n)
+        res, colours = _solve(g, SearchBudget(max_nodes=150_000), None)
+        chi = 3 if n % 3 == 0 else 4
+        assert (res.status, res.chi_total, res.nodes) == (OracleStatus.EXACT, chi, 0)
+        report = verify_total(g, _colouring_of(g, colours))
+        assert report.valid and report.colours_used == chi
 
 
 @pytest.mark.parametrize("n, m, chi", [(7, 3, 13), (5, 5, 17)])
@@ -237,10 +289,11 @@ def test_every_budget_brackets_the_bruteforce_value(seed):
     # small budgets cut the probe, the local search or the search anywhere;
     # no cut may turn into a wrong bound or an EXACT claim.  Graphs this small
     # never exhaust a probe of 2|T(G)| nodes, so a probe capped at 0 nodes
-    # (it always runs out) is tried too
+    # (it always runs out) is tried too.  A graph with Δ <= 2 is answered in
+    # closed form with no search to cut, so only Δ >= 3 is drawn
     r = random.Random(seed)
     g = random_graph(r, max_n=5, p=r.random())
-    while g.element_count() > 8:
+    while g.element_count() > 10 or g.max_degree < 3:
         g = random_graph(r, max_n=5, p=r.random())
     bf = chi_total_bruteforce(g)
     for probe, nodes in itertools.product((oracle._PROBE_NODES, 0), (0, 1, 7, 50)):
@@ -303,13 +356,17 @@ def naive_max_clique(masks):
 @settings(deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_closed_form_clique_is_maximum(seed):
+    # the solver reaches T(G) only when Δ >= 3; Δ = 2 is the smallest case
+    # the closed form covers
     r = random.Random(seed)
     g = random_graph(r, max_n=8, p=r.random())
+    while g.max_degree < 2:
+        g = random_graph(r, max_n=8, p=r.random())
     masks = _adjacency_masks(total_graph(g))
     clique = _clique(g)
     assert len(set(clique)) == len(clique)
     assert all(masks[u] >> v & 1 for u, v in itertools.combinations(clique, 2))
-    assert len(clique) == (max(g.max_degree + 1, 3) if g.edges else 1)
+    assert len(clique) == g.max_degree + 1
     assert naive_max_clique(masks) == len(clique)
 
 
@@ -417,13 +474,31 @@ def _c7_total_colouring():
     )
 
 
+def _k4_k1():
+    """K_4 plus an isolated vertex, and a 5-total colouring of it."""
+    g = make_graph(5, list(itertools.combinations(range(4), 2)))
+    tc = TotalColouring.from_parts(
+        [0, 2, 4, 1, 0],
+        [(0, 1, 1), (0, 2, 2), (0, 3, 3), (1, 2, 3), (1, 3, 4), (2, 3, 0)],
+    )
+    return g, tc
+
+
 def test_certify_timeout_is_unproven():
-    # C_7 has chi'' = 4 = Δ+2 but passes the parity test, so the lower bound
-    # stays 3 and five nodes cannot prove the 4-colouring optimal
-    g, tc = cycle_graph(7), _c7_total_colouring()
+    # K_4 ∪ K_1 has chi'' = 5 = Δ+2, but the isolated vertex's deficiency of
+    # 3 lets it pass the parity test, so the lower bound stays 4 and five
+    # nodes cannot prove the 5-colouring optimal
+    g, tc = _k4_k1()
     verdict = certify_construction(g, tc, SearchBudget(max_nodes=5))
     assert verdict.status is CertificationStatus.VALID_BUT_UNPROVEN
-    assert verdict.colours_used == 4
+    assert verdict.colours_used == 5
+    assert (verdict.oracle.lower, verdict.oracle.upper) == (4, 5)
+    # C_7 is type II and passes the parity test too, but a cycle's chi'' is
+    # in closed form: the same budget proves the 4-colouring optimal
+    g, tc = cycle_graph(7), _c7_total_colouring()
+    verdict = certify_construction(g, tc, SearchBudget(max_nodes=5))
+    assert verdict.status is CertificationStatus.OPTIMAL
+    assert (verdict.colours_used, verdict.oracle.nodes) == (4, 0)
     # the side counts prove K_{8,8}'s 10-colouring optimal with no search
     g, tc = complete_bipartite(8, 8), _kaa_total_colouring(8)
     verdict = certify_construction(g, tc, SearchBudget(max_nodes=5))
@@ -453,14 +528,18 @@ def test_certify_palette_at_lower_bound_needs_no_search():
 
 
 def test_certify_palette_is_the_first_upper_bound():
-    # C_7: lower bound 3, greedy palette 5; a 4-colouring must bound the
-    # answer even though one node cannot finish the search
-    g, tc = cycle_graph(7), _c7_total_colouring()
-    assert max(_dsatur_greedy(_relabelled_total(g)[1])) == 4
-    verdict = certify_construction(g, tc, SearchBudget(max_nodes=1))
+    # K_4 ∪ K_1: lower bound 4, greedy palette 6; with the local search
+    # finding nothing, a 5-colouring must still bound the answer even though
+    # one node cannot finish the search
+    g, tc = _k4_k1()
+    assert max(_dsatur_greedy(_relabelled_total(g)[1])) == 5
+    with mock.patch.object(oracle, "_tabucol", return_value=None):
+        res = exact_chi_total(g, SearchBudget(max_nodes=1))
+        assert (res.status, res.lower, res.upper) == (OracleStatus.TIMED_OUT, 4, 6)
+        verdict = certify_construction(g, tc, SearchBudget(max_nodes=1))
     assert verdict.status is CertificationStatus.VALID_BUT_UNPROVEN
-    assert verdict.colours_used == 4
-    assert (verdict.oracle.lower, verdict.oracle.upper) == (3, 4)
+    assert verdict.colours_used == 5
+    assert (verdict.oracle.lower, verdict.oracle.upper) == (4, 5)
     # K8 x K5: started from the greedy colouring and restarted from a
     # random one, the local search misses Δ+1 = 29; started from the seed
     # (a 29-colouring with one vertex moved to a 30th colour), it finds 29
@@ -476,11 +555,13 @@ def test_certify_palette_is_the_first_upper_bound():
 
 def test_parity_certificate_proves_type_ii_closed_forms():
     # K_n (n even) and K_{a,a} (a odd) fail the parity test; K_{a,a} (a even)
-    # and C_8 pass it but fail the side counts
+    # and C_8 pass it but fail the side counts.  The oracle answers the
+    # cases with Δ <= 2 in closed form, so the certificate is asked directly
     cases = [(complete_graph(n), n + 1) for n in (2, 4, 6, 8, 10)]
     cases += [(complete_bipartite(a, a), a + 2) for a in range(1, 11)]
     cases += [(cycle_graph(5), 4), (cycle_graph(8), 4)]
     for g, chi in cases:
+        assert _conformable(g) is False
         res = exact_chi_total(g, SearchBudget(max_nodes=150_000))
         assert (res.status, res.chi_total, res.nodes) == (OracleStatus.EXACT, chi, 0)
 
