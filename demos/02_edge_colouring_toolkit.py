@@ -61,15 +61,15 @@ print()
 # ----------------------------------------------------------------------
 
 for m in (5, 6):
-    square, ec, matching = rainbow_kmm(m)
+    ec = rainbow_kmm(m)  # the square read row by row
     print(f"order-{m} square with a rainbow diagonal:")
-    for i, row in enumerate(square.rows):
+    for i in range(m):
         marked = [
             f"[{s}]" if j == i else f" {s} "
-            for j, s in enumerate(row)
+            for j, s in enumerate(ec[i * m : (i + 1) * m])
         ]
         print("   " + " ".join(marked))
-    print(f"  diagonal symbols: {sorted(square.transversal_symbols())}")
+    print(f"  diagonal symbols: {sorted(ec[:: m + 1])}")
     print(f"  K_{{{m},{m}}} edge colouring proper: "
           f"{verify_edge(complete_bipartite(m, m), ec).valid}")
     print()

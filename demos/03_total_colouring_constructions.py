@@ -32,7 +32,7 @@ g = crown_graph(m)
 rep = verify_total(g, crown.colouring)
 print(f"crown on {2 * m} vertices: valid={rep.valid}, "
       f"colours={rep.colours_used} = max_degree + 1 = {g.max_degree + 1}")
-print(f"  vertex colours by pair: {crown.vertex_permutation} "
+print(f"  vertex colours by pair: {tuple(crown.colouring.vertex_colours[:m])} "
       "(x_k and y_k share a colour; all pairs distinct)")
 print(f"  type: {classify(g, rep.colours_used).name}")
 print()

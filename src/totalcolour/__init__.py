@@ -24,7 +24,6 @@ from .constructions import (
     lift_bipartite,
 )
 from .edge_colouring import (
-    LatinSquare,
     bipartite_delta_edge_colouring,
     colour_class,
     crown_edge_colouring,
@@ -80,7 +79,6 @@ __all__ = [
     "Graph",
     "GraphConstructionError",
     "IncompleteColouringError",
-    "LatinSquare",
     "NoRainbowError",
     "NotBipartiteError",
     "OpenProblemError",

@@ -8,9 +8,10 @@ the product's maximum degree:
   and pushing each deleted edge's colour onto its endpoints.
 * ``lift_bipartite``: given a max-degree-plus-one total colouring of
   G x K_2, extend it to G x H for any bipartite H.
-* ``knm_total_colouring`` (a factor even; both odd is open, and we refuse),
-  ``kn_k2_total_colouring`` and ``kn_times_bipartite``: that lift of the
-  crown over a one factorization of the even factor, over K_2 and over H.
+* ``knm_total_colouring`` (a factor even; both odd is open, and we refuse)
+  and ``kn_times_bipartite``: that lift of the crown over a one
+  factorization of the even factor and over H.  ``kn_k2_total_colouring``
+  is ``kn_times_bipartite`` over K_2.
 """
 
 from __future__ import annotations
@@ -41,14 +42,12 @@ from .products import direct_product
 class CrownTotalColouring:
     """Total colouring of the crown graph on 2m vertices with palette 0..m-1.
 
-    ``vertex_permutation`` (of length m) maps k to the shared colour of x_k
-    and y_k; it is a bijection onto 0..m-1, so vertices within each part
-    are pairwise distinctly coloured and x_k matches y_t in colour only
-    when k = t.
+    x_k and y_k share a colour, and k -> that colour is a bijection onto
+    0..m-1, so vertices within each part are pairwise distinctly coloured
+    and x_k matches y_t in colour only when k = t.
     """
 
     colouring: TotalColouring
-    vertex_permutation: tuple[int, ...]
 
 
 def crown_total_colouring(m: int) -> CrownTotalColouring:
@@ -58,12 +57,12 @@ def crown_total_colouring(m: int) -> CrownTotalColouring:
     matching x_i y_i, and colour both endpoints of each removed edge with the
     removed edge's colour.  Remaining edges keep their square colours.
     """
-    square, _, _ = rainbow_kmm(m)
-    diag = tuple(square.symbol(k, k) for k in range(m))
-    # row-major with k != t lists the pairs in ascending order
+    square = rainbow_kmm(m)  # x_k y_t is entry k * m + t
+    # row-major with k != t lists the pairs in ascending order; the entries
+    # k = t are exactly those at multiples of m + 1
     edges = tuple((k, m + t) for k in range(m) for t in range(m) if k != t)
-    colours = [square.symbol(k, y - m) for k, y in edges]
-    return CrownTotalColouring(TotalColouring(list(diag * 2), edges, colours), diag)
+    colours = [c for i, c in enumerate(square) if i % (m + 1)]
+    return CrownTotalColouring(TotalColouring(square[:: m + 1] * 2, edges, colours))
 
 
 # (half, fibres): a colouring of G x K_2 in the form ``_lift`` reads
@@ -73,25 +72,23 @@ K2Colouring = tuple[list[dict[int, tuple[int, int]]], tuple[Sequence[int], ...]]
 def _crown_k2(b: int) -> K2Colouring:
     """K_b x K_2 read from the crown: (v_s, z_1)(v_t, z_2) is x_s y_t, coloured
     by the crown's total colouring and its closed-form (b-1)-edge colouring."""
-    crown = crown_total_colouring(b)
-    tc = crown.colouring
+    tc = crown_total_colouring(b).colouring
     half: list[dict[int, tuple[int, int]]] = [{} for _ in range(b)]
     # both list x_s y_t row-major, aligned with crown_graph(b).edges
     for (s, y), fc, pc in zip(tc.edges, tc.edge_colours, crown_edge_colouring(b)):
         half[s][y - b] = (fc, pc)
-    return half, (crown.vertex_permutation,) * 2
+    return half, (tc.vertex_colours[:b],) * 2
 
 
 def kn_k2_total_colouring(n: int) -> TotalColouring:
-    """n-colour total colouring of the direct product K_n x K_2 (n >= 3).
+    """n-colour total colouring of the direct product K_n x K_2.
 
-    The product is isomorphic to the crown graph on 2n vertices via
-    x_k -> (v_k, z_1), y_k -> (v_k, z_2); this is the crown lift over K_2,
-    which carries the crown colouring across that relabelling.
+    This is ``kn_times_bipartite(n, complete_graph(2))``, with its domain:
+    n = 2 and n < 1 are refused.  For n >= 3 the product is isomorphic to
+    the crown graph on 2n vertices via x_k -> (v_k, z_1), y_k -> (v_k, z_2),
+    and the lift carries the crown colouring across that relabelling.
     """
-    if n < 3:
-        raise DomainError("K_n x K_2 is only type I for n >= 3")
-    return _lift(*_crown_k2(n), n - 1, [((0, 1), 0)], [False, True], False)
+    return kn_times_bipartite(n, complete_graph(2))
 
 
 def lift_bipartite(g: Graph, f: TotalColouring, h: Graph) -> TotalColouring:
@@ -235,7 +232,7 @@ def knm_total_colouring(n: int, m: int) -> TotalColouring:
     if n < 3 or m < 3:
         raise DomainError(
             f"K_{n} x K_{m}: both factors must have at least 3 vertices "
-            "(use the bipartite lift for K_2 factors)"
+            "(use kn_times_bipartite(n, complete_graph(2)) for a K_2 factor)"
         )
     if n % 2 and m % 2:
         raise OpenProblemError(

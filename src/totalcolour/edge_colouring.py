@@ -3,11 +3,11 @@
 Each primitive returns a flat list of colours aligned with its graph's
 ``edges``: the exact max-degree edge colouring of bipartite graphs
 (Konig's alternating-path insertion), the one factorization of even
-complete graphs in closed form, the rainbow-matched square colouring of
-K_{m,m} realised as a Latin square with a rainbow main diagonal, in closed
-form: the cyclic square for odd m, the cyclic square of order m - 1
-prolonged along its diagonal for even m, and the closed-form (m-1)-edge
-colouring of the crown graph, x_k y_t -> (t - k - 1) mod m.
+complete graphs in closed form, the square colouring of K_{m,m} with a
+rainbow main diagonal, in closed form: the cyclic square for odd m, the
+cyclic square of order m - 1 prolonged along its diagonal for even m, and
+the closed-form (m-1)-edge colouring of the crown graph,
+x_k y_t -> (t - k - 1) mod m.
 
 All tie-breaking is lowest-colour / lowest-index first, so every output is
 deterministic.
@@ -15,7 +15,6 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, NoRainbowError, NotBipartiteError
@@ -127,42 +126,12 @@ def one_factorization(n: int) -> list[int]:
     ]
 
 
-@dataclass(frozen=True)
-class LatinSquare:
-    """m x m array over symbols 0..m-1 whose main diagonal is a transversal.
+def rainbow_kmm(m: int) -> list[int]:
+    """m-edge-colouring of K_{m,m} whose matching x_i y_i is rainbow, m >= 3.
 
-    The diagonal cells (i, i) must carry pairwise distinct symbols.  Read as
-    an edge colouring of K_{m,m} (cell (i,j) colours the edge x_i y_j), the
-    diagonal is a perfect rainbow matching.
-    """
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        m = len(self.rows)
-        symbols = set(range(m))
-        for row in self.rows:
-            if set(row) != symbols:
-                raise DomainError("row is not a permutation of the symbols")
-        for j in range(m):
-            if {row[j] for row in self.rows} != symbols:
-                raise DomainError("column is not a permutation of the symbols")
-        if len(self.transversal_symbols()) != m:
-            raise DomainError("transversal symbols are not pairwise distinct")
-
-    @property
-    def order(self) -> int:
-        return len(self.rows)
-
-    def symbol(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
-    def transversal_symbols(self) -> set[int]:
-        return {row[i] for i, row in enumerate(self.rows)}
-
-
-def _rainbow_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    """Latin square of order m >= 3 whose main diagonal carries m distinct symbols.
+    The list is aligned with complete_bipartite(m, m).edges (parts x_i = i
+    and y_j = m + j): it reads an m x m Latin square row by row, and x_i y_i
+    is entry i * (m + 1), on the square's main diagonal.
 
     Odd m: the cyclic square (i + j) mod m, whose diagonal carries 2i mod m.
     Even m: prolong the cyclic square of odd order k = m - 1 along its main
@@ -172,29 +141,6 @@ def _rainbow_rows(m: int) -> tuple[tuple[int, ...], ...]:
     broken diagonal j = i + 1 mod k carries 2i + 1 mod k, so together with
     the corner it is a transversal; permuting the columns moves it onto the
     main diagonal.
-    """
-    if m % 2:
-        return tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
-    k = m - 1
-    rows = [[(i + j) % k for j in range(k)] + [2 * i % k] for i in range(k)]
-    for i in range(k):
-        rows[i][i] = k
-    rows.append([2 * j % k for j in range(k)] + [k])
-    columns = [(i + 1) % k for i in range(k)] + [k]
-    return tuple(tuple(row[c] for c in columns) for row in rows)
-
-
-def rainbow_kmm(m: int) -> tuple[LatinSquare, list[int], set[Pair]]:
-    """m-edge-colouring of K_{m,m} with a perfect rainbow matching, for m >= 3.
-
-    Returns the Latin square, the induced edge colouring of K_{m,m} (parts
-    x_i = i and y_j = m + j; the rows read in order, aligned with
-    complete_bipartite(m, m).edges), and the rainbow matching
-    {x_i y_i}.  For odd m
-    the square is cyclic: its diagonal carries 2i mod m, which are pairwise
-    distinct.  For even m the cyclic diagonal is constant, so the square is
-    the cyclic square of order m - 1 prolonged along its diagonal, with
-    columns permuted so that a transversal lies on the main diagonal.
 
     m = 2 fails for a reason, not by accident: both proper 2-edge-colourings
     of K_{2,2} make each perfect matching monochromatic.
@@ -203,10 +149,15 @@ def rainbow_kmm(m: int) -> tuple[LatinSquare, list[int], set[Pair]]:
         raise NoRainbowError(
             f"K_{{{m},{m}}} has no {m}-edge-colouring with a rainbow perfect matching"
         )
-    rows = _rainbow_rows(m)
-    square = LatinSquare(rows)
-    matching = {(i, m + i) for i in range(m)}
-    return square, [c for row in rows for c in row], matching
+    if m % 2:
+        return [(i + j) % m for i in range(m) for j in range(m)]
+    k = m - 1
+    rows = [[(i + j) % k for j in range(k)] + [2 * i % k] for i in range(k)]
+    for i in range(k):
+        rows[i][i] = k
+    rows.append([2 * j % k for j in range(k)] + [k])
+    columns = [(i + 1) % k for i in range(k)] + [k]
+    return [row[c] for row in rows for c in columns]
 
 
 def crown_edge_colouring(m: int) -> list[int]:

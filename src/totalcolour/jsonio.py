@@ -35,10 +35,21 @@ DOT_PALETTE = (
 def load_json(path: str | Path) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     # ValueError covers bad UTF-8 and bad JSON; deep nesting is a RecursionError
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read JSON from {path}: {exc}")
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """One JSON object as a dict, refusing a key it repeats: left to itself,
+    json keeps the last value and says nothing."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise ValueError(f"repeated key {repeated!r}")
+    return obj
 
 
 def save_json(path: str | Path, obj: Any) -> None:

@@ -326,6 +326,37 @@ def test_undecodable_files_exit_2(malformed_json_files, capsys):
             assert capsys.readouterr().err.startswith("error: cannot read JSON")
 
 
+@pytest.mark.parametrize(
+    "argv, text, key",
+    [
+        (["chi", "--nodes", "10"], '{"n": 2, "edges": [[0, 1]], "n": 5}', "n"),
+        (
+            ["verify"],
+            '{"graph": {"n": 2, "edges": [[0, 1]]}, '
+            '"colouring": {"vertex_colours": [0, 1], "edge_colours": [[0, 1, 2]]}, '
+            '"graph": {"n": 2, "edges": []}}',
+            "graph",
+        ),
+        (
+            ["verify"],
+            '{"graph": {"n": 2, "edges": [[0, 1]]}, "colouring": '
+            '{"vertex_colours": [0, 0], "edge_colours": [[0, 1, 2]], '
+            '"vertex_colours": [0, 1]}}',
+            "vertex_colours",
+        ),
+    ],
+    ids=["graph", "bundle", "colouring-in-bundle"],
+)
+def test_repeated_keys_exit_2(argv, text, key, tmp_path, capsys):
+    """A key given twice makes a document ambiguous, at any depth."""
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    assert main([*argv[:1], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read JSON from {path}: repeated key {key!r}\n"
+
+
 def test_chi_without_budget_flags_leaves_the_default_to_the_oracle(k2_file, monkeypatch):
     budgets = []
     real = cli.exact_chi_total

@@ -290,7 +290,13 @@ def test_total_colouring_rejects_a_negative_edge_colour():
 
 
 def test_every_exported_name_resolves():
-    assert [name for name in totalcolour.__all__ if not hasattr(totalcolour, name)] == []
+    # each name once, and each reached by a star import
+    names = totalcolour.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(totalcolour, name)] == []
+    namespace: dict = {}
+    exec("from totalcolour import *", namespace)
+    assert set(names) <= namespace.keys()
 
 
 def test_classify():

@@ -37,7 +37,7 @@ from conftest import random_bipartite, random_graph
 def test_crown_total_m3_matches_cyclic_derivation():
     crown = crown_total_colouring(3)
     # diagonal of the cyclic square: 2k mod 3
-    assert crown.vertex_permutation == (0, 2, 1)
+    assert crown.colouring.vertex_colours == [0, 2, 1] * 2
     g = crown_graph(3)
     rep = verify_total(g, crown.colouring)
     assert rep.valid and rep.colours_used == 3
@@ -55,10 +55,10 @@ def test_crown_total_properties(m):
     assert rep.valid
     assert rep.colours_used == m == g.max_degree + 1
     # h(x_k) = h(y_k), and k -> h(x_k) is a bijection onto 0..m-1
-    assert sorted(crown.vertex_permutation) == list(range(m))
+    x_colours = [crown.colouring.vertex_colour(k) for k in range(m)]
+    assert sorted(x_colours) == list(range(m))
     for k in range(m):
-        assert crown.colouring.vertex_colour(k) == crown.vertex_permutation[k]
-        assert crown.colouring.vertex_colour(m + k) == crown.vertex_permutation[k]
+        assert crown.colouring.vertex_colour(m + k) == x_colours[k]
 
 
 def test_crown_total_rejects_m2():
@@ -66,13 +66,20 @@ def test_crown_total_rejects_m2():
         crown_total_colouring(2)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 32])
+# n = 1: K_1 x K_2 is edgeless, so one colour is max degree + 1
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 6, 7, 32])
 def test_kn_k2_total_colouring(n):
     prod, _ = direct_product(complete_graph(n), complete_graph(2))
     tc = kn_k2_total_colouring(n)
     rep = verify_total(prod, tc)
     assert rep.valid
     assert rep.colours_used == n == prod.max_degree + 1
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_kn_k2_total_colouring_refuses_n0_and_n2(n):
+    with pytest.raises(DomainError):
+        kn_k2_total_colouring(n)
 
 
 # ---------------------------------------------------------------- lift
@@ -406,7 +413,8 @@ def _assert_crown_lift(tc, b, h, classes, h_first):
     S the rainbow square of order b, vertex (v_k, w) takes S[k][k], and
     (v_s, x)(v_t, y) takes S[s][t] over class 0 and
     d(b-1) + 1 + ((t - s - 1) mod b) over class d >= 1."""
-    rows = rainbow_kmm(b)[0].rows
+    square = rainbow_kmm(b)
+    rows = [square[k * b : (k + 1) * b] for k in range(b)]
     g = complete_graph(b)
     _, pmap = direct_product(h, g) if h_first else direct_product(g, h)
 

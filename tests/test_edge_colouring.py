@@ -5,7 +5,6 @@ import pytest
 
 from totalcolour import (
     DomainError,
-    LatinSquare,
     NoRainbowError,
     NotBipartiteError,
     bipartite_delta_edge_colouring,
@@ -146,20 +145,11 @@ def test_one_factorization_rejects_odd():
         one_factorization(5)
 
 
-def test_latin_square_invariants_enforced():
-    with pytest.raises(DomainError):
-        LatinSquare(((0, 1), (0, 1)))
-    with pytest.raises(DomainError):
-        # cyclic square of order 2: constant diagonal
-        LatinSquare(((0, 1), (1, 0)))
-
-
 def test_rainbow_m3_is_the_cyclic_square():
-    square, ec, matching = rainbow_kmm(3)
-    assert square.rows == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    # diagonal symbols 2i mod 3: (0, 2, 1)
-    assert [square.symbol(i, i) for i in range(3)] == [0, 2, 1]
-    assert matching == {(0, 3), (1, 4), (2, 5)}
+    ec = rainbow_kmm(3)
+    assert ec == [0, 1, 2, 1, 2, 0, 2, 0, 1]
+    # diagonal symbols 2i mod 3: (0, 2, 1), at entries i * (m + 1)
+    assert ec[::4] == [0, 2, 1]
     assert verify_edge(complete_bipartite(3, 3), ec).valid
 
 
@@ -184,9 +174,8 @@ def test_rainbow_m2_error_justified_by_exhaustion():
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 24, 32, 64])
 def test_rainbow_properties(m):
-    square, ec, matching = rainbow_kmm(m)
-    assert square.order == m
-    assert len(square.transversal_symbols()) == m
+    ec = rainbow_kmm(m)
+    matching = {(i, m + i) for i in range(m)}
     kmm = complete_bipartite(m, m)
     assert len(ec) == len(kmm.edges)
     rep = verify_edge(kmm, ec)
@@ -198,15 +187,21 @@ def test_rainbow_properties(m):
 
 
 def test_rainbow_is_deterministic():
-    first = rainbow_kmm(6)[0].rows
-    assert rainbow_kmm(6)[0].rows == first
+    first = rainbow_kmm(6)
+    assert rainbow_kmm(6) == first
 
 
 def test_rainbow_closed_form_for_every_order_up_to_64():
-    # LatinSquare validates rows, columns and the rainbow diagonal itself.
+    # entry i * m + j colours x_i y_j: the list is a Latin square read row
+    # by row, and its main diagonal carries m distinct symbols
     for m in range(3, 65):
-        square, _, _ = rainbow_kmm(m)
-        assert square.order == m
+        ec = rainbow_kmm(m)
+        assert len(ec) == m * m
+        symbols = list(range(m))
+        for i in range(m):
+            assert sorted(ec[i * m : (i + 1) * m]) == symbols, (m, "row", i)
+            assert sorted(ec[i::m]) == symbols, (m, "column", i)
+        assert sorted(ec[:: m + 1]) == symbols, (m, "diagonal")
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 8])
