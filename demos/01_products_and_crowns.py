@@ -40,8 +40,8 @@ print(f"K4 x C6: {prod.n} vertices, {len(prod.edges)} edges")
 for i, j in [(0, 0), (3, 5)]:
     p = vmap.index(i, j)
     print(
-        f"  deg(({i},{j})) = {prod.degree(p)}"
-        f" = deg_G({i}) * deg_H({j}) = {g.degree(i)} * {h.degree(j)}"
+        f"  deg(({i},{j})) = {prod.degrees[p]}"
+        f" = deg_G({i}) * deg_H({j}) = {g.degrees[i]} * {h.degrees[j]}"
     )
 print(f"  max degree {prod.max_degree} = {g.max_degree} * {h.max_degree}")
 

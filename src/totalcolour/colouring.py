@@ -1,14 +1,14 @@
 """Total and edge colourings, the properness verifiers, and type classification.
 
-A total colouring is two flat lists: ``vertex_colours`` indexed by vertex,
-and ``edge_colours`` aligned with ``edges``, the sorted tuple of canonical
-``(u, v)`` pairs it colours, so checking that it covers a graph is one tuple
-comparison with ``Graph.edges``, the same kind of tuple, or an identity test
-when it shares that tuple.  An edge colouring
-is a list of colours aligned with its graph's ``edges``, which is what the
-edge-colouring primitives return.  Both verifiers share one edge-conflict
-routine, and a report lists each conflict as two elements, ``("v", i)`` or
-``("e", u, v)``, and the colour they share.
+A total colouring is read only as two flat lists: ``vertex_colours[i]``
+colours vertex i and ``edge_colours[i]`` colours ``edges[i]``, the sorted
+tuple of canonical ``(u, v)`` pairs, so checking that it covers a graph is
+one tuple comparison with ``Graph.edges``, or an identity test when it
+shares that tuple.  An edge colouring is a list of colours aligned with its
+graph's ``edges``, as the edge-colouring primitives return.  Both verifiers
+share one edge-conflict routine over ``Graph.incidence()``, and a report
+lists each conflict as two elements, ``("v", i)`` or ``("e", u, v)``, and
+the colour they share.
 
 Colours are 0-based non-negative integers.  Palettes need not be contiguous;
 ``colours_used`` always counts distinct values and :func:`normalize_total`
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -29,7 +28,7 @@ from .errors import (
     IncompleteColouringError,
     OutOfConjectureRangeError,
 )
-from .graph_core import Element, Graph, Pair, canonical_pair
+from .graph_core import Element, Graph, Pair
 
 
 @dataclass(frozen=True)
@@ -69,16 +68,6 @@ class TotalColouring:
             fixed[pair] = c
         edges = tuple(sorted(fixed))
         return cls(list(vertex_colours), edges, list(map(fixed.__getitem__, edges)))
-
-    @cached_property
-    def _edge_ids(self) -> dict[Pair, int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
-    def vertex_colour(self, i: int) -> int:
-        return self.vertex_colours[i]
-
-    def edge_colour(self, u: int, v: int) -> int:
-        return self.edge_colours[self._edge_ids[canonical_pair(u, v)]]
 
     @property
     def colours(self) -> frozenset[int]:
@@ -128,29 +117,25 @@ def _reject_negative(edges: Sequence[Pair], colours: Sequence[int]) -> None:
 
 
 def _edge_conflicts(
-    n: int, edges: Sequence[Pair], colours: Sequence[int]
+    g: Graph, colours: Sequence[int]
 ) -> list[tuple[Element, Element, int]]:
-    """Every pair of equal-coloured edges that share an endpoint.
+    """Every pair of equal-coloured edges of g that share an endpoint.
 
-    ``colours[i]`` colours ``edges[i]``, and the edges are sorted.  Incident
-    edge ids are bucketed by colour at each vertex, so only the conflicting
-    pairs are ever formed.  Two distinct edges of a simple graph share at most
-    one endpoint, so each pair is reported exactly once: by shared vertex, then
+    ``colours[i]`` colours ``g.edges[i]``.  The edge ids of ``g.incidence()``
+    are bucketed by colour at each vertex, so only the conflicting pairs are
+    ever formed.  Two distinct edges of a simple graph share at most one
+    endpoint, so each pair is reported exactly once: by shared vertex, then
     by its (i, j) edge ids, which is its order in that vertex's incidence list.
     Each edge's ``("e", u, v)`` element is built once, at the first conflict,
     and shared by every pair it is in.
     """
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edges):
-        incident[u].append(i)
-        incident[v].append(i)
     violations: list[tuple[Element, Element, int]] = []
     elements: list[Element] = []
-    for ids in incident:
+    for ids in g.incidence():
         if len(set(map(colours.__getitem__, ids))) == len(ids):
             continue
         if not elements:
-            elements = [("e", u, v) for u, v in edges]
+            elements = [("e", u, v) for u, v in g.edges]
         buckets: dict[int, list[int]] = {}
         for i in ids:
             buckets.setdefault(colours[i], []).append(i)
@@ -172,7 +157,7 @@ def verify_total(g: Graph, tc: TotalColouring) -> VerificationReport:
     violations: list[tuple[Element, Element, int]] = [
         (("v", u), ("v", v), vc[u]) for u, v in edges if vc[u] == vc[v]
     ]
-    violations += _edge_conflicts(g.n, edges, ec)
+    violations += _edge_conflicts(g, ec)
     for (u, v), c in zip(edges, ec):
         if vc[u] == c or vc[v] == c:
             violations += [(("v", w), ("e", u, v), c) for w in (u, v) if vc[w] == c]
@@ -190,7 +175,7 @@ def verify_edge(g: Graph, colours: Sequence[int]) -> VerificationReport:
             f"edge colouring has {len(colours)} colours for {len(g.edges)} edges"
         )
     _reject_negative(g.edges, colours)
-    violations = _edge_conflicts(g.n, g.edges, colours)
+    violations = _edge_conflicts(g, colours)
     return VerificationReport(not violations, violations, len(set(colours)))
 
 

@@ -27,11 +27,7 @@ def find_bipartition(g: Graph) -> list[bool]:
 
     Raises NotBipartiteError if some component contains an odd cycle.
     """
-    nbrs: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:  # sorted edges fill each list in ascending order
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    side = [-1] * g.n
+    nbrs, side = g.adjacency, [-1] * g.n
     for start in range(g.n):
         if side[start] != -1:
             continue

@@ -43,12 +43,22 @@ class Graph:
         return frozenset(self.edges)
 
     @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours, ascending, as sorted edges list them."""
+        adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return tuple(frozenset(a) for a in adj)
+            adj[u].append(v)
+            adj[v].append(u)
+        return tuple(map(tuple, adj))
+
+    def incidence(self) -> list[list[int]]:
+        """Each vertex's edge ids (indices into ``edges``), ascending; built
+        on each call, so the lists live only as long as the caller's use."""
+        at: list[list[int]] = [[] for _ in range(self.n)]
+        for i, (u, v) in enumerate(self.edges):
+            at[u].append(i)
+            at[v].append(i)
+        return at
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -61,9 +71,6 @@ class Graph:
     @property
     def max_degree(self) -> int:
         return max(self.degrees, default=0)
-
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return canonical_pair(u, v) in self._edge_set

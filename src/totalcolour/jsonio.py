@@ -14,6 +14,7 @@ Schemas (all canonical, so serialize-parse round-trips are identity):
 from __future__ import annotations
 
 import json
+from collections import Counter
 from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -46,8 +47,8 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     json keeps the last value and says nothing."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        keys = [key for key, _ in pairs]
-        repeated = next(key for key in keys if keys.count(key) > 1)
+        counts = Counter(key for key, _ in pairs)
+        repeated = next(key for key, _ in pairs if counts[key] > 1)
         raise ValueError(f"repeated key {repeated!r}")
     return obj
 
@@ -261,7 +262,7 @@ def to_dot(g: Graph, tc: TotalColouring | None = None) -> str:
         # a DOT quoted string ends at an unescaped '"'
         label = g.label(i).replace("\\", "\\\\").replace('"', '\\"')
         if tc is not None:
-            fill, clabel = _dot_colour(tc.vertex_colour(i))
+            fill, clabel = _dot_colour(tc.vertex_colours[i])
             lines.append(f'  {i} [label="{label}\\n{clabel}", fillcolor="{fill}"];')
         else:
             lines.append(f'  {i} [label="{label}", fillcolor="#dddddd"];')

@@ -239,7 +239,6 @@ def _relabelled_total(g: Graph) -> tuple[list[int], list[int], list[list[int]]]:
         pos[x] = i
     adj = [0] * len(order)
     nbrs: list[list[int]] = [[] for _ in order]
-    at: list[list[int]] = [[] for _ in range(n)]  # at[w]: the edges at w
     for (u, v), e in zip(g.edges, pos[n:]):
         pu, pv = pos[u], pos[v]
         adj[pu] |= 1 << pv
@@ -248,9 +247,9 @@ def _relabelled_total(g: Graph) -> tuple[list[int], list[int], list[list[int]]]:
         nbrs[pu].append(pv)
         nbrs[pv].append(pu)
         nbrs[e] += (pu, pv)
-        at[u].append(e)
-        at[v].append(e)
-    for w, edges in enumerate(at):  # w meets its edges, and they meet each other
+    # w meets its edges, and they meet each other
+    for w, ids in enumerate(g.incidence()):
+        edges = [pos[n + i] for i in ids]
         star = sum(1 << e for e in edges)
         adj[pos[w]] |= star
         nbrs[pos[w]] += edges
@@ -590,11 +589,7 @@ def _paths_and_cycles(g: Graph) -> list[int]:
     these, is χ''(g).  Returns the colouring of T(G) in element order:
     vertices, then ``g.edges``.
     """
-    n = g.n
-    at: list[list[int]] = [[] for _ in range(n)]  # at[v]: the edge ids at v
-    for i, (u, v) in enumerate(g.edges):
-        at[u].append(i)
-        at[v].append(i)
+    n, at = g.n, g.incidence()  # at[v]: the edge ids at v
     colours = [-1] * (n + len(g.edges))
     # paths first, each from an end, so the vertices left lie on cycles
     for s in [v for v in range(n) if len(at[v]) < 2] + list(range(n)):

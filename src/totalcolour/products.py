@@ -42,11 +42,10 @@ def direct_product(g: Graph, h: Graph) -> tuple[Graph, ProductVertexMap]:
     # vertex (i, j) is i * |V(H)| + j, so its edges to larger vertices go to
     # (i2, j2) with i2 > i, and walking i2 then j2 upwards emits them sorted;
     # simple factors give no loop or repeat, so no make_graph re-check
-    h_runs = [sorted(a) for a in h.adjacency]
     edges: list[Pair] = []
     for i, g_here in enumerate(g.adjacency):
-        rows = sorted(i2 * h.n for i2 in g_here if i2 > i)
-        for p, run in enumerate(h_runs, i * h.n):
+        rows = [i2 * h.n for i2 in g_here if i2 > i]
+        for p, run in enumerate(h.adjacency, i * h.n):
             for row in rows:
                 edges += [(p, row + j2) for j2 in run]
     labels = tuple(

@@ -181,7 +181,7 @@ def test_criterion_6_bipartite_edge_colouring_exactness():
             assert set(ec) == set(range(delta))
             colour = dict(zip(h.edges, ec))
             for v in range(h.n):
-                if h.degree(v) == delta:
+                if h.degrees[v] == delta:
                     assert sorted(
                         colour[min(v, w), max(v, w)] for w in h.adjacency[v]
                     ) == list(range(delta))

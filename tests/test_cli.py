@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from totalcolour import (
     complete_graph,
@@ -570,3 +572,84 @@ def test_decode_errors_follow_list_order(tmp_path, capsys, graph, edge_colours, 
     for paths in ([bundle], [graph_path, colouring_path]):
         assert main(["verify", *map(str, paths)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# ------------------------------------------------------------ exit-code fuzz
+
+_KEYS = ["n", "edges", "labels", "vertex_colours", "edge_colours", "graph", "colouring", "report"]
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _graph_docs(draw):
+    """{"n", "edges", "labels"?}: a valid graph half the time, else one whose
+    n, endpoints and labels may each be off by one."""
+    slack = 0 if draw(st.booleans()) else 1
+    n = draw(st.integers(1 - 2 * slack, 6))
+    ends = st.integers(-slack, n - 1 + slack) if n + slack else st.just(0)
+    pairs = st.lists(ends, min_size=2, max_size=2).filter(lambda e: slack or e[0] != e[1])
+    doc = {"n": n, "edges": draw(st.lists(pairs, max_size=8))}
+    if draw(st.booleans()):
+        doc["labels"] = draw(
+            st.lists(st.text(max_size=2), min_size=max(n - slack, 0), max_size=n + slack)
+        )
+    return doc
+
+
+@st.composite
+def _colouring_docs(draw, graph=None):
+    """Colours for ``graph``'s listed elements, or a colouring of no graph."""
+    colours = st.integers(-1 if draw(st.booleans()) else 0, 5)
+    if graph is not None and draw(st.booleans()):
+        count = max(graph["n"], 0)
+        vertex_colours = draw(st.lists(colours, min_size=count, max_size=count))
+        edge_colours = [[u, v, draw(colours)] for u, v in graph["edges"]]
+    else:
+        vertex_colours = draw(st.lists(colours, max_size=7))
+        triples = st.lists(st.integers(-1, 6), min_size=3, max_size=3)
+        edge_colours = draw(st.lists(triples, max_size=8))
+    return {"vertex_colours": vertex_colours, "edge_colours": edge_colours}
+
+
+@st.composite
+def _cli_inputs(draw):
+    """A graph G, a colouring F of G, a graph H and a bundle B, each at
+    times replaced by an arbitrary JSON value."""
+    g = draw(_graph_docs())
+    f = draw(_colouring_docs(g) | _json_values)
+    h = draw(_graph_docs() | _json_values)
+    b_graph = draw(_graph_docs())
+    b = {"graph": b_graph, "colouring": draw(_colouring_docs(b_graph))}
+    if draw(st.booleans()):
+        b["report"] = draw(_json_values)
+    return [draw(st.just(g) | _json_values), f, h, draw(st.just(b) | _json_values)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cli_inputs())
+def test_cli_exit_codes_stay_in_0_to_5(tmp_path_factory, docs):
+    """Whatever the documents hold, every command ends in a library error
+    with its exit code, never in an internal error (exit 6)."""
+    work = tmp_path_factory.getbasetemp() / "cli-fuzz"
+    work.mkdir(exist_ok=True)
+    g, f, h, b = paths = [str(work / f"{name}.json") for name in "gfhb"]
+    for path, doc in zip(paths, docs):
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+    out = str(work / "out")
+    for argv in [
+        ["verify", b],
+        ["verify", g, f],
+        ["product", g, h, "-o", out],
+        ["chi", g, "--nodes", "300"],
+        ["export-dot", b, "-o", out],
+        ["colour", "lift", g, f, h, "-o", out],
+        ["colour", "kn-bipartite", "1", h, "-o", out],
+        ["colour", "kn-bipartite", "3", h, "-o", out],
+    ]:
+        assert 0 <= main(argv) <= 5, argv

@@ -34,15 +34,17 @@ from totalcolour import (
 from conftest import random_graph
 
 
-def colour_of(tc, el):
-    if el[0] == "v":
-        return tc.vertex_colour(el[1])
-    return tc.edge_colour(el[1], el[2])
+def element_colours(tc):
+    """Each element's colour, keyed by ``("v", i)`` or ``("e", u, v)``."""
+    colour = {("v", i): c for i, c in enumerate(tc.vertex_colours)}
+    colour.update((("e", u, v), c) for (u, v), c in zip(tc.edges, tc.edge_colours))
+    return colour
 
 
 def edge_part(g, tc):
     """The edge colouring that ``tc`` restricts to, aligned with g.edges."""
-    return [tc.edge_colour(u, v) for u, v in g.edges]
+    colour = dict(zip(tc.edges, tc.edge_colours))
+    return [colour[e] for e in g.edges]
 
 
 def with_colour(tc, el, c):
@@ -65,9 +67,9 @@ def elements_of(g):
 
 def naive_conflict_scan(g, tc):
     """Independent quadratic check used to validate the verifier itself."""
-    bad = []
+    bad, colour = [], element_colours(tc)
     for a, b in itertools.combinations(elements_of(g), 2):
-        if colour_of(tc, a) != colour_of(tc, b):
+        if colour[a] != colour[b]:
             continue
         if a[0] == b[0] == "v":
             conflict = g.has_edge(a[1], b[1])
@@ -100,10 +102,11 @@ def naive_ordered_report(g, tc):
     """
     vertices = [("v", i) for i in range(g.n)]
     edges = [("e", u, v) for u, v in g.edges]
+    colour = element_colours(tc)
 
     def clash(a, b):
-        c = colour_of(tc, a)
-        return [(a, b, c)] if c == colour_of(tc, b) and incidence_conflicts(g, a, b) else []
+        c = colour[a]
+        return [(a, b, c)] if c == colour[b] and incidence_conflicts(g, a, b) else []
 
     out = [x for a, b in itertools.combinations(vertices, 2) for x in clash(a, b)]
     for w in range(g.n):
@@ -164,7 +167,7 @@ def test_verify_total_matches_naive_scan_on_knm_output():
     assert verify_edge(g, edge_part(g, tc)).valid
     # restriction to vertices is proper
     for u, v in g.edges:
-        assert tc.vertex_colour(u) != tc.vertex_colour(v)
+        assert tc.vertex_colours[u] != tc.vertex_colours[v]
 
 
 def test_verify_total_reports_all_violation_kinds():
@@ -318,9 +321,8 @@ def test_classify_out_of_range_is_loud():
 def test_normalize_total_compacts_order_preserving():
     tc = TotalColouring.from_parts([5, 9], [(0, 1, 7)])
     norm = normalize_total(tc)
-    assert norm.vertex_colour(0) == 0
-    assert norm.edge_colour(0, 1) == 1
-    assert norm.vertex_colour(1) == 2
+    assert norm.vertex_colours == [0, 2]
+    assert norm.edges == ((0, 1),) and norm.edge_colours == [1]
     assert norm.palette_size == tc.palette_size == 3
 
 
@@ -372,7 +374,7 @@ def test_verifier_catches_planted_conflicts(rng):
             and _conflicts(g, victim, other)
         ]
         donor = rng.choice(neighbours)
-        mutated = with_colour(base, victim, colour_of(base, donor))
+        mutated = with_colour(base, victim, element_colours(base)[donor])
         rep = verify_total(g, mutated)
         assert not rep.valid
         assert any(victim in (a, b) for a, b, _ in rep.violations)

@@ -31,6 +31,12 @@ from totalcolour import (
 from conftest import random_bipartite, random_graph
 
 
+def edge_colour_of(tc):
+    """Look up an edge's colour in ``tc`` by its two ends, in either order."""
+    colour = dict(zip(tc.edges, tc.edge_colours))
+    return lambda u, v: colour[min(u, v), max(u, v)]
+
+
 # ---------------------------------------------------------------- crown
 
 
@@ -41,8 +47,8 @@ def test_crown_total_m3_matches_cyclic_derivation():
     g = crown_graph(3)
     rep = verify_total(g, crown.colouring)
     assert rep.valid and rep.colours_used == 3
-    x_colours = [crown.colouring.vertex_colour(k) for k in range(3)]
-    y_colours = [crown.colouring.vertex_colour(3 + k) for k in range(3)]
+    x_colours = crown.colouring.vertex_colours[:3]
+    y_colours = crown.colouring.vertex_colours[3:]
     assert sorted(x_colours) == [0, 1, 2]
     assert x_colours == y_colours
 
@@ -55,10 +61,10 @@ def test_crown_total_properties(m):
     assert rep.valid
     assert rep.colours_used == m == g.max_degree + 1
     # h(x_k) = h(y_k), and k -> h(x_k) is a bijection onto 0..m-1
-    x_colours = [crown.colouring.vertex_colour(k) for k in range(m)]
+    x_colours = crown.colouring.vertex_colours[:m]
     assert sorted(x_colours) == list(range(m))
     for k in range(m):
-        assert crown.colouring.vertex_colour(m + k) == x_colours[k]
+        assert crown.colouring.vertex_colours[m + k] == x_colours[k]
 
 
 def test_crown_total_rejects_m2():
@@ -124,8 +130,8 @@ def test_lift_vertex_colours_depend_only_on_the_part():
     tc = lift_bipartite(g, f, h)
     _, pmap = direct_product(g, h)
     for k in range(g.n):
-        left_cols = {tc.vertex_colour(pmap.index(k, x)) for x in range(h.n) if not right[x]}
-        right_cols = {tc.vertex_colour(pmap.index(k, y)) for y in range(h.n) if right[y]}
+        left_cols = {tc.vertex_colours[pmap.index(k, x)] for x in range(h.n) if not right[x]}
+        right_cols = {tc.vertex_colours[pmap.index(k, y)] for y in range(h.n) if right[y]}
         assert len(left_cols) == 1 and len(right_cols) == 1
 
 
@@ -174,7 +180,7 @@ def test_lift_rejects_improper_or_over_palette_f():
     g = complete_graph(3)
     f = kn_k2_total_colouring(3)
     # corrupt one edge colour: improper
-    bad = _recoloured(f, (0, 3), f.vertex_colour(0))
+    bad = _recoloured(f, (0, 3), f.vertex_colours[0])
     with pytest.raises(PreconditionError):
         lift_bipartite(g, bad, cycle_graph(6))
     # valid but uses max_degree + 2 colours
@@ -258,6 +264,7 @@ def test_lift_band_separation(g, f, h):
     right = find_bipartition(h)
     ec_h = bipartite_delta_edge_colouring(h)
     _, pmap = direct_product(g, h)
+    edge_colour = edge_colour_of(tc)
     dg = g.max_degree
     seen = 0
     for (w1, w2), d in zip(h.edges, ec_h):
@@ -265,7 +272,7 @@ def test_lift_band_separation(g, f, h):
         band = range(dg + 1) if d == 0 else range(d * dg + 1, (d + 1) * dg + 1)
         for a, b in g.edges:
             for s, t in ((a, b), (b, a)):
-                assert tc.edge_colour(pmap.index(s, wx), pmap.index(t, wy)) in band
+                assert edge_colour(pmap.index(s, wx), pmap.index(t, wy)) in band
                 seen += 1
     assert seen == len(tc.edges)
 
@@ -310,9 +317,10 @@ def test_knm_swap_is_a_transpose():
         # vertex (i, j) of K_n x K_m is (j, i) of K_m x K_n
         t = [pmap_t.index(*reversed(pmap.pair(p))) for p in range(prod.n)]
         for p in range(prod.n):
-            assert tc.vertex_colour(p) == swapped.vertex_colour(t[p])
-        for u, v in prod.edges:
-            assert tc.edge_colour(u, v) == swapped.edge_colour(t[u], t[v])
+            assert tc.vertex_colours[p] == swapped.vertex_colours[t[p]]
+        swapped_colour = edge_colour_of(swapped)
+        for (u, v), c in zip(tc.edges, tc.edge_colours):
+            assert c == swapped_colour(t[u], t[v])
 
 
 def test_knm_rejects_odd_odd_as_open_problem():
@@ -335,12 +343,13 @@ def test_knm_band_separation():
     tc = knm_total_colouring(n, m)
     l = one_factorization(n)
     _, pmap = direct_product(complete_graph(n), complete_graph(m))
+    edge_colour = edge_colour_of(tc)
     bands: dict[int, set[int]] = {}
     for (i, j), c in zip(complete_graph(n).edges, l):
         for k in range(m):
             for t in range(m):
                 if k != t:
-                    col = tc.edge_colour(pmap.index(i, k), pmap.index(j, t))
+                    col = edge_colour(pmap.index(i, k), pmap.index(j, t))
                     bands.setdefault(c, set()).add(col)
     assert bands[0] <= set(range(m))  # class 0 reuses the crown palette
     for c in range(1, n - 1):
@@ -423,14 +432,15 @@ def _assert_crown_lift(tc, b, h, classes, h_first):
 
     for k in range(b):
         for w in range(h.n):
-            assert tc.vertex_colour(index(k, w)) == rows[k][k]
+            assert tc.vertex_colours[index(k, w)] == rows[k][k]
+    edge_colour = edge_colour_of(tc)
     seen = 0
     for (x, y), d in classes:
         for s in range(b):
             for t in range(b):
                 if s != t:
                     want = d * (b - 1) + 1 + (t - s - 1) % b if d else rows[s][t]
-                    assert tc.edge_colour(index(s, x), index(t, y)) == want
+                    assert edge_colour(index(s, x), index(t, y)) == want
                     seen += 1
     assert seen == len(tc.edges)
 

@@ -81,7 +81,7 @@ def test_delta_exactness_random_sweep(rng):
         if delta:
             assert set(ec) == set(range(delta))
         for v in range(h.n):
-            if h.degree(v) == delta and delta > 0:
+            if h.degrees[v] == delta and delta > 0:
                 seen = sorted(
                     colour[min(v, w), max(v, w)] for w in h.adjacency[v]
                 )

@@ -83,7 +83,7 @@ def test_builders():
     assert len(path_graph(4).edges) == 3
     assert cycle_graph(6).degrees == (2,) * 6
     s = star_graph(5)
-    assert s.degree(0) == 5 and s.n == 6
+    assert s.degrees[0] == 5 and s.n == 6
     k33 = complete_bipartite(3, 3)
     assert len(k33.edges) == 9 and k33.max_degree == 3
     assert edgeless_graph(4).max_degree == 0
@@ -143,6 +143,32 @@ def test_edges_are_one_sorted_canonical_tuple(case, rng):
         expected = (u, v) in edge_list or (v, u) in edge_list
         assert g.has_edge(u, v) == expected
         assert g.contains_element(("e", u, v)) == (expected and u < v)
+
+
+@given(st.integers(0, 9), st.floats(0, 1), st.randoms(use_true_random=False))
+def test_adjacency_and_incidence_match_a_scan_of_the_edges(n, p, rng):
+    """Each vertex's neighbours and edge ids, from the edge list alone; low p
+    leaves isolated vertices, and n = 0 none at all."""
+    pairs = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+    g = make_graph(n, rng.sample(pairs, len(pairs)))
+    adjacency, incidence = g.adjacency, g.incidence()
+    assert type(adjacency) is tuple and len(adjacency) == len(incidence) == n
+    for v in range(n):
+        ids = [i for i, e in enumerate(g.edges) if v in e]
+        assert incidence[v] == ids
+        assert adjacency[v] == tuple(sorted(u + w - v for u, w in g.edges if v in (u, w)))
+    for run in [*adjacency, *incidence]:
+        assert all(a < b for a, b in zip(run, run[1:]))
+    for i, (u, v) in enumerate(g.edges):
+        assert i in incidence[u] and i in incidence[v]
+
+
+def test_adjacency_and_incidence_of_small_cases():
+    assert edgeless_graph(0).adjacency == () and edgeless_graph(0).incidence() == []
+    g = make_graph(5, [(3, 0), (2, 0), (0, 1)])  # vertex 4 is isolated
+    assert g.adjacency == ((1, 2, 3), (0,), (0,), (0,), ())
+    assert g.incidence() == [[0, 1, 2], [0], [1], [2], []]
+    assert g.incidence() is not g.incidence()  # built per call, not cached
 
 
 @given(small_graphs())

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -249,6 +250,25 @@ def test_load_json_failures(tmp_path, malformed_json_files):
     for bad in malformed_json_files:
         with pytest.raises(ParseError):
             jsonio.load_json(bad)
+
+
+def test_the_first_repeated_key_in_document_order_is_named(tmp_path):
+    path = tmp_path / "repeated.json"
+    path.write_text('{"a": 0, "b": 0, "b": 1, "a": 1}')
+    with pytest.raises(ParseError, match="repeated key 'a'$"):
+        jsonio.load_json(path)
+
+
+def test_repeated_key_check_is_linear(tmp_path):
+    # the last of 50,000 keys given again: counting each key's copies in
+    # turn would take a quadratic number of steps to reach it
+    keys = [f"k{i}" for i in range(50_000)]
+    path = tmp_path / "many.json"
+    path.write_text("{" + ",".join(f'"{k}": 0' for k in keys + keys[-1:]) + "}")
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="repeated key 'k49999'$"):
+        jsonio.load_json(path)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_save_json_is_compact_and_indented_bundles_still_load(tmp_path):

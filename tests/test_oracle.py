@@ -183,6 +183,19 @@ def test_k44_search_is_pinned():
     assert (completed, max(best) + 1, clock.nodes) == (True, 6, 2928)
 
 
+def test_branch_and_bound_stops_at_the_deadline():
+    # a deadline already past stops the search at its first read of the
+    # clock, on node 512, and hands back the colouring it started from
+    g = complete_bipartite(4, 4)
+    pos, adj, nbrs = _relabelled_total(g)
+    clique = [pos[v] for v in _clique(g)]
+    start = _tabucol(nbrs, _dsatur_greedy(adj), 6, _Clock(SearchBudget(max_nodes=150_000)))
+    assert start is not None and max(start) == 5
+    clock = _Clock(SearchBudget(max_seconds=1e-9))
+    completed, best = _branch_and_bound(adj, len(clique), start, clique, clock)
+    assert (completed, best, clock.nodes) == (False, start, 512)
+
+
 def test_long_cycle_needs_no_deep_recursion():
     # T(C_601) has 1202 vertices, deeper than Python's default recursion
     # limit.  The oracle answers a cycle in closed form, so the branch and

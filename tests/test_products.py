@@ -97,7 +97,7 @@ def test_degree_law(seed, gn, hn, gp, hp):
     prod, vmap = direct_product(g, h)
     for i in range(g.n):
         for j in range(h.n):
-            assert prod.degree(vmap.index(i, j)) == g.degree(i) * h.degree(j)
+            assert prod.degrees[vmap.index(i, j)] == g.degrees[i] * h.degrees[j]
     assert prod.max_degree == g.max_degree * h.max_degree
     assert len(prod.edges) == 2 * len(g.edges) * len(h.edges)
     labels = [f"({g.label(i)},{h.label(j)})" for i in range(g.n) for j in range(h.n)]
