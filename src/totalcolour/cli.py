@@ -4,6 +4,15 @@ Exit codes are stable: 0 ok, 1 invalid colouring, 2 parse/IO failure,
 3 precondition failure, 4 open problem (both complete factors odd),
 5 oracle timeout, 6 internal error (an exception that is not a library
 error; its type and message go to stderr).
+
+Importing this module loads only what every command runs: ``jsonio``,
+``colouring``, ``graph_core`` and ``errors``.  A handler reads the rest as an
+attribute of the package, which imports it on first use: ``colour`` loads
+``constructions``, ``products`` and ``edge_colouring``, ``chi`` loads
+``oracle`` and ``edge_colouring``, ``product`` loads ``products``, and
+``verify`` and ``export-dot`` load nothing more.  With no bytecode cache,
+``import totalcolour.cli`` takes about 60 % of the time that importing every
+submodule takes (README, "Start-up").
 """
 
 from __future__ import annotations
@@ -16,14 +25,10 @@ import sys
 from pathlib import Path
 from typing import Any
 
+import totalcolour
+
 from . import jsonio
 from .colouring import verify_total
-from .constructions import (
-    kn_times_bipartite,
-    knm_total_colouring,
-    crown_total_colouring,
-    lift_bipartite,
-)
 from .errors import (
     IncompleteColouringError,
     OpenProblemError,
@@ -31,8 +36,6 @@ from .errors import (
     TotalColourError,
 )
 from .graph_core import Graph, complete_graph
-from .oracle import OracleStatus, SearchBudget, exact_chi_total
-from .products import crown_graph, direct_product
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -76,7 +79,7 @@ def cmd_product(args: argparse.Namespace) -> int:
     _check_output(args.output)
     g = jsonio.graph_from_obj(jsonio.load_json(args.g))
     h = jsonio.graph_from_obj(jsonio.load_json(args.h))
-    prod, _ = direct_product(g, h)
+    prod, _ = totalcolour.products.direct_product(g, h)
     stats = f"|V|={prod.n} |E|={len(prod.edges)} max_degree={prod.max_degree}"
     if args.format == "dot":
         _write_text(jsonio.to_dot(prod), args.output)
@@ -87,26 +90,27 @@ def cmd_product(args: argparse.Namespace) -> int:
 
 
 def _build_colouring(args: argparse.Namespace) -> tuple[Graph, Any, dict[str, Any]]:
+    constructions, products = totalcolour.constructions, totalcolour.products
     if args.kind == "knm":
-        tc = knm_total_colouring(args.n, args.m)
-        g, _ = direct_product(complete_graph(args.n), complete_graph(args.m))
+        tc = constructions.knm_total_colouring(args.n, args.m)
+        g, _ = products.direct_product(complete_graph(args.n), complete_graph(args.m))
         meta = {"construction": "knm", "params": [args.n, args.m]}
     elif args.kind == "crown":
-        crown = crown_total_colouring(args.m)
-        g = crown_graph(args.m)
+        crown = constructions.crown_total_colouring(args.m)
+        g = products.crown_graph(args.m)
         tc = crown.colouring
         meta = {"construction": "crown", "params": [args.m]}
     elif args.kind == "lift":
         base = jsonio.graph_from_obj(jsonio.load_json(args.g))
         f = jsonio.colouring_from_obj(jsonio.load_json(args.f))
         h = jsonio.graph_from_obj(jsonio.load_json(args.h))
-        tc = lift_bipartite(base, f, h)
-        g, _ = direct_product(base, h)
+        tc = constructions.lift_bipartite(base, f, h)
+        g, _ = products.direct_product(base, h)
         meta = {"construction": "lift", "params": [args.g, args.f, args.h]}
     else:  # kn-bipartite
         h = jsonio.graph_from_obj(jsonio.load_json(args.h))
-        tc = kn_times_bipartite(args.n, h)
-        g, _ = direct_product(complete_graph(args.n), h)
+        tc = constructions.kn_times_bipartite(args.n, h)
+        g, _ = products.direct_product(complete_graph(args.n), h)
         meta = {"construction": "kn-bipartite", "params": [args.n, args.h]}
     return g, tc, meta
 
@@ -149,17 +153,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_chi(args: argparse.Namespace) -> int:
+    oracle = totalcolour.oracle
     budget = None  # exact_chi_total applies its default
     if args.nodes is not None or args.seconds is not None:
-        budget = SearchBudget(max_nodes=args.nodes, max_seconds=args.seconds)
+        budget = oracle.SearchBudget(max_nodes=args.nodes, max_seconds=args.seconds)
     results = []  # printed after the loop: a bad file in a batch prints nothing
     for path in args.graphs:
         g = jsonio.graph_from_obj(jsonio.load_json(path))
-        results.append(jsonio.oracle_result_to_obj(g, exact_chi_total(g, budget)))
+        results.append(jsonio.oracle_result_to_obj(g, oracle.exact_chi_total(g, budget)))
     code = EXIT_OK
     for obj in results:
         print(json.dumps(obj))
-        if obj["status"] != OracleStatus.EXACT.value:
+        if obj["status"] != oracle.OracleStatus.EXACT.value:
             code = EXIT_TIMEOUT
     return code
 

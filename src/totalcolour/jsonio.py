@@ -16,13 +16,16 @@ from __future__ import annotations
 import json
 from collections import Counter
 from itertools import chain
-from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from .colouring import TotalColouring, VerificationReport, check_cover
 from .errors import ParseError, TotalColourError
 from .graph_core import Graph, Pair, make_graph
-from .oracle import OracleResult
+
+if TYPE_CHECKING:  # annotations only: decoding a bundle must not load the oracle
+    from pathlib import Path
+
+    from .oracle import OracleResult
 
 # Fill colours for DOT export; colour indices beyond the table wrap.
 DOT_PALETTE = (

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import totalcolour
 from totalcolour import (
     complete_graph,
     direct_product,
@@ -361,29 +362,73 @@ def test_repeated_keys_exit_2(argv, text, key, tmp_path, capsys):
 
 def test_chi_without_budget_flags_leaves_the_default_to_the_oracle(k2_file, monkeypatch):
     budgets = []
-    real = cli.exact_chi_total
+    real = totalcolour.oracle.exact_chi_total
 
     def spy(g, budget=None):
         budgets.append(budget)
         return real(g, budget)
 
-    monkeypatch.setattr(cli, "exact_chi_total", spy)
+    monkeypatch.setattr(totalcolour.oracle, "exact_chi_total", spy)
     assert main(["chi", k2_file, k2_file]) == 0
     assert budgets == [None, None]
     assert main(["chi", k2_file, "--nodes", "7"]) == 0
-    assert budgets[-1] == cli.SearchBudget(max_nodes=7)
+    assert budgets[-1] == totalcolour.SearchBudget(max_nodes=7)
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The package's modules, and any process-pool module, that a fresh
+    interpreter has loaded after running ``code``."""
+    report = (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('totalcolour', 'concurrent', 'multiprocessing'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code + report], capture_output=True, text=True, check=True
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# what every command runs: the CLI, the JSON layer and the verifier
+CLI_MODULES = [
+    "totalcolour",
+    "totalcolour.cli",
+    "totalcolour.colouring",
+    "totalcolour.errors",
+    "totalcolour.graph_core",
+    "totalcolour.jsonio",
+]
 
 
 def test_cli_import_starts_no_process_pool():
-    code = (
-        "import sys, totalcolour.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
-    assert proc.stdout.strip() == "[]"
+    assert _loaded_after("import totalcolour") == ["totalcolour"]
+    assert _loaded_after("import totalcolour.cli") == CLI_MODULES
+
+
+@pytest.mark.parametrize(
+    "argv, more",
+    [
+        (["colour", "knm", "4", "3", "-o", "{out}"],
+         ["constructions", "edge_colouring", "products"]),
+        (["verify", "{bundle}"], []),
+        (["verify", "{graph}", "{colouring}"], []),
+        (["export-dot", "{bundle}", "-o", "{out}"], []),
+        (["chi", "{k3}", "--nodes", "1000"], ["edge_colouring", "oracle"]),
+        (["product", "{k3}", "{k3}", "-o", "{out}"], ["products"]),
+    ],
+    ids=["colour", "verify-bundle", "verify-pair", "export-dot", "chi", "product"],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, more, k3_file, tmp_path):
+    paths = {name: tmp_path / f"{name}.json" for name in ("out", "bundle", "graph", "colouring")}
+    assert main(["colour", "knm", "4", "3", "-o", str(paths["bundle"])]) == 0
+    doc = jsonio.load_json(paths["bundle"])
+    jsonio.save_json(paths["graph"], doc["graph"])
+    jsonio.save_json(paths["colouring"], doc["colouring"])
+    paths["k3"] = k3_file
+    argv = [a.format(**paths) for a in argv]
+    code = f"from totalcolour.cli import main\nassert main({argv!r}) == 0"
+    expected = sorted(CLI_MODULES + [f"totalcolour.{m}" for m in more])
+    assert _loaded_after(code) == expected
 
 
 def test_colour_dot_format(tmp_path):
@@ -418,8 +463,13 @@ def test_unwritable_output_exits_2(argv, target, k2_file, tmp_path, capsys, monk
     assert main(["colour", "crown", "3", "-o", str(bundle)]) == 0
     capsys.readouterr()
     built = []  # the target is refused before any product is built
-    monkeypatch.setattr(cli, "knm_total_colouring", lambda *a: built.append(a))
-    monkeypatch.setattr(cli, "direct_product", lambda *a: built.append(a))
+
+    def build(*a):
+        built.append(a)
+
+    # the handlers read these from their modules when they run
+    monkeypatch.setattr(totalcolour.constructions, "knm_total_colouring", build)
+    monkeypatch.setattr(totalcolour.products, "direct_product", build)
     out = tmp_path / target
     argv = [a.format(k2=k2_file, bundle=bundle) for a in argv] + ["-o", str(out)]
     assert main(argv) == 2

@@ -1,5 +1,7 @@
 import itertools
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -292,14 +294,44 @@ def test_total_colouring_rejects_a_negative_edge_colour():
         TotalColouring([0, -1], ((0, 1),), [2])
 
 
+# the package surface: every public name, each resolved on first use
+EXPORTED = """
+    CertificationStatus CertificationVerdict CrownTotalColouring DomainError Element
+    Graph GraphConstructionError IncompleteColouringError NoRainbowError
+    NotBipartiteError OpenProblemError OracleResult OracleStatus
+    OutOfConjectureRangeError ParseError PreconditionError ProductVertexMap
+    SearchBudget TotalColourError TotalColouring TypeClass VerificationReport
+    bipartite_delta_edge_colouring certify_construction chi_total_bruteforce classify
+    colour_class complete_bipartite complete_graph crown_edge_colouring crown_graph
+    crown_total_colouring cycle_graph direct_product edgeless_graph exact_chi_total
+    find_bipartition incidence_conflicts kn_k2_total_colouring kn_times_bipartite
+    knm_total_colouring lift_bipartite make_graph normalize_total one_factorization
+    path_graph rainbow_kmm star_graph total_graph verify_edge verify_total
+""".split()
+SUBMODULES = [
+    "colouring", "constructions", "edge_colouring", "errors", "graph_core", "oracle",
+    "products",
+]
+
+
 def test_every_exported_name_resolves():
     # each name once, and each reached by a star import
     names = totalcolour.__all__
-    assert len(names) == len(set(names))
+    assert names == EXPORTED
     assert [name for name in names if not hasattr(totalcolour, name)] == []
+    assert set(names) <= set(dir(totalcolour))
     namespace: dict = {}
     exec("from totalcolour import *", namespace)
     assert set(names) <= namespace.keys()
+    with pytest.raises(AttributeError, match=r"^module 'totalcolour' has no attribute 'nope'$"):
+        totalcolour.nope
+    # each submodule is an attribute after a bare import, also in a fresh
+    # interpreter, where no other import has loaded it yet
+    code = "import totalcolour; print(*(getattr(totalcolour, m).__name__ for m in %r))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code % SUBMODULES], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split() == [f"totalcolour.{m}" for m in SUBMODULES]
 
 
 def test_classify():
