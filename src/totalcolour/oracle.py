@@ -65,11 +65,11 @@ Two certificates can close the gap between the bounds before the search:
 The DSATUR greedy and the search share one bit-parallel core.  T(G) is
 labelled by degree descending, then index, so the DSATUR choice is the
 lowest set bit of the most saturated vertices.  Per-colour masks
-``near[c]`` (the vertices adjacent to colour class c) and a bit-sliced
-saturation counter make colouring a vertex cost O(colours in use) big-int
-operations, with no loop over its neighbours.  The branch and bound keeps
-its frames on an explicit stack, so its depth (|T(G)|) is not limited by
-Python's recursion limit.
+``near[c]`` (the vertices adjacent to colour class c) and one bit-sliced
+saturation counter, updated in place, make a step's saturation update cost
+O(log colours in use) big-int operations, with no loop over the neighbours.
+The branch and bound keeps its frames, one mask each, on an explicit stack,
+so its depth (|T(G)|) is not limited by Python's recursion limit.
 
 ``chi_total_bruteforce`` is the deliberately dumber second oracle: plain
 enumeration of colourings directly over the elements, with the conflict
@@ -259,32 +259,31 @@ def _relabelled_total(g: Graph) -> tuple[list[int], list[int], list[list[int]]]:
     return pos, adj, nbrs
 
 
-def _pick(levels: list[int], uncoloured: int) -> int:
-    """The DSATUR vertex: lowest label among the most saturated."""
-    top = levels[-1] if levels else uncoloured
-    return (top & -top).bit_length() - 1
+def _count(sat: list[int], vertices: int, up: bool) -> None:
+    """Add one to (``up``) or take one from the saturation of ``vertices``.
 
-
-def _saturate(levels: list[int], raised: int, bit: int) -> list[int]:
-    """Saturation levels after colouring the vertex ``bit``.
-
-    ``levels[j]`` is the set of uncoloured vertices whose saturation (count
-    of distinct colours on their coloured neighbours) is above j; empty
-    levels are dropped.  ``raised`` holds the uncoloured vertices whose
-    saturation the new colour increases by one.  Returns a new list, so a
-    caller can undo by keeping the old one.
+    ``sat[i]`` is the set of vertices whose saturation (count of distinct
+    colours on their coloured neighbours) has bit i set; the carry, or the
+    borrow, ripples up the slices in place.  Only uncoloured vertices are
+    read, so a coloured vertex's count may go stale until it is uncoloured.
     """
-    keep = ~bit
-    out = []
-    below = raised
-    for level in levels:
-        out.append((level | below) & keep)
-        below &= level
-    if below:
-        out.append(below)
-    while out and not out[-1]:
-        out.pop()
-    return out
+    carry = vertices
+    for i, s in enumerate(sat):
+        if not carry:
+            return
+        sat[i] = s ^ carry
+        carry &= s if up else ~s
+    if carry:
+        sat.append(carry)
+
+
+def _pick(sat: list[int], uncoloured: int) -> int:
+    """The DSATUR choice: the lowest uncoloured vertex of top saturation."""
+    top = uncoloured
+    for s in reversed(sat):
+        if top & s:
+            top &= s
+    return (top & -top).bit_length() - 1
 
 
 def _dsatur_greedy(adj: list[int]) -> list[int]:
@@ -292,18 +291,17 @@ def _dsatur_greedy(adj: list[int]) -> list[int]:
     n = len(adj)
     colours = [-1] * n
     near: list[int] = []  # near[c]: vertices adjacent to colour class c
-    levels: list[int] = []
+    sat: list[int] = []
     uncoloured = (1 << n) - 1
     while uncoloured:
-        v = _pick(levels, uncoloured)
+        v = _pick(sat, uncoloured)
         c = 0
         while c < len(near) and near[c] >> v & 1:
             c += 1
         if c == len(near):
             near.append(0)
-        bit = 1 << v
-        uncoloured ^= bit
-        levels = _saturate(levels, adj[v] & uncoloured & ~near[c], bit)
+        uncoloured ^= 1 << v
+        _count(sat, adj[v] & uncoloured & ~near[c], True)
         near[c] |= adj[v]
         colours[v] = c
     return colours
@@ -406,11 +404,12 @@ def _branch_and_bound(
 
     The search runs on T(G) relabelled by :func:`_relabelled_total` (``clique`` and
     the colourings use the new labels too), with an explicit stack of frames
-    ``[v, colour tried, cmax, saved levels, saved near]`` instead of
-    recursion, so its depth is not bounded by Python's recursion limit.
+    ``[v, colour tried, cmax, saved near[c]]`` instead of recursion, so its
+    depth is not bounded by Python's recursion limit.
     ``near[c]`` is the set of vertices adjacent to colour class c;
     colouring v with c raises the saturation of exactly the uncoloured
-    neighbours of v outside ``near[c]``.
+    neighbours of v outside ``near[c]``.  Undo restores ``near[c]`` and
+    lowers that same set again, as every child has undone its own step.
     """
     best_assign = start[:]
     best = max(start) + 1
@@ -419,11 +418,11 @@ def _branch_and_bound(
 
     colours = [0] * len(adj)  # valid for every vertex once none is uncoloured
     near = [0] * best
-    levels: list[int] = []
+    sat: list[int] = []
     uncoloured = (1 << len(adj)) - 1
     for c, v in enumerate(clique):
         uncoloured ^= 1 << v
-        levels = _saturate(levels, adj[v] & uncoloured & ~near[c], 1 << v)
+        _count(sat, adj[v] & uncoloured & ~near[c], True)
         near[c] |= adj[v]
         colours[v] = c
 
@@ -431,15 +430,15 @@ def _branch_and_bound(
     stack: list[list] = []
     try:
         clock.tick()
-        stack.append([_pick(levels, uncoloured), -1, len(clique), None, 0])
+        stack.append([_pick(sat, uncoloured), -1, len(clique), 0])
         while stack:
             frame = stack[-1]
             v, c, cmax = frame[0], frame[1], frame[2]
             bit = 1 << v
             if c >= 0:  # undo the colour tried last
                 uncoloured |= bit
-                levels = frame[3]
-                near[c] = frame[4]
+                near[c] = frame[3]
+                _count(sat, adj[v] & uncoloured & ~near[c], False)
             # colour cmax opens a new class; a child's palette max(cmax, c + 1)
             # must stay below the best one found so far
             top = min(cmax, best - 2) if cmax < best else -1
@@ -449,9 +448,9 @@ def _branch_and_bound(
             if c > top:
                 stack.pop()
                 continue
-            frame[1], frame[3], frame[4] = c, levels, near[c]
+            frame[1], frame[3] = c, near[c]
             uncoloured ^= bit
-            levels = _saturate(levels, adj[v] & uncoloured & ~near[c], bit)
+            _count(sat, adj[v] & uncoloured & ~near[c], True)
             near[c] |= adj[v]
             colours[v] = c
             child_cmax = cmax if c < cmax else c + 1
@@ -462,7 +461,7 @@ def _branch_and_bound(
                     return True, best_assign
                 continue
             clock.tick()
-            stack.append([_pick(levels, uncoloured), -1, child_cmax, None, 0])
+            stack.append([_pick(sat, uncoloured), -1, child_cmax, 0])
     except _BudgetExhausted:
         return False, best_assign
     return True, best_assign

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -36,7 +37,9 @@ from totalcolour.oracle import (
     _clique,
     _Clock,
     _conformable,
+    _count,
     _dsatur_greedy,
+    _pick,
     _relabelled_total,
     _solve,
     _tabucol,
@@ -181,6 +184,72 @@ def test_k44_search_is_pinned():
     assert start is not None and max(start) == 5
     completed, best = _branch_and_bound(adj, len(clique), start, clique, clock)
     assert (completed, max(best) + 1, clock.nodes) == (True, 6, 2928)
+
+
+def test_k6xk3_search_is_pinned():
+    # the longest pinned trajectory: from the greedy colouring the branch
+    # and bound proves chi'' = 11 = Δ+1 on its own in 123,482 nodes
+    g = _knm(6, 3)
+    pos, adj, _ = _relabelled_total(g)
+    clique = [pos[v] for v in _clique(g)]
+    clock = _Clock(SearchBudget(max_nodes=150_000))
+    completed, best = _branch_and_bound(adj, len(clique), _dsatur_greedy(adj), clique, clock)
+    assert (completed, max(best) + 1, clock.nodes) == (True, 11, 123_482)
+
+
+def test_search_keeps_one_mask_per_frame():
+    # T(K8×K7) has 1,232 vertices and a frame keeps one 1,232-bit mask, so
+    # at 2,000 nodes the traced peak (0.41 MB) stays far below the 7.56 MB
+    # that a copy of every saturation level in each frame took
+    g = _knm(8, 7)
+    pos, adj, _ = _relabelled_total(g)
+    clique = [pos[v] for v in _clique(g)]
+    start = _dsatur_greedy(adj)
+    clock = _Clock(SearchBudget(max_nodes=2000))
+    tracemalloc.start()
+    try:
+        completed, _ = _branch_and_bound(adj, len(clique), start, clique, clock)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (completed, clock.nodes) == (False, 2001)
+    assert peak < 2_000_000
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_saturation_counter_matches_a_recount(seed):
+    # a random walk of the search's colour and undo steps: after each one,
+    # the count of every uncoloured u read from the slices is the number of
+    # classes u is adjacent to, and _pick is the lowest u of maximum count
+    r = random.Random(seed)
+    g = random_graph(r, p=r.random())
+    _, adj, _ = _relabelled_total(g)
+    n = len(adj)
+    near, sat, stack = [0] * n, [], []  # n classes always leave one free
+    uncoloured = (1 << n) - 1
+    for _ in range(4 * n):
+        if uncoloured and (not stack or r.random() < 0.6):
+            v = _pick(sat, uncoloured)
+            c = r.choice([c for c in range(n) if not near[c] >> v & 1])
+            stack.append((v, c, near[c]))
+            uncoloured ^= 1 << v
+            _count(sat, adj[v] & uncoloured & ~near[c], True)
+            near[c] |= adj[v]
+        else:
+            v, c, saved = stack.pop()
+            near[c] = saved
+            uncoloured |= 1 << v
+            _count(sat, adj[v] & uncoloured & ~near[c], False)
+        counts = {
+            u: sum((s >> u & 1) << i for i, s in enumerate(sat))
+            for u in range(n)
+            if uncoloured >> u & 1
+        }
+        assert counts == {u: sum(m >> u & 1 for m in near) for u in counts}
+        if counts:
+            top = max(counts.values())
+            assert _pick(sat, uncoloured) == min(u for u in counts if counts[u] == top)
 
 
 def test_branch_and_bound_stops_at_the_deadline():
