@@ -16,10 +16,10 @@ runs a DSATUR-ordered branch and bound on T(G).  A solve, in order:
 * probe: unless the counting certificate below has raised the lower bound,
   the branch and bound runs with a cap of ``_PROBE_NODES`` nodes per
   vertex of T(G), when that cap fits strictly inside the node budget left.
-  It settles most graphs that have no colouring with lb colours (K_4 plus
-  an isolated vertex) in less time than a local search takes to fail on
-  them.  A completed probe is exact; a cut one hands on the best colouring
-  it found.  Its nodes count in the result's ``nodes``;
+  A completed probe is exact; it settles some disconnected type-II graphs
+  that pass the certificate, such as K_4 plus an isolated vertex.  A cut
+  one hands on the best colouring it found, the only start from which the
+  local search reaches Δ+1 on K9×K3.  Its nodes count in ``nodes``;
 * local search: a seeded, move-capped TabuCol run (:func:`_tabucol`) for
   exactly lb colours from the best colouring so far; when it fails, one
   more run for lb colours from a seeded random colouring (the greedy start
@@ -61,6 +61,10 @@ Two certificates can close the gap between the bounds before the search:
   the certificate is asked).  :func:`_conformable` searches for such a
   colouring of G; when it proves there is none, the lower bound is Δ+2, no
   probe runs, and the local search that follows aims at Δ+2.
+
+Every search reads the solve's one clock: the branch and bound at each node
+(the wall clock every 512th), the local search before its set-up and each
+move, the counting certificate at each placement; T(G) and the greedy never.
 
 The DSATUR greedy and the search share one bit-parallel core.  T(G) is
 labelled by degree descending, then index, so the DSATUR choice is the
@@ -171,27 +175,20 @@ def total_graph(g: Graph) -> Graph:
     return make_graph(g.n + len(g.edges), t_edges, labels)
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 class _Clock:
     def __init__(self, budget: SearchBudget):
-        self.max_nodes = budget.max_nodes
-        self.deadline = (
-            None
-            if budget.max_seconds is None
-            else time.monotonic() + budget.max_seconds
-        )
+        self.max_nodes, seconds = budget.max_nodes, budget.max_seconds
+        self.deadline = None if seconds is None else time.monotonic() + seconds
         self.nodes = 0
 
-    def tick(self) -> None:
+    def tick(self) -> bool:
+        """Count a node; False past the node cap or, every 512th, the deadline."""
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise _BudgetExhausted
+            return False
         if self.deadline is not None and self.nodes % 512 == 0:
-            if time.monotonic() > self.deadline:
-                raise _BudgetExhausted
+            return time.monotonic() <= self.deadline
+        return True
 
     def exhausted(self) -> bool:
         if self.max_nodes is not None and self.nodes >= self.max_nodes:
@@ -328,8 +325,10 @@ def _tabucol(
     ``gamma[v*k + c]`` counts the neighbours of v coloured c, so a move
     updates the neighbours of one vertex, and the scan reads the conflicting
     vertices (a bit mask) in index order.  Returns None after ``_TABU_CAP``
-    moves or at the wall-clock deadline; ticks no nodes.
+    moves or once the clock, read before set-up and each move, is spent.
     """
+    if clock.exhausted():
+        return None
     n = len(nbrs)
     colours = [0] * n
     gamma = [0] * (n * k)
@@ -350,7 +349,7 @@ def _tabucol(
     rng = random.Random(_RNG_SEED)
     moves = 0
     while conflicting:
-        if moves == _TABU_CAP or (moves % 64 == 0 and clock.exhausted()):
+        if moves == _TABU_CAP or clock.exhausted():
             return None
         moves += 1
         best_delta, ties = n, []
@@ -427,47 +426,45 @@ def _branch_and_bound(
         colours[v] = c
 
     # lb >= len(clique) and best > lb, so the root is a live inner node
-    stack: list[list] = []
-    try:
-        clock.tick()
-        stack.append([_pick(sat, uncoloured), -1, len(clique), 0])
-        while stack:
-            frame = stack[-1]
-            v, c, cmax = frame[0], frame[1], frame[2]
-            bit = 1 << v
-            if c >= 0:  # undo the colour tried last
-                uncoloured |= bit
-                near[c] = frame[3]
-                _count(sat, adj[v] & uncoloured & ~near[c], False)
-            # colour cmax opens a new class; a child's palette max(cmax, c + 1)
-            # must stay below the best one found so far
-            top = min(cmax, best - 2) if cmax < best else -1
-            c += 1
-            while c <= top and near[c] >> v & 1:
-                c += 1
-            if c > top:
-                stack.pop()
-                continue
-            frame[1], frame[3] = c, near[c]
-            uncoloured ^= bit
-            _count(sat, adj[v] & uncoloured & ~near[c], True)
-            near[c] |= adj[v]
-            colours[v] = c
-            child_cmax = cmax if c < cmax else c + 1
-            if not uncoloured:
-                best = child_cmax
-                best_assign = colours[:]
-                if best == lb:
-                    return True, best_assign
-                continue
-            clock.tick()
-            stack.append([_pick(sat, uncoloured), -1, child_cmax, 0])
-    except _BudgetExhausted:
+    if not clock.tick():
         return False, best_assign
+    stack = [[_pick(sat, uncoloured), -1, len(clique), 0]]
+    while stack:
+        frame = stack[-1]
+        v, c, cmax = frame[0], frame[1], frame[2]
+        bit = 1 << v
+        if c >= 0:  # undo the colour tried last
+            uncoloured |= bit
+            near[c] = frame[3]
+            _count(sat, adj[v] & uncoloured & ~near[c], False)
+        # colour cmax opens a new class; a child's palette max(cmax, c + 1)
+        # must stay below the best one found so far
+        top = min(cmax, best - 2) if cmax < best else -1
+        c += 1
+        while c <= top and near[c] >> v & 1:
+            c += 1
+        if c > top:
+            stack.pop()
+            continue
+        frame[1], frame[3] = c, near[c]
+        uncoloured ^= bit
+        _count(sat, adj[v] & uncoloured & ~near[c], True)
+        near[c] |= adj[v]
+        colours[v] = c
+        child_cmax = cmax if c < cmax else c + 1
+        if not uncoloured:
+            best = child_cmax
+            best_assign = colours[:]
+            if best == lb:
+                return True, best_assign
+            continue
+        if not clock.tick():
+            return False, best_assign
+        stack.append([_pick(sat, uncoloured), -1, child_cmax, 0])
     return True, best_assign
 
 
-def _conformable(g: Graph) -> bool | None:
+def _conformable(g: Graph, clock: _Clock) -> bool | None:
     """Whether g has a vertex colouring that a (Δ+1)-total colouring induces.
 
     Searches for a (Δ+1)-vertex-colouring of g that meets the counting
@@ -490,7 +487,8 @@ def _conformable(g: Graph) -> bool | None:
     exceeds the side's deficiency.
 
     Returns False when no such colouring exists, which proves
-    chi''(g) >= Δ+2, and None when ``_PARITY_CAP`` placements run out first.
+    chi''(g) >= Δ+2, and None when ``_PARITY_CAP`` placements or ``clock``
+    (read at each placement) run out first: one started late proves nothing.
     """
     n, k = g.n, g.max_degree + 1
     masks = _adjacency_masks(g)
@@ -530,7 +528,7 @@ def _conformable(g: Graph) -> bool | None:
             d -= 1
             continue
         placements += 1
-        if placements > _PARITY_CAP:
+        if placements > _PARITY_CAP or clock.exhausted():
             return None
         saved[d], colour[d] = near[c], c
         near[c] |= masks[d]
@@ -649,11 +647,10 @@ def _solve(
             start[pos[v]] = c
     ub = max(start) + 1
     completed = False
-    if lb < ub and _conformable(g) is False:
+    if lb < ub and _conformable(g, clock) is False:
         lb += 1  # counting certificate: no (Δ+1)-total colouring
     elif lb < ub:
-        # probe: a short search settles most graphs with no (Δ+1)-colouring,
-        # where the local search would spend all its moves in vain
+        # probe: a short search may prove lb infeasible or improve the start
         cap = _PROBE_NODES * len(adj)
         full = clock.max_nodes
         if full is None or cap < full - clock.nodes:
@@ -690,7 +687,8 @@ def exact_chi_total(g: Graph, budget: SearchBudget | None = None) -> OracleResul
     (``max_nodes=0`` or ``max_seconds=0``) yields LowerBoundOnly, with the
     trivial bounds [Δ+1, |V|+|E|]; any other budget gets at least the
     greedy colouring's upper bound, and a graph with Δ <= 2 its exact value
-    in closed form, with 0 nodes.
+    in closed form, with 0 nodes.  The counting certificate reads the same
+    clock, so one that starts past a wall-clock deadline proves no Δ+2.
     """
     return _solve(g, budget, None)[0]
 

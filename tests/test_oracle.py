@@ -265,6 +265,36 @@ def test_branch_and_bound_stops_at_the_deadline():
     assert (completed, best, clock.nodes) == (False, start, 512)
 
 
+def test_local_search_reads_the_clock_before_its_set_up():
+    # T(K8×K7) has 1,232 vertices, so a run for Δ+1 = 43 colours builds two
+    # tables of 52,976 entries (861 KB traced) before its first move; with
+    # a clock spent before the run starts it returns None before either
+    clock = _Clock(SearchBudget(max_seconds=1e-9))
+    g = _knm(8, 7)
+    _, adj, nbrs = _relabelled_total(g)
+    start = _dsatur_greedy(adj)
+    assert clock.exhausted()
+    tracemalloc.start()
+    try:
+        found = _tabucol(nbrs, start, g.max_degree + 1, clock)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found is None
+    assert peak < 64_000
+
+
+def test_counting_search_reads_the_clock():
+    # the side counts prove K_{4,4} type II, but only a search that runs
+    # inside the budget can: a spent clock stops it at its first placement
+    g = complete_bipartite(4, 4)
+    spent = _Clock(SearchBudget(max_seconds=1e-9))
+    while not spent.exhausted():
+        pass
+    assert _conformable(g, spent) is None
+    assert _conformable(g, _no_deadline()) is False
+
+
 def test_long_cycle_needs_no_deep_recursion():
     # T(C_601) has 1202 vertices, deeper than Python's default recursion
     # limit.  The oracle answers a cycle in closed form, so the branch and
@@ -325,10 +355,12 @@ def test_cycles_in_closed_form():
         assert report.valid and report.colours_used == chi
 
 
-@pytest.mark.parametrize("n, m, chi", [(7, 3, 13), (5, 5, 17)])
+@pytest.mark.parametrize("n, m, chi", [(7, 3, 13), (5, 5, 17), (9, 3, 17), (5, 3, 9)])
 def test_odd_products_are_type_i(n, m, chi):
-    # both factors odd: no construction, but the local search restarted
-    # from a random colouring finds Δ+1 colours, so chi'' = Δ+1
+    # both factors odd: no construction, but the local search finds Δ+1
+    # colours, so chi'' = Δ+1.  No run from the greedy colouring does; on
+    # K5×K5 and K5×K3 only the random restart does, on K9×K3 only the run
+    # from the probe's cut colouring, and on K7×K3 both
     g = _knm(n, m)
     res, colours = _solve(g, SearchBudget(max_nodes=150_000), None)
     assert chi == g.max_degree + 1
@@ -643,7 +675,7 @@ def test_parity_certificate_proves_type_ii_closed_forms():
     cases += [(complete_bipartite(a, a), a + 2) for a in range(1, 11)]
     cases += [(cycle_graph(5), 4), (cycle_graph(8), 4)]
     for g, chi in cases:
-        assert _conformable(g) is False
+        assert _conformable(g, _no_deadline()) is False
         res = exact_chi_total(g, SearchBudget(max_nodes=150_000))
         assert (res.status, res.chi_total, res.nodes) == (OracleStatus.EXACT, chi, 0)
 
@@ -654,7 +686,7 @@ def test_parity_search_at_its_cap_gives_no_bound():
     # the clique bound stands, and the local search finds Δ+1 colours
     edges = [(i, 9 + j) for i in range(9) for j in range(9) if i != j or i >= 5]
     g = make_graph(18, edges)
-    assert _conformable(g) is None
+    assert _conformable(g, _no_deadline()) is None
     res = exact_chi_total(g, SearchBudget(max_nodes=50))
     assert (res.status.value, res.chi_total, res.nodes) == ("exact", 10, 0)
     # the parity search hit the cap on K_{9,9} itself; the side counts
@@ -670,7 +702,7 @@ def test_parity_refutation_is_sound(seed):
     n = r.randint(2, 8)
     pool = list(itertools.combinations(range(n), 2))
     g = make_graph(n, r.sample(pool, r.randint(1, min(len(pool), 14 - n))))
-    if _conformable(g) is False:
+    if _conformable(g, _no_deadline()) is False:
         assert chi_total_bruteforce(g, max_elements=14) >= g.max_degree + 2
 
 
@@ -681,7 +713,7 @@ def test_side_count_refutation_is_sound(seed):
     a, b = r.randint(1, 6), r.randint(1, 6)
     pool = [(i, a + j) for i in range(a) for j in range(b)]
     g = make_graph(a + b, r.sample(pool, r.randint(1, min(len(pool), 14 - a - b))))
-    if _conformable(g) is False:
+    if _conformable(g, _no_deadline()) is False:
         assert chi_total_bruteforce(g, max_elements=14) >= g.max_degree + 2
 
 
@@ -696,9 +728,9 @@ def test_side_counts_refute_what_parity_refutes(seed):
     with mock.patch.object(
         oracle, "find_bipartition", side_effect=NotBipartiteError("parity only")
     ):
-        parity = _conformable(g)
+        parity = _conformable(g, _no_deadline())
     if parity is False:
-        assert _conformable(g) is False
+        assert _conformable(g, _no_deadline()) is False
 
 
 def _independent_partitions(g, k):
@@ -753,7 +785,7 @@ def test_conformable_matches_enumeration(seed):
     else:
         g = random_graph(r, max_n=8, p=r.random())
     k = g.max_degree + 1
-    found = _conformable(g)
+    found = _conformable(g, _no_deadline())
     if found is not None:
         partitions = _independent_partitions(g, k)
         assert found == any(_meets_counts(g, cls, k) for cls in partitions)
