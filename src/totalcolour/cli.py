@@ -21,8 +21,8 @@ import argparse
 import functools
 import gc
 import json
+import os
 import sys
-from pathlib import Path
 from typing import Any
 
 import totalcolour
@@ -68,10 +68,10 @@ def _check_output(output: str | None) -> None:
     """
     if not output:
         return
-    target = Path(output)
-    if not target.parent.is_dir():
-        raise ParseError(f"cannot write {output}: {target.parent} is not a directory")
-    if target.is_dir():
+    parent = os.path.dirname(output) or "."
+    if not os.path.isdir(parent):
+        raise ParseError(f"cannot write {output}: {parent} is not a directory")
+    if os.path.isdir(output):
         raise ParseError(f"cannot write {output}: it is a directory")
 
 

@@ -17,7 +17,6 @@ compacts a palette when a contiguous one is wanted for output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -28,11 +27,10 @@ from .errors import (
     IncompleteColouringError,
     OutOfConjectureRangeError,
 )
-from .graph_core import Element, Graph, Pair
+from .graph_core import Element, Graph, Pair, Record
 
 
-@dataclass(frozen=True)
-class TotalColouring:
+class TotalColouring(Record):
     """One colour per vertex (listed by index) and per edge of a target graph.
 
     ``edge_colours[i]`` colours ``edges[i]``, and ``edges`` holds canonical
@@ -43,14 +41,18 @@ class TotalColouring:
     vertex_colours: list[int]
     edges: tuple[Pair, ...]
     edge_colours: list[int]
+    _fields = ("vertex_colours", "edges", "edge_colours")
 
-    def __post_init__(self) -> None:
-        if len(self.edge_colours) != len(self.edges):
+    def __init__(
+        self, vertex_colours: list[int], edges: tuple[Pair, ...], edge_colours: list[int]
+    ) -> None:
+        if len(edge_colours) != len(edges):
             raise DomainError("edge_colours and edges differ in length")
-        for i, c in enumerate(self.vertex_colours):
+        for i, c in enumerate(vertex_colours):
             if c < 0:
                 raise DomainError(f"negative colour {c} on vertex {i}")
-        _reject_negative(self.edges, self.edge_colours)
+        _reject_negative(edges, edge_colours)
+        self._init(vertex_colours, edges, edge_colours)
 
     @classmethod
     def from_parts(
@@ -78,11 +80,25 @@ class TotalColouring:
         return len(self.colours)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
+    """A verifier's verdict: each conflict as two elements and their colour.
+    Unlike the other records it is mutable, and so unhashable."""
+
     valid: bool
-    violations: list[tuple[Element, Element, int]] = field(default_factory=list)
-    colours_used: int = 0
+    violations: list[tuple[Element, Element, int]]
+    colours_used: int
+    _fields = ("valid", "violations", "colours_used")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        valid: bool,
+        violations: list[tuple[Element, Element, int]] | None = None,
+        colours_used: int = 0,
+    ) -> None:
+        self._init(valid, [] if violations is None else violations, colours_used)
 
 
 class TypeClass(Enum):

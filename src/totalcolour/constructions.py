@@ -16,9 +16,8 @@ the product's maximum degree:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .colouring import TotalColouring, normalize_total, verify_total
 from .edge_colouring import (
@@ -38,8 +37,7 @@ from .graph_core import Graph, Pair, complete_graph
 from .products import direct_product
 
 
-@dataclass(frozen=True)
-class CrownTotalColouring:
+class CrownTotalColouring(NamedTuple):
     """Total colouring of the crown graph on 2m vertices with palette 0..m-1.
 
     x_k and y_k share a colour, and k -> that colour is a bijection onto

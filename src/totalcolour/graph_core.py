@@ -7,12 +7,16 @@ pairs (min, max) in one sorted tuple.  Graphs are immutable once built.
 An element is a plain tuple: ``("v", i)`` for vertex i and ``("e", u, v)``
 with u < v for edge uv, which is what its JSON encoding ``["v", i]`` /
 ``["e", u, v]`` reads back as.
+
+:class:`Record` gives ``Graph`` and the package's other value types the
+equality, hash, repr and read-only fields of a frozen dataclass without
+importing ``dataclasses``, which loads ``inspect``, ``ast`` and ``dis`` and
+would slow every command's start-up.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator
@@ -29,14 +33,58 @@ def canonical_pair(u: int, v: int) -> Pair:
 Element = tuple[str, int] | tuple[str, int, int]
 
 
-@dataclass(frozen=True)
-class Graph:
+class Record:
+    """A value type whose fields, named in order in ``_fields``, are set once
+    by ``__init__`` through :meth:`_init`.
+
+    Two records are equal when they are of one class and their fields are
+    equal, a record hashes as the tuple of its fields (so one with a list
+    field raises TypeError), its repr is ``Name(field=value, ...)``, and
+    assigning or deleting an attribute raises AttributeError: what
+    ``@dataclass(frozen=True)`` generates.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(Record):
     """Simple undirected graph on vertices 0..n-1; ``edges`` holds its
     canonical pairs (u < v) in ascending order, without repeats."""
 
     n: int
     edges: tuple[Pair, ...]
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | None
+    _fields = ("n", "edges", "labels")
+
+    def __init__(
+        self, n: int, edges: tuple[Pair, ...], labels: tuple[str, ...] | None = None
+    ) -> None:
+        self._init(n, edges, labels)
 
     @cached_property
     def _edge_set(self) -> frozenset[Pair]:

@@ -90,13 +90,13 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .colouring import TotalColouring, normalize_total, verify_total
 from .edge_colouring import find_bipartition
 from .errors import DomainError, NotBipartiteError, PreconditionError
-from .graph_core import Graph, make_graph
+from .graph_core import Graph, Record, make_graph
 
 _RNG_SEED = 0x5EEDC01
 _PARITY_CAP = 2000  # placements of the counting search, which ticks no nodes
@@ -104,22 +104,23 @@ _TABU_CAP = 1000  # moves of one local-search run, which ticks no nodes
 _PROBE_NODES = 2  # node cap of the probe per vertex of T(G)
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(Record):
     """Limits for the exact search: at least one is set, and each is finite."""
 
-    max_nodes: int | None = None
-    max_seconds: float | None = None
+    max_nodes: int | None
+    max_seconds: float | None
+    _fields = ("max_nodes", "max_seconds")
 
-    def __post_init__(self) -> None:
-        if self.max_nodes is None and self.max_seconds is None:
+    def __init__(self, max_nodes: int | None = None, max_seconds: float | None = None) -> None:
+        if max_nodes is None and max_seconds is None:
             raise DomainError("search budget needs a node or wall-clock limit")
-        if self.max_nodes is not None and self.max_nodes < 0:
+        if max_nodes is not None and max_nodes < 0:
             raise DomainError("node limit must be non-negative")
-        if self.max_seconds is not None and self.max_seconds < 0:
+        if max_seconds is not None and max_seconds < 0:
             raise DomainError("wall-clock limit must be non-negative")
-        if self.max_seconds is not None and not math.isfinite(self.max_seconds):
-            raise DomainError(f"wall-clock limit must be finite, got {self.max_seconds}")
+        if max_seconds is not None and not math.isfinite(max_seconds):
+            raise DomainError(f"wall-clock limit must be finite, got {max_seconds}")
+        self._init(max_nodes, max_seconds)
 
 
 class OracleStatus(str, Enum):
@@ -128,8 +129,7 @@ class OracleStatus(str, Enum):
     LOWER_BOUND_ONLY = "lower_bound_only"
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     status: OracleStatus
     chi_total: int | None
     lower: int
@@ -143,8 +143,7 @@ class CertificationStatus(Enum):
     SUBOPTIMAL = "suboptimal"
 
 
-@dataclass(frozen=True)
-class CertificationVerdict:
+class CertificationVerdict(NamedTuple):
     status: CertificationStatus
     colours_used: int
     oracle: OracleResult

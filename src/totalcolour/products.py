@@ -7,18 +7,19 @@ first factor and j the second lives at index i * |V(H)| + j, so each fibre
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
-from .graph_core import Graph, Pair, make_graph
+from .graph_core import Graph, Pair, Record, make_graph
 
 
-@dataclass(frozen=True)
-class ProductVertexMap:
+class ProductVertexMap(Record):
     """Bijection between product vertex indices and factor-index pairs."""
 
     g_size: int
     h_size: int
+    _fields = ("g_size", "h_size")
+
+    def __init__(self, g_size: int, h_size: int) -> None:
+        self._init(g_size, h_size)
 
     def index(self, i: int, j: int) -> int:
         if not (0 <= i < self.g_size and 0 <= j < self.h_size):

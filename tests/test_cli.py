@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import subprocess
 import sys
 
@@ -376,15 +377,20 @@ def test_chi_without_budget_flags_leaves_the_default_to_the_oracle(k2_file, monk
 
 
 def _loaded_after(code: str) -> list[str]:
-    """The package's modules, and any process-pool module, that a fresh
-    interpreter has loaded after running ``code``."""
+    """The package's modules, any process-pool module, and ``dataclasses`` or
+    ``pathlib`` if loaded, in a fresh interpreter after running ``code``.
+
+    It runs with ``-S``, so that a module preloaded by a ``site`` ``.pth``
+    file does not show, and finds the package where this process did."""
     report = (
         "\nimport json, sys\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in "
-        "('totalcolour', 'concurrent', 'multiprocessing'))))"
+        "('totalcolour', 'concurrent', 'multiprocessing', 'dataclasses', 'pathlib'))))"
     )
+    home = os.path.dirname(os.path.dirname(totalcolour.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", code + report], capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", code + report],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": home},
     )
     return json.loads(proc.stdout.splitlines()[-1])
 
