@@ -13,18 +13,24 @@ runs a DSATUR-ordered branch and bound on T(G).  A solve, in order:
 * lower bound: ω(T(G)) = Δ+1, with a maximum clique of T(G) in closed
   form (:func:`_clique`);
 * upper bound: DSATUR greedy (:func:`_dsatur_greedy`);
-* probe: unless the counting certificate below has raised the lower bound,
-  the branch and bound runs with a cap of ``_PROBE_NODES`` nodes per
-  vertex of T(G), when that cap fits strictly inside the node budget left.
-  A completed probe is exact; it settles some disconnected type-II graphs
-  that pass the certificate, such as K_4 plus an isolated vertex.  A cut
-  one hands on the best colouring it found, the only start from which the
-  local search reaches Δ+1 on K9×K3.  Its nodes count in ``nodes``;
-* local search: a seeded, move-capped TabuCol run (:func:`_tabucol`) for
-  exactly lb colours from the best colouring so far; when it fails, one
-  more run for lb colours from a seeded random colouring (the greedy start
-  traps the search on K7×K3 and K5×K5); then one run for lb + 1 colours
-  when that would still improve the bound;
+* first local search: unless the counting certificate below has raised
+  the lower bound, a seeded, move-capped TabuCol run (:func:`_tabucol`)
+  for exactly lb colours from the best colouring so far (the greedy one,
+  or the seed when that is smaller).  When it finds them the solve ends
+  with no probe and no node: the greedy start settles K6×K3, K8×K7 and
+  K10×K5, where a run from the probe's cut colouring misses;
+* probe: only when that run misses, the branch and bound runs with a cap
+  of ``_PROBE_NODES`` nodes per vertex of T(G), when that cap fits
+  strictly inside the node budget left.  A completed probe is exact; it
+  settles some disconnected type-II graphs that pass the certificate, such
+  as K_4 plus an isolated vertex.  A cut one hands on the best colouring it
+  found: the probe's cut colouring is still the only start for K9×K3.  Its
+  nodes count in ``nodes``;
+* local search: a TabuCol run for exactly lb colours from the best
+  colouring so far, unless that start has already missed (no run is
+  repeated); when it fails, one more run for lb colours from a seeded
+  random colouring (the greedy start traps the search on K7×K3 and K5×K5);
+  then one run for lb + 1 colours when that would still improve the bound;
 * search: DSATUR branching with that clique pre-coloured, new colours
   restricted to (max used so far) + 1, and everything tie-broken on lowest
   index, so results are reproducible.
@@ -645,11 +651,14 @@ def _solve(
         for v, c in enumerate(seed):
             start[pos[v]] = c
     ub = max(start) + 1
-    completed = False
+    completed, missed = False, None
     if lb < ub and _conformable(g, clock) is False:
         lb += 1  # counting certificate: no (Δ+1)-total colouring
+    elif lb < ub and (found := _tabucol(nbrs, start, lb, clock)) is not None:
+        start, ub = found, lb
     elif lb < ub:
         # probe: a short search may prove lb infeasible or improve the start
+        missed = start
         cap = _PROBE_NODES * len(adj)
         full = clock.max_nodes
         if full is None or cap < full - clock.nodes:
@@ -660,7 +669,9 @@ def _solve(
     for k in (lb, lb + 1):  # one more colour only when the first runs fail
         if completed or k >= ub:
             break
-        found = _tabucol(nbrs, start, k, clock)
+        # a start the probe left as it was has already missed at lb
+        repeat = k == lb and start == missed
+        found = None if repeat else _tabucol(nbrs, start, k, clock)
         if found is None and k == lb:  # restart once, from a random colouring
             rng = random.Random(_RNG_SEED)
             found = _tabucol(nbrs, [rng.randrange(k) for _ in adj], k, clock)

@@ -145,23 +145,24 @@ def _knm(n, m):
 
 
 def test_deterministic_given_fixed_budget():
-    # (status, chi_total, lower, upper, nodes): a probe of 2|T(G)| nodes runs
-    # first; it settles K_{2,3}, and where it fails (its cap plus the tick
-    # that stops it) the local search closes the type-I gaps.  Paths and
+    # (status, chi_total, lower, upper, nodes): where no certificate settles
+    # the graph, a local-search run from the greedy colouring comes first.
+    # On K_{2,3}, K_{4,5}, K6×K3 and K5×K4 it finds Δ+1 colours, so the
+    # probe of 2|T(G)| nodes never runs and no node is counted.  Paths and
     # cycles are answered in closed form with no node, even on a budget far
     # too small for any search
     pinned = [
         (_knm(4, 3), 10_000, ("exact", 7, 7, 7, 0)),  # greedy palette Δ+1
-        (complete_bipartite(2, 3), 150_000, ("exact", 4, 4, 4, 12)),
-        (complete_bipartite(4, 5), 150_000, ("exact", 6, 6, 6, 59)),
+        (complete_bipartite(2, 3), 150_000, ("exact", 4, 4, 4, 0)),
+        (complete_bipartite(4, 5), 150_000, ("exact", 6, 6, 6, 0)),
         # type II, and the side-count certificate proves it with no search;
         # with 50 nodes for K_{8,8}, far too few for a search to prove Δ+2
         (complete_bipartite(4, 4), 150_000, ("exact", 6, 6, 6, 0)),
         (complete_bipartite(8, 8), 50, ("exact", 10, 10, 10, 0)),
         (cycle_graph(7), 5, ("exact", 4, 4, 4, 0)),
         (complete_graph(8), 20_000, ("exact", 9, 9, 9, 0)),  # parity certificate
-        (_knm(6, 3), 20_000, ("exact", 11, 11, 11, 217)),
-        (_knm(5, 4), 5_000, ("exact", 13, 13, 13, 281)),
+        (_knm(6, 3), 20_000, ("exact", 11, 11, 11, 0)),
+        (_knm(5, 4), 5_000, ("exact", 13, 13, 13, 0)),
         (cycle_graph(61), 150_000, ("exact", 4, 4, 4, 0)),
     ]
     for g, max_nodes, expected in pinned:
@@ -358,15 +359,67 @@ def test_cycles_in_closed_form():
 @pytest.mark.parametrize("n, m, chi", [(7, 3, 13), (5, 5, 17), (9, 3, 17), (5, 3, 9)])
 def test_odd_products_are_type_i(n, m, chi):
     # both factors odd: no construction, but the local search finds Δ+1
-    # colours, so chi'' = Δ+1.  No run from the greedy colouring does; on
-    # K5×K5 and K5×K3 only the random restart does, on K9×K3 only the run
-    # from the probe's cut colouring, and on K7×K3 both
+    # colours, so chi'' = Δ+1.  The first run, from the greedy colouring,
+    # misses on all four, so the probe runs.  Then on K5×K5 and K5×K3 only
+    # the random restart finds Δ+1 (the probe leaves the start as it was),
+    # on K9×K3 only the run from the probe's cut colouring, and on K7×K3 both
     g = _knm(n, m)
     res, colours = _solve(g, SearchBudget(max_nodes=150_000), None)
     assert chi == g.max_degree + 1
     assert (res.status, res.chi_total) == (OracleStatus.EXACT, chi)
     report = verify_total(g, _colouring_of(g, colours))
     assert report.valid and report.colours_used == chi
+
+
+@pytest.mark.parametrize("n, m, chi", [(8, 7, 43), (10, 5, 37)])
+def test_local_search_from_the_greedy_colouring_settles_type_i(n, m, chi):
+    # one even factor, so the construction gives Δ+1 colours.  The run from
+    # the greedy colouring finds them in 577 and 337 moves, before the
+    # probe; from the probe's cut colouring it would need 2,951 and 2,819,
+    # over the 1,000-move cap, and the branch and bound would not close the
+    # gap within 150,000 nodes
+    g = _knm(n, m)
+    res, colours = _solve(g, SearchBudget(max_nodes=150_000), None)
+    assert chi == g.max_degree + 1
+    assert res == (OracleStatus.EXACT, chi, chi, chi, 0)
+    report = verify_total(g, _colouring_of(g, colours))
+    assert report.valid and report.colours_used == chi
+
+
+@pytest.mark.parametrize(
+    "n, m, max_nodes, runs",
+    [
+        # the probe does not fit in one node, so the start it would cut
+        # never comes: the greedy start's miss is not run again
+        (7, 3, 1, [(13, "greedy", False), (13, "random", True)]),
+        (9, 3, 1, [(17, "greedy", False), (17, "random", False), (18, "greedy", True)]),
+        # the probe runs and hands on a new start
+        (7, 3, 150_000, [(13, "greedy", False), (13, "cut", True)]),
+        (9, 3, 150_000, [(17, "greedy", False), (17, "cut", True)]),
+        # the probe runs but leaves the greedy start as it was
+        (5, 3, 150_000, [(9, "greedy", False), (9, "random", True)]),
+    ],
+)
+def test_no_local_search_run_is_repeated(n, m, max_nodes, runs):
+    # (colours, start, found) of each run: the start is the greedy colouring,
+    # the seeded random one, or one the probe cut
+    g = _knm(n, m)
+    _, adj, _ = _relabelled_total(g)
+    greedy = tuple(_dsatur_greedy(adj))
+    calls = []
+
+    def record(nbrs, start, k, clock):
+        found = _tabucol(nbrs, start, k, clock)
+        calls.append((k, tuple(start), found is not None))
+        return found
+
+    with mock.patch.object(oracle, "_tabucol", wraps=record):
+        _solve(g, SearchBudget(max_nodes=max_nodes), None)
+    assert len({(k, start) for k, start, _ in calls}) == len(calls)
+    rng = random.Random(oracle._RNG_SEED)
+    random_start = tuple(rng.randrange(runs[0][0]) for _ in adj)
+    names = {greedy: "greedy", random_start: "random"}
+    assert [(k, names.get(start, "cut"), hit) for k, start, hit in calls] == runs
 
 
 def relabel(masks):
