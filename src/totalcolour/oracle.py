@@ -23,9 +23,10 @@ runs a DSATUR-ordered branch and bound on T(G).  A solve, in order:
   of ``_PROBE_NODES`` nodes per vertex of T(G), when that cap fits
   strictly inside the node budget left.  A completed probe is exact; it
   settles some disconnected type-II graphs that pass the certificate, such
-  as K_4 plus an isolated vertex.  A cut one hands on the best colouring it
-  found: the probe's cut colouring is still the only start for K9×K3.  Its
-  nodes count in ``nodes``;
+  as K_4 plus an isolated vertex, which therefore first pay for a run
+  that cannot succeed (all of its moves).  A cut one hands on the best
+  colouring it found: the probe's cut colouring is still the only start
+  for K9×K3.  Its nodes count in ``nodes``;
 * local search: a TabuCol run for exactly lb colours from the best
   colouring so far, unless that start has already missed (no run is
   repeated); when it fails, one more run for lb colours from a seeded

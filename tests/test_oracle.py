@@ -148,9 +148,11 @@ def test_deterministic_given_fixed_budget():
     # (status, chi_total, lower, upper, nodes): where no certificate settles
     # the graph, a local-search run from the greedy colouring comes first.
     # On K_{2,3}, K_{4,5}, K6×K3 and K5×K4 it finds Δ+1 colours, so the
-    # probe of 2|T(G)| nodes never runs and no node is counted.  Paths and
-    # cycles are answered in closed form with no node, even on a budget far
-    # too small for any search
+    # probe of 2|T(G)| nodes never runs and no node is counted.  On K_4 ∪ K_1
+    # (type II, and the certificate sees the whole graph) that run misses,
+    # and the probe then proves Δ+2 in 16 nodes.  Paths and cycles are
+    # answered in closed form with no node, even on a budget far too small
+    # for any search
     pinned = [
         (_knm(4, 3), 10_000, ("exact", 7, 7, 7, 0)),  # greedy palette Δ+1
         (complete_bipartite(2, 3), 150_000, ("exact", 4, 4, 4, 0)),
@@ -163,6 +165,7 @@ def test_deterministic_given_fixed_budget():
         (complete_graph(8), 20_000, ("exact", 9, 9, 9, 0)),  # parity certificate
         (_knm(6, 3), 20_000, ("exact", 11, 11, 11, 0)),
         (_knm(5, 4), 5_000, ("exact", 13, 13, 13, 0)),
+        (_k4_k1()[0], 150_000, ("exact", 5, 5, 5, 16)),
         (cycle_graph(61), 150_000, ("exact", 4, 4, 4, 0)),
     ]
     for g, max_nodes, expected in pinned:
