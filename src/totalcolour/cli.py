@@ -17,13 +17,13 @@ submodule takes (README, "Start-up").
 
 from __future__ import annotations
 
-import argparse
-import functools
 import gc
 import json
 import os
+import re
 import sys
-from typing import Any
+from types import SimpleNamespace
+from typing import Any, NoReturn
 
 import totalcolour
 
@@ -75,7 +75,7 @@ def _check_output(output: str | None) -> None:
         raise ParseError(f"cannot write {output}: it is a directory")
 
 
-def cmd_product(args: argparse.Namespace) -> int:
+def cmd_product(args: SimpleNamespace) -> int:
     _check_output(args.output)
     g = jsonio.graph_from_obj(jsonio.load_json(args.g))
     h = jsonio.graph_from_obj(jsonio.load_json(args.h))
@@ -89,7 +89,7 @@ def cmd_product(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_colouring(args: argparse.Namespace) -> tuple[Graph, Any, dict[str, Any]]:
+def _build_colouring(args: SimpleNamespace) -> tuple[Graph, Any, dict[str, Any]]:
     constructions, products = totalcolour.constructions, totalcolour.products
     if args.kind == "knm":
         tc = constructions.knm_total_colouring(args.n, args.m)
@@ -115,7 +115,7 @@ def _build_colouring(args: argparse.Namespace) -> tuple[Graph, Any, dict[str, An
     return g, tc, meta
 
 
-def cmd_colour(args: argparse.Namespace) -> int:
+def cmd_colour(args: SimpleNamespace) -> int:
     _check_output(args.output)
     g, tc, meta = _build_colouring(args)
     report = verify_total(g, tc)
@@ -134,7 +134,7 @@ def cmd_colour(args: argparse.Namespace) -> int:
     return EXIT_OK if report.valid else EXIT_INVALID
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     if len(args.paths) == 1:
         g, tc, _ = jsonio.bundle_from_obj(jsonio.load_json(args.paths[0]))
     elif len(args.paths) == 2:
@@ -152,7 +152,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_INVALID
 
 
-def cmd_chi(args: argparse.Namespace) -> int:
+def cmd_chi(args: SimpleNamespace) -> int:
     oracle = totalcolour.oracle
     budget = None  # exact_chi_total applies its default
     if args.nodes is not None or args.seconds is not None:
@@ -169,74 +169,279 @@ def cmd_chi(args: argparse.Namespace) -> int:
     return code
 
 
-def cmd_export_dot(args: argparse.Namespace) -> int:
+def cmd_export_dot(args: SimpleNamespace) -> int:
     _check_output(args.output)
     g, tc, _ = jsonio.bundle_from_obj(jsonio.load_json(args.bundle))
     _write_text(jsonio.to_dot(g, tc), args.output)
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="totalcolour",
-        description="Total colourings of direct product graphs.",
-        epilog=(
-            "exit codes: 0 ok, 1 invalid colouring, 2 parse failure, "
-            "3 precondition failure, 4 open problem, 5 oracle timeout, "
-            "6 internal error"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command table.  Each command, and each ``colour`` kind, is (help,
+# positionals, options), where a dict of sub-commands may stand in place of
+# the positionals.  A positional is (name, converter, help); a name ending in
+# "..." takes one or more values.  An option is (spellings, converter, help);
+# its attribute is its long spelling, and a tuple converter lists its choices,
+# the first being the default.  Every other option defaults to None.
+_OUTPUT = (("-o", "--output"), str, "write to this file, not to stdout")
+_FORMAT = (("--format",), ("json", "dot"), "output format (default: json)")
+_HELP = (("-h", "--help"), None, "show this help message and exit")
 
-    p = sub.add_parser("product", help="direct product of two graph files")
-    p.add_argument("g")
-    p.add_argument("h")
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--format", choices=["json", "dot"], default="json")
+COMMANDS: dict[str, Any] = {
+    "product": (
+        "direct product of two graph files",
+        [("g", str, "graph JSON for G"), ("h", str, "graph JSON for H")],
+        [_OUTPUT, _FORMAT],
+    ),
+    "colour": (
+        "run a construction and emit a certificate bundle",
+        {
+            "knm": (
+                "total colouring of K_n x K_m (n or m even)",
+                [("n", int, "order of the first factor"), ("m", int, "order of the second")],
+                [_OUTPUT, _FORMAT],
+            ),
+            "crown": (
+                "total colouring of the crown graph J_2m",
+                [("m", int, "vertices on each side")],
+                [_OUTPUT, _FORMAT],
+            ),
+            "lift": (
+                "lift a total colouring of G x K_2 to G x H (H bipartite)",
+                [
+                    ("g", str, "graph JSON for G"),
+                    ("f", str, "colouring JSON of the product G x K_2"),
+                    ("h", str, "graph JSON for bipartite H"),
+                ],
+                [_OUTPUT, _FORMAT],
+            ),
+            "kn-bipartite": (
+                "total colouring of K_n x H",
+                [("n", int, "order of K_n"), ("h", str, "graph JSON for bipartite H")],
+                [_OUTPUT, _FORMAT],
+            ),
+        },
+        [],
+    ),
+    "verify": (
+        "verify a colouring against its graph",
+        [("paths...", str, "bundle.json, or graph.json colouring.json")],
+        [],
+    ),
+    "chi": (
+        "exact total chromatic number (small graphs)",
+        [("graphs...", str, "graph JSON files")],
+        [(("--nodes",), int, "search node limit"), (("--seconds",), float, "wall-clock limit")],
+    ),
+    "export-dot": (
+        "render a certificate bundle as DOT",
+        [("bundle", str, "certificate bundle JSON")],
+        [_OUTPUT],
+    ),
+}
+_TOP = ("Total colourings of direct product graphs.", COMMANDS, [])
+_EPILOG = (
+    "exit codes: 0 ok, 1 invalid colouring, 2 parse failure, 3 precondition\n"
+    "failure, 4 open problem, 5 oracle timeout, 6 internal error"
+)
+# argparse's test for a token that is a value, never an option
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    c = sub.add_parser("colour", help="run a construction and emit a certificate bundle")
-    kinds = c.add_subparsers(dest="kind", required=True)
-    knm = kinds.add_parser("knm", help="total colouring of K_n x K_m (n or m even)")
-    knm.add_argument("n", type=int)
-    knm.add_argument("m", type=int)
-    crown = kinds.add_parser("crown", help="total colouring of the crown graph J_2m")
-    crown.add_argument("m", type=int)
-    lift = kinds.add_parser(
-        "lift", help="lift a total colouring of G x K_2 to G x H (H bipartite)"
-    )
-    lift.add_argument("g", help="graph JSON for G")
-    lift.add_argument("f", help="colouring JSON of the product G x K_2")
-    lift.add_argument("h", help="graph JSON for bipartite H")
-    knb = kinds.add_parser("kn-bipartite", help="total colouring of K_n x H")
-    knb.add_argument("n", type=int)
-    knb.add_argument("h", help="graph JSON for bipartite H")
-    for sp in (knm, crown, lift, knb):
-        sp.add_argument("-o", "--output", default=None)
-        sp.add_argument("--format", choices=["json", "dot"], default="json")
 
-    v = sub.add_parser("verify", help="verify a colouring against its graph")
-    v.add_argument("paths", nargs="+", help="bundle.json, or graph.json colouring.json")
+def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
+    """Read ``argv`` (default ``sys.argv[1:]``) against :data:`COMMANDS`.
 
-    x = sub.add_parser("chi", help="exact total chromatic number (small graphs)")
-    x.add_argument("graphs", nargs="+", help="graph JSON files")
-    x.add_argument("--nodes", type=int, default=None, help="search node limit")
-    x.add_argument("--seconds", type=float, default=None, help="wall-clock limit")
+    The language is argparse's: ``--name value``, ``--name=value``, a unique
+    prefix of a long option, ``-o value`` and ``-oVALUE``, negative numbers as
+    values and positionals, and ``--`` after the command to end its options.
+    ``-h``/``--help`` prints help to stdout and raises ``SystemExit(0)``; a
+    usage error prints the usage line and the error to stderr and raises
+    ``SystemExit(2)``.  One difference: positionals that an option splits, as
+    in ``chi a.json --nodes 5 b.json``, are read as if the option came last,
+    where argparse refuses them.
+    """
+    reader = _Reader(sys.argv[1:] if argv is None else argv)
+    ns = reader.ns
+    for dest in ("command", "kind"):  # the command, then the colour kind
+        choices = reader.spec[1]
+        if type(choices) is not dict:
+            break
+        arg = reader.positional()
+        if arg is None:
+            reader.fail(f"the following arguments are required: {dest}")
+        if arg not in choices:
+            names = ", ".join(map(repr, choices))
+            reader.fail(f"argument {dest}: invalid choice: {arg!r} (choose from {names})")
+        setattr(ns, dest, arg)
+        reader.enter(arg)
+    _, positionals, options = reader.spec
+    for flags, convert, _ in options:
+        setattr(ns, flags[-1][2:], convert[0] if type(convert) is tuple else None)
+    slots = [(name.rstrip("."), convert, name.endswith("...")) for name, convert, _ in positionals]
+    for name, _, many in slots:
+        if many:
+            setattr(ns, name, [])
+    slot, extras = 0, []
+    while (arg := reader.positional()) is not None:
+        if slot == len(slots):
+            extras.append(arg)
+            continue
+        name, convert, many = slots[slot]
+        value = reader.convert(name, convert, arg)
+        if many:
+            getattr(ns, name).append(value)
+        else:
+            setattr(ns, name, value)
+            slot += 1
+    missing = [name for name, _, many in slots[slot:] if not (many and getattr(ns, name))]
+    if missing:
+        reader.fail(f"the following arguments are required: {', '.join(missing)}")
+    if reader.unknown or extras:
+        reader.fail(f"unrecognized arguments: {' '.join(reader.unknown + extras)}")
+    return ns
 
-    d = sub.add_parser("export-dot", help="render a certificate bundle as DOT")
-    d.add_argument("bundle")
-    d.add_argument("-o", "--output", default=None)
 
-    return parser
+class _Reader:
+    """The argv of one parse, read left to right: the position in it, the
+    command read so far, and the options that no level knew."""
+
+    def __init__(self, args: list[str]) -> None:
+        self.args, self.i, self.ended = args, 0, False
+        self.ns, self.unknown = SimpleNamespace(), []
+        self.prog, self.spec = "totalcolour", _TOP
+        self.options = {"-h": _HELP, "--help": _HELP}
+
+    def enter(self, name: str) -> None:
+        """Read the rest as the command or colour kind ``name``."""
+        self.prog, self.spec = f"{self.prog} {name}", self.spec[1][name]
+        self.options = {s: option for option in (_HELP, *self.spec[2]) for s in option[0]}
+
+    def positional(self) -> str | None:
+        """The next positional, once every option before it is taken; None at the end."""
+        while self.i < len(self.args):
+            arg = self.args[self.i]
+            self.i += 1
+            # before a command, argparse reads "--" as the command's name
+            if self.ended or arg == "--" and type(self.spec[1]) is dict:
+                return arg
+            if arg == "--":
+                self.ended = True
+                continue
+            found = self.read(arg)
+            if found is None:
+                return arg
+            option, spelling, value = found
+            if option is None:
+                self.unknown.append(arg)
+            elif option is _HELP:
+                self.help(spelling, value)
+            else:
+                setattr(self.ns, option[0][-1][2:], self.value(option, value))
+        return None
+
+    def read(self, arg: str) -> tuple[Any, str, str | None] | None:
+        """argparse's reading of ``arg``: None for a positional, else the
+        option (None when none matches), its spelling and any value given
+        with it."""
+        options = self.options
+        if arg in options:
+            return options[arg], arg, None
+        if len(arg) < 2 or arg[0] != "-":
+            return None
+        name, eq, value = arg.partition("=")
+        if eq and name in options:
+            return options[name], name, value
+        if arg[1] == "-":  # a unique prefix of a long option
+            found = [s for s in options if s.startswith(name)]
+            given = value if eq else None
+        else:  # -oVALUE
+            found = [s for s in options if s == arg[:2]]
+            given = arg[2:]
+        if len(found) > 1:
+            self.fail(f"ambiguous option: {name} could match {', '.join(found)}")
+        if found:
+            return options[found[0]], found[0], given
+        if _NEGATIVE.match(arg) or " " in arg:
+            return None
+        return None, arg, None
+
+    def value(self, option: Any, given: str | None) -> Any:
+        """The option's value, converted: ``given`` or else the next token,
+        which may not be an option."""
+        flags, convert, _ = option
+        if given is None:
+            arg = self.args[self.i] if self.i < len(self.args) else None
+            if arg is None or arg == "--" or self.read(arg) is not None:
+                self.fail(f"argument {'/'.join(flags)}: expected one argument")
+            self.i += 1
+            given = arg
+        return self.convert("/".join(flags), convert, given)
+
+    def convert(self, name: str, convert: Any, arg: str) -> Any:
+        if type(convert) is tuple:
+            if arg not in convert:
+                names = ", ".join(map(repr, convert))
+                self.fail(f"argument {name}: invalid choice: {arg!r} (choose from {names})")
+            return arg
+        try:
+            return convert(arg)
+        except ValueError:
+            self.fail(f"argument {name}: invalid {convert.__name__} value: {arg!r}")
+
+    def help(self, spelling: str, given: str | None) -> NoReturn:
+        """Print help and exit 0.  As in argparse, ``-hX`` is ``-h`` and then
+        ``-X``; an option there must still get its value."""
+        while given is not None:
+            option = self.options.get("-" + given[:1])
+            if spelling[1] == "-" or option is None:
+                self.fail(f"argument -h/--help: ignored explicit argument {given!r}")
+            spelling, given = "-" + given[:1], given[1:] or None
+            if option is not _HELP:
+                self.value(option, given)
+                break
+        about, positionals, options = self.spec
+        rows = [(", ".join(_spelt(option)), option[2]) for option in (_HELP, *options)]
+        if type(positionals) is dict:
+            items = [(name, spec[0]) for name, spec in positionals.items()]
+        else:
+            items = [(name.rstrip("."), text) for name, _, text in positionals]
+        width = max(len(left) for left, _ in rows + items) + 2
+        lines = [self.usage(), "", about, "", "positional arguments:"]
+        lines += [f"  {left:<{width}}{text}" for left, text in items]
+        lines += ["", "options:"] + [f"  {left:<{width}}{text}" for left, text in rows]
+        if self.spec is _TOP:
+            lines += ["", _EPILOG]
+        print("\n".join(lines))
+        raise SystemExit(0)
+
+    def usage(self) -> str:
+        _, positionals, options = self.spec
+        words = [self.prog, "[-h]"] + [f"[{_spelt(option)[0]}]" for option in options]
+        if type(positionals) is dict:
+            words.append("{" + ",".join(positionals) + "} ...")
+        else:
+            for name, _, _ in positionals:
+                plain = name.rstrip(".")
+                words.append(name if plain == name else f"{plain} [{plain} ...]")
+        return "usage: " + " ".join(words)
+
+    def fail(self, message: str) -> NoReturn:
+        print(self.usage(), file=sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(2)
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()  # on first use, not at import
+def _spelt(option: Any) -> list[str]:
+    """Each spelling of an option with its value's placeholder."""
+    flags, convert, _ = option
+    if convert is None:
+        return list(flags)
+    meta = "{" + ",".join(convert) + "}" if type(convert) is tuple else flags[-1][2:].upper()
+    return [f"{s} {meta}" for s in flags]
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; may be called any number of times in one process."""
-    args = _parser().parse_args(argv)
+    args = parse_args(argv)
     # looked up on each call, so that a replaced cmd_* is the one that runs
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     # The cyclic GC is paused while the handler runs: it would rescan every

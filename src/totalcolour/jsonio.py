@@ -37,9 +37,13 @@ DOT_PALETTE = (
 
 
 def load_json(path: str | Path) -> Any:
+    """The JSON document in the file at ``path``, read as UTF-8 with no BOM.
+
+    The bytes are decoded explicitly: ``json.loads`` given bytes would also
+    take UTF-16, UTF-32 and a UTF-8 BOM."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+        with open(path, "rb") as fh:
+            return _decode(fh.read().decode("utf-8"))
     # ValueError covers bad UTF-8 and bad JSON; deep nesting is a RecursionError
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read JSON from {path}: {exc}")
@@ -54,6 +58,10 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
         repeated = next(key for key, _ in pairs if counts[key] > 1)
         raise ValueError(f"repeated key {repeated!r}")
     return obj
+
+
+# one decoder for every file: json.load with a hook builds a new one per call
+_decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
 
 
 def save_json(path: str | Path, obj: Any) -> None:

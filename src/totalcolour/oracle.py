@@ -71,7 +71,10 @@ Two certificates can close the gap between the bounds before the search:
 
 Every search reads the solve's one clock: the branch and bound at each node
 (the wall clock every 512th), the local search before its set-up and each
-move, the counting certificate at each placement; T(G) and the greedy never.
+move, the counting certificate at each placement, and the DSATUR greedy
+every ``_GREEDY_STEPS`` steps; the T(G) build never does.  A greedy that
+runs out of time leaves the seed, when there is one, as the upper bound,
+and otherwise the trivial bounds.
 
 The DSATUR greedy and the search share one bit-parallel core.  T(G) is
 labelled by degree descending, then index, so the DSATUR choice is the
@@ -109,6 +112,7 @@ _RNG_SEED = 0x5EEDC01
 _PARITY_CAP = 2000  # placements of the counting search, which ticks no nodes
 _TABU_CAP = 1000  # moves of one local-search run, which ticks no nodes
 _PROBE_NODES = 2  # node cap of the probe per vertex of T(G)
+_GREEDY_STEPS = 256  # steps of the DSATUR greedy between reads of the clock
 
 
 class SearchBudget(Record):
@@ -289,14 +293,17 @@ def _pick(sat: list[int], uncoloured: int) -> int:
     return (top & -top).bit_length() - 1
 
 
-def _dsatur_greedy(adj: list[int]) -> list[int]:
-    """DSATUR greedy colouring of a graph in :func:`_relabelled_total` order."""
+def _dsatur_greedy(adj: list[int], clock: _Clock) -> list[int] | None:
+    """DSATUR greedy colouring of a graph in :func:`_relabelled_total` order,
+    or None when the clock, read every ``_GREEDY_STEPS`` steps, is spent."""
     n = len(adj)
     colours = [-1] * n
     near: list[int] = []  # near[c]: vertices adjacent to colour class c
     sat: list[int] = []
     uncoloured = (1 << n) - 1
-    while uncoloured:
+    for step in range(1, n + 1):
+        if not step % _GREEDY_STEPS and clock.exhausted():
+            return None
         v = _pick(sat, uncoloured)
         c = 0
         while c < len(near) and near[c] >> v & 1:
@@ -631,11 +638,10 @@ def _solve(
 
     trivial_lower = g.max_degree + 1
     clock = _Clock(budget)
+    # what a budget spent before the first colouring of T(G) gives
+    spent = OracleResult(OracleStatus.LOWER_BOUND_ONLY, None, trivial_lower, g.element_count(), 0)
     if clock.exhausted():
-        result = OracleResult(
-            OracleStatus.LOWER_BOUND_ONLY, None, trivial_lower, g.element_count(), 0
-        )
-        return result, None
+        return spent, None
     if seed is not None and max(seed) + 1 == trivial_lower:
         k = trivial_lower
         return OracleResult(OracleStatus.EXACT, k, k, k, 0), seed
@@ -647,8 +653,11 @@ def _solve(
     pos, adj, nbrs = _relabelled_total(g)
     clique = [pos[v] for v in _clique(g)]
     lb = len(clique)
-    start = _dsatur_greedy(adj)
-    if seed is not None and max(seed) < max(start):
+    start = _dsatur_greedy(adj, clock)
+    if start is None and seed is None:
+        return spent, None
+    if seed is not None and (start is None or max(seed) < max(start)):
+        start = [0] * len(adj)
         for v, c in enumerate(seed):
             start[pos[v]] = c
     ub = max(start) + 1
@@ -694,11 +703,13 @@ def exact_chi_total(g: Graph, budget: SearchBudget | None = None) -> OracleResul
 
     Returns Exact when the lower and upper bounds meet (or the search space
     is exhausted), TimedOut with the best bounds otherwise.  The clock is
-    first read before T(G) is built, so only a budget already spent there
-    (``max_nodes=0`` or ``max_seconds=0``) yields LowerBoundOnly, with the
-    trivial bounds [Δ+1, |V|+|E|]; any other budget gets at least the
-    greedy colouring's upper bound, and a graph with Δ <= 2 its exact value
-    in closed form, with 0 nodes.  The counting certificate reads the same
+    first read before T(G) is built, and then by the DSATUR greedy, so a
+    budget spent before the greedy colouring is complete (``max_nodes=0``,
+    or a wall-clock limit that the T(G) build and the greedy outrun) yields
+    LowerBoundOnly, with the trivial bounds [Δ+1, |V|+|E|].  Any other
+    budget gets at least the greedy colouring's upper bound; a node budget
+    always does, since no node is counted before the greedy ends.  A graph
+    with Δ <= 2 gets its exact value in closed form, with 0 nodes.  The counting certificate reads the same
     clock, so one that starts past a wall-clock deadline proves no Δ+2.
     """
     return _solve(g, budget, None)[0]

@@ -38,6 +38,9 @@ def malformed_json_files(tmp_path):
         "bad.json": b"{not json",
         "utf16.json": b"\xff\xfe{\x00}\x00",  # not UTF-8
         "deep.json": b"[" * 100_000 + b"]" * 100_000,  # past the recursion limit
+        # json.loads(bytes) would take these two: UTF-16 with no BOM, and a BOM
+        "utf16-no-bom.json": '{"n": 2, "edges": [[0, 1]]}'.encode("utf-16-le"),
+        "utf8-bom.json": b'\xef\xbb\xbf{"n": 2, "edges": [[0, 1]]}',
     }
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)

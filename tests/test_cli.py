@@ -437,6 +437,22 @@ def test_each_command_loads_only_the_modules_it_runs(argv, more, k3_file, tmp_pa
     assert _loaded_after(code) == expected
 
 
+def test_chi_loads_neither_argparse_nor_gettext(k3_file):
+    # the command line is read from one table; argparse would load gettext,
+    # and building an argparse parser loads locale
+    code = (
+        "import sys\nfrom totalcolour.cli import main\n"
+        f"assert main({['chi', k3_file, '--nodes', '1000']!r}) == 0\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    )
+    home = os.path.dirname(os.path.dirname(totalcolour.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": home},
+    )
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_colour_dot_format(tmp_path):
     out = tmp_path / "crown.dot"
     assert main(["colour", "crown", "3", "--format", "dot", "-o", str(out)]) == 0
@@ -486,9 +502,9 @@ def test_unwritable_output_exits_2(argv, target, k2_file, tmp_path, capsys, monk
 
 
 def test_main_runs_repeatedly_in_one_process(k3_file, tmp_path, capsys, monkeypatch):
-    # each call gives the exit code and stdout it gives alone, with a parser
-    # built for it; in sequence, the parser is built once
-    monkeypatch.setenv("COLUMNS", "80")  # the --help text wraps to it
+    # each call gives, in sequence, the exit code and stdout it gives alone:
+    # no state carries from one call to the next
+    monkeypatch.setenv("COLUMNS", "80")  # the same terminal width for every call
     bundle = str(tmp_path / "bundle.json")
     argvs = [
         ["colour", "knm", "4", "3", "-o", bundle],
@@ -502,22 +518,13 @@ def test_main_runs_repeatedly_in_one_process(k3_file, tmp_path, capsys, monkeypa
     def run(argv):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse: a bad argv exits 2, --help 0
+        except SystemExit as exc:  # a bad argv exits 2, --help 0
             code = ("exit", exc.code)
         return code, capsys.readouterr().out
 
-    alone = []
-    for argv in argvs:
-        cli._parser.cache_clear()
-        alone.append(run(argv))
+    alone = [run(argv) for argv in argvs]
     assert [code for code, _ in alone] == [0, 0, 0, ("exit", 2), ("exit", 0), 0]
-
-    calls = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
-    cli._parser.cache_clear()
     assert [run(argv) for argv in argvs] == alone
-    assert len(calls) == 1
 
 
 def test_export_dot_corrupted_bundle_exits_2(tmp_path):

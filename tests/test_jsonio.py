@@ -252,6 +252,16 @@ def test_load_json_failures(tmp_path, malformed_json_files):
             jsonio.load_json(bad)
 
 
+def test_crlf_line_endings_load_the_same_graph(tmp_path):
+    text = json.dumps({"n": 3, "edges": [[0, 1], [1, 2]], "labels": ["a", "b", "c"]}, indent=2)
+    unix, dos = tmp_path / "unix.json", tmp_path / "dos.json"
+    unix.write_bytes(text.encode())
+    dos.write_bytes(text.replace("\n", "\r\n").encode())
+    assert b"\r\n" in dos.read_bytes()
+    graphs = [jsonio.graph_from_obj(jsonio.load_json(path)) for path in (unix, dos)]
+    assert graphs[0] == graphs[1] == make_graph(3, [(0, 1), (1, 2)], ("a", "b", "c"))
+
+
 def test_the_first_repeated_key_in_document_order_is_named(tmp_path):
     path = tmp_path / "repeated.json"
     path.write_text('{"a": 0, "b": 0, "b": 1, "a": 1}')

@@ -184,7 +184,7 @@ def test_k44_search_is_pinned():
     pos, adj, nbrs = _relabelled_total(g)
     clique = [pos[v] for v in _clique(g)]
     clock = _Clock(SearchBudget(max_nodes=150_000))
-    start = _tabucol(nbrs, _dsatur_greedy(adj), 6, clock)
+    start = _tabucol(nbrs, _dsatur_greedy(adj, _no_deadline()), 6, clock)
     assert start is not None and max(start) == 5
     completed, best = _branch_and_bound(adj, len(clique), start, clique, clock)
     assert (completed, max(best) + 1, clock.nodes) == (True, 6, 2928)
@@ -197,7 +197,8 @@ def test_k6xk3_search_is_pinned():
     pos, adj, _ = _relabelled_total(g)
     clique = [pos[v] for v in _clique(g)]
     clock = _Clock(SearchBudget(max_nodes=150_000))
-    completed, best = _branch_and_bound(adj, len(clique), _dsatur_greedy(adj), clique, clock)
+    start = _dsatur_greedy(adj, _no_deadline())
+    completed, best = _branch_and_bound(adj, len(clique), start, clique, clock)
     assert (completed, max(best) + 1, clock.nodes) == (True, 11, 123_482)
 
 
@@ -208,7 +209,7 @@ def test_search_keeps_one_mask_per_frame():
     g = _knm(8, 7)
     pos, adj, _ = _relabelled_total(g)
     clique = [pos[v] for v in _clique(g)]
-    start = _dsatur_greedy(adj)
+    start = _dsatur_greedy(adj, _no_deadline())
     clock = _Clock(SearchBudget(max_nodes=2000))
     tracemalloc.start()
     try:
@@ -262,7 +263,8 @@ def test_branch_and_bound_stops_at_the_deadline():
     g = complete_bipartite(4, 4)
     pos, adj, nbrs = _relabelled_total(g)
     clique = [pos[v] for v in _clique(g)]
-    start = _tabucol(nbrs, _dsatur_greedy(adj), 6, _Clock(SearchBudget(max_nodes=150_000)))
+    greedy = _dsatur_greedy(adj, _no_deadline())
+    start = _tabucol(nbrs, greedy, 6, _Clock(SearchBudget(max_nodes=150_000)))
     assert start is not None and max(start) == 5
     clock = _Clock(SearchBudget(max_seconds=1e-9))
     completed, best = _branch_and_bound(adj, len(clique), start, clique, clock)
@@ -276,7 +278,7 @@ def test_local_search_reads_the_clock_before_its_set_up():
     clock = _Clock(SearchBudget(max_seconds=1e-9))
     g = _knm(8, 7)
     _, adj, nbrs = _relabelled_total(g)
-    start = _dsatur_greedy(adj)
+    start = _dsatur_greedy(adj, _no_deadline())
     assert clock.exhausted()
     tracemalloc.start()
     try:
@@ -286,6 +288,48 @@ def test_local_search_reads_the_clock_before_its_set_up():
         tracemalloc.stop()
     assert found is None
     assert peak < 64_000
+
+
+def test_dsatur_greedy_reads_the_clock():
+    # T(K6×K5) has 330 vertices, so the greedy reads the clock once: a
+    # spent clock stops it with no colouring, and an unspent one leaves the
+    # colouring of the plain rescan
+    g = _knm(6, 5)
+    _, adj, _ = _relabelled_total(g)
+    assert len(adj) > oracle._GREEDY_STEPS
+    spent = _Clock(SearchBudget(max_seconds=1e-9))
+    while not spent.exhausted():
+        pass
+    assert _dsatur_greedy(adj, spent) is None
+    unspent = _Clock(SearchBudget(max_seconds=3600))
+    colours = _dsatur_greedy(adj, unspent)
+    assert colours == naive_dsatur(adj)
+    assert max(colours) + 1 == 23  # Δ+1 = 21
+
+
+def test_a_clock_spent_in_the_greedy_leaves_the_trivial_bounds():
+    # building T(K12×K11) alone (7,392 elements) takes far longer than a
+    # millisecond, so the greedy finds the clock spent at its 256th step
+    g = _knm(12, 11)
+    res = exact_chi_total(g, SearchBudget(max_seconds=1e-3))
+    assert res == (OracleStatus.LOWER_BOUND_ONLY, None, 111, 7392, 0)
+
+
+def test_a_greedy_stopped_by_the_clock_leaves_the_seed_as_the_start(monkeypatch):
+    # vertex 0 of a 7-colouring of K4×K3 moved to an 8th colour is the seed;
+    # with no greedy colouring the solve starts from it and still finds 7,
+    # and without a seed it has no colouring at all
+    g = _knm(4, 3)
+    tc = knm_total_colouring(4, 3)
+    seed = list(tc.vertex_colours) + list(tc.edge_colours)
+    seed[0] = 7
+    monkeypatch.setattr(oracle, "_dsatur_greedy", lambda adj, clock: None)
+    res, colours = _solve(g, SearchBudget(max_nodes=150_000), seed)
+    assert (res.status, res.chi_total, res.nodes) == (OracleStatus.EXACT, 7, 0)
+    report = verify_total(g, _colouring_of(g, colours))
+    assert report.valid and report.colours_used == 7
+    res, colours = _solve(g, SearchBudget(max_nodes=150_000), None)
+    assert (res, colours) == ((OracleStatus.LOWER_BOUND_ONLY, None, 7, 48, 0), None)
 
 
 def test_counting_search_reads_the_clock():
@@ -308,7 +352,7 @@ def test_long_cycle_needs_no_deep_recursion():
     pos, adj, _ = _relabelled_total(g)
     clique = [pos[v] for v in _clique(g)]
     clock = _Clock(SearchBudget(max_nodes=150_000))
-    completed, best = _branch_and_bound(adj, 3, _dsatur_greedy(adj), clique, clock)
+    completed, best = _branch_and_bound(adj, 3, _dsatur_greedy(adj, _no_deadline()), clique, clock)
     assert (completed, max(best) + 1, clock.nodes) == (True, 4, 1204)
     res = exact_chi_total(g, SearchBudget(max_nodes=150_000))
     assert (res.status, res.chi_total, res.nodes) == (OracleStatus.EXACT, 4, 0)
@@ -408,7 +452,7 @@ def test_no_local_search_run_is_repeated(n, m, max_nodes, runs):
     # the seeded random one, or one the probe cut
     g = _knm(n, m)
     _, adj, _ = _relabelled_total(g)
-    greedy = tuple(_dsatur_greedy(adj))
+    greedy = tuple(_dsatur_greedy(adj, _no_deadline()))
     calls = []
 
     def record(nbrs, start, k, clock):
@@ -504,7 +548,7 @@ def test_dsatur_greedy_matches_naive_rescan(seed):
     r = random.Random(seed)
     g = random_graph(r, max_n=12, p=r.random())
     _, adj = relabel(_adjacency_masks(g))
-    assert _dsatur_greedy(adj) == naive_dsatur(adj)
+    assert _dsatur_greedy(adj, _no_deadline()) == naive_dsatur(adj)
 
 
 def naive_max_clique(masks):
@@ -558,7 +602,7 @@ def test_local_search_colourings_verify(seed):
     g = random_graph(r, max_n=8, p=r.random())
     pos, adj, nbrs = _relabelled_total(g)
     lb = len(_clique(g))
-    starts = [_dsatur_greedy(adj), [r.randrange(lb) for _ in adj]]
+    starts = [_dsatur_greedy(adj, _no_deadline()), [r.randrange(lb) for _ in adj]]
     for k, start in itertools.product((lb, lb + 1), starts):
         found = _tabucol(nbrs, start, k, _no_deadline())
         assert found == _tabucol(nbrs, start, k, _no_deadline())
@@ -571,7 +615,7 @@ def test_local_search_returns_none_where_no_colouring_exists():
     # chi''(C_4) = 4 and chi''(K_{4,4}) = 6
     for g, k in [(cycle_graph(4), 3), (complete_bipartite(4, 4), 5)]:
         _, adj, nbrs = _relabelled_total(g)
-        assert _tabucol(nbrs, _dsatur_greedy(adj), k, _no_deadline()) is None
+        assert _tabucol(nbrs, _dsatur_greedy(adj, _no_deadline()), k, _no_deadline()) is None
 
 
 def test_bruteforce_small_values():
@@ -702,7 +746,7 @@ def test_certify_palette_is_the_first_upper_bound():
     # finding nothing, a 5-colouring must still bound the answer even though
     # one node cannot finish the search
     g, tc = _k4_k1()
-    assert max(_dsatur_greedy(_relabelled_total(g)[1])) == 5
+    assert max(_dsatur_greedy(_relabelled_total(g)[1], _no_deadline())) == 5
     with mock.patch.object(oracle, "_tabucol", return_value=None):
         res = exact_chi_total(g, SearchBudget(max_nodes=1))
         assert (res.status, res.lower, res.upper) == (OracleStatus.TIMED_OUT, 4, 6)
