@@ -11,8 +11,10 @@ attribute of the package, which imports it on first use: ``colour`` loads
 ``constructions``, ``products`` and ``edge_colouring``, ``chi`` loads
 ``oracle`` and ``edge_colouring``, ``product`` loads ``products``, and
 ``verify`` and ``export-dot`` load nothing more.  With no bytecode cache,
-``import totalcolour.cli`` takes about 60 % of the time that importing every
-submodule takes (README, "Start-up").
+``import totalcolour.cli`` takes about 55 % of the time that importing every
+submodule takes (README, "Start-up").  The command line is read from one
+table, :data:`COMMANDS`, with no ``argparse``, which would load ``gettext``
+and ``locale``.
 """
 
 from __future__ import annotations

@@ -39,10 +39,11 @@ DOT_PALETTE = (
 def load_json(path: str | Path) -> Any:
     """The JSON document in the file at ``path``, read as UTF-8 with no BOM.
 
-    The bytes are decoded explicitly: ``json.loads`` given bytes would also
-    take UTF-16, UTF-32 and a UTF-8 BOM."""
+    The file is read whole, with no buffer, and its bytes are decoded
+    explicitly: ``json.loads`` given bytes would also take UTF-16, UTF-32
+    and a UTF-8 BOM."""
     try:
-        with open(path, "rb") as fh:
+        with open(path, "rb", buffering=0) as fh:
             return _decode(fh.read().decode("utf-8"))
     # ValueError covers bad UTF-8 and bad JSON; deep nesting is a RecursionError
     except (OSError, ValueError, RecursionError) as exc:

@@ -622,6 +622,12 @@ def _paths_and_cycles(g: Graph) -> list[int]:
     return colours
 
 
+def _trivial_bounds(g: Graph) -> OracleResult:
+    """What a budget spent before T(G) has a colouring gives: [Δ+1, |V|+|E|]."""
+    lower, upper = g.max_degree + 1, g.element_count()
+    return OracleResult(OracleStatus.LOWER_BOUND_ONLY, None, lower, upper, 0)
+
+
 def _solve(
     g: Graph, budget: SearchBudget | None, seed: list[int] | None
 ) -> tuple[OracleResult, list[int] | None]:
@@ -638,10 +644,8 @@ def _solve(
 
     trivial_lower = g.max_degree + 1
     clock = _Clock(budget)
-    # what a budget spent before the first colouring of T(G) gives
-    spent = OracleResult(OracleStatus.LOWER_BOUND_ONLY, None, trivial_lower, g.element_count(), 0)
     if clock.exhausted():
-        return spent, None
+        return _trivial_bounds(g), None
     if seed is not None and max(seed) + 1 == trivial_lower:
         k = trivial_lower
         return OracleResult(OracleStatus.EXACT, k, k, k, 0), seed
@@ -655,7 +659,7 @@ def _solve(
     lb = len(clique)
     start = _dsatur_greedy(adj, clock)
     if start is None and seed is None:
-        return spent, None
+        return _trivial_bounds(g), None
     if seed is not None and (start is None or max(seed) < max(start)):
         start = [0] * len(adj)
         for v, c in enumerate(seed):
@@ -709,8 +713,9 @@ def exact_chi_total(g: Graph, budget: SearchBudget | None = None) -> OracleResul
     LowerBoundOnly, with the trivial bounds [Δ+1, |V|+|E|].  Any other
     budget gets at least the greedy colouring's upper bound; a node budget
     always does, since no node is counted before the greedy ends.  A graph
-    with Δ <= 2 gets its exact value in closed form, with 0 nodes.  The counting certificate reads the same
-    clock, so one that starts past a wall-clock deadline proves no Δ+2.
+    with Δ <= 2 gets its exact value in closed form, with 0 nodes.  The
+    counting certificate reads the same clock, so one that starts past a
+    wall-clock deadline proves no Δ+2.
     """
     return _solve(g, budget, None)[0]
 
