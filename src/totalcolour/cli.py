@@ -241,14 +241,6 @@ COMMANDS: dict[str, Any] = {
     ),
 }
 _TOP = ("Total colourings of direct product graphs.", COMMANDS, [])
-_EPILOG = (
-    "exit codes: 0 ok, 1 invalid colouring, 2 parse failure, 3 precondition\n"
-    "failure, 4 open problem, 5 oracle timeout, 6 internal error"
-)
-# argparse's test for a token that is a value, never an option
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
-
 def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
     """Read ``argv`` (default ``sys.argv[1:]``) against :data:`COMMANDS`.
 
@@ -261,61 +253,51 @@ def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
     in ``chi a.json --nodes 5 b.json``, are read as if the option came last,
     where argparse refuses them.
     """
-    reader = _Reader(sys.argv[1:] if argv is None else argv)
-    ns = reader.ns
+    r = _Reader(sys.argv[1:] if argv is None else argv)
+    ns = r.ns
     for dest in ("command", "kind"):  # the command, then the colour kind
-        choices = reader.spec[1]
+        choices = r.spec[1]
         if type(choices) is not dict:
             break
-        arg = reader.positional()
+        arg = r.positional()
         if arg is None:
-            reader.fail(f"the following arguments are required: {dest}")
-        if arg not in choices:
-            names = ", ".join(map(repr, choices))
-            reader.fail(f"argument {dest}: invalid choice: {arg!r} (choose from {names})")
-        setattr(ns, dest, arg)
-        reader.enter(arg)
-    _, positionals, options = reader.spec
+            r.fail(f"the following arguments are required: {dest}")
+        setattr(ns, dest, r.convert(dest, tuple(choices), arg))
+        r.prog, r.spec = f"{r.prog} {arg}", choices[arg]
+        r.options = {s: option for option in (_HELP, *r.spec[2]) for s in option[0]}
+    _, positionals, options = r.spec
     for flags, convert, _ in options:
         setattr(ns, flags[-1][2:], convert[0] if type(convert) is tuple else None)
-    slots = [(name.rstrip("."), convert, name.endswith("...")) for name, convert, _ in positionals]
-    for name, _, many in slots:
-        if many:
-            setattr(ns, name, [])
+    slots = [(name.rstrip("."), convert, name[-1] == ".") for name, convert, _ in positionals]
     slot, extras = 0, []
-    while (arg := reader.positional()) is not None:
+    while (arg := r.positional()) is not None:
         if slot == len(slots):
             extras.append(arg)
             continue
         name, convert, many = slots[slot]
-        value = reader.convert(name, convert, arg)
+        value = r.convert(name, convert, arg)
         if many:
-            getattr(ns, name).append(value)
+            vars(ns).setdefault(name, []).append(value)
         else:
             setattr(ns, name, value)
             slot += 1
-    missing = [name for name, _, many in slots[slot:] if not (many and getattr(ns, name))]
+    missing = [name for name, _, many in slots[slot:] if not (many and name in vars(ns))]
     if missing:
-        reader.fail(f"the following arguments are required: {', '.join(missing)}")
-    if reader.unknown or extras:
-        reader.fail(f"unrecognized arguments: {' '.join(reader.unknown + extras)}")
+        r.fail(f"the following arguments are required: {', '.join(missing)}")
+    if r.unknown or extras:
+        r.fail(f"unrecognized arguments: {' '.join(r.unknown + extras)}")
     return ns
 
 
 class _Reader:
     """The argv of one parse, read left to right: the position in it, the
-    command read so far, and the options that no level knew."""
+    command read so far with its options, and the options no level knew."""
 
     def __init__(self, args: list[str]) -> None:
         self.args, self.i, self.ended = args, 0, False
         self.ns, self.unknown = SimpleNamespace(), []
         self.prog, self.spec = "totalcolour", _TOP
         self.options = {"-h": _HELP, "--help": _HELP}
-
-    def enter(self, name: str) -> None:
-        """Read the rest as the command or colour kind ``name``."""
-        self.prog, self.spec = f"{self.prog} {name}", self.spec[1][name]
-        self.options = {s: option for option in (_HELP, *self.spec[2]) for s in option[0]}
 
     def positional(self) -> str | None:
         """The next positional, once every option before it is taken; None at the end."""
@@ -331,13 +313,13 @@ class _Reader:
             found = self.read(arg)
             if found is None:
                 return arg
-            option, spelling, value = found
+            option, spelling, given = found
             if option is None:
                 self.unknown.append(arg)
             elif option is _HELP:
-                self.help(spelling, value)
+                self.help(spelling, given)
             else:
-                setattr(self.ns, option[0][-1][2:], self.value(option, value))
+                setattr(self.ns, option[0][-1][2:], self.value(option, given))
         return None
 
     def read(self, arg: str) -> tuple[Any, str, str | None] | None:
@@ -345,53 +327,50 @@ class _Reader:
         option (None when none matches), its spelling and any value given
         with it."""
         options = self.options
-        if arg in options:
-            return options[arg], arg, None
+        name, eq, given = arg.partition("=")
+        if name in options:
+            return options[name], name, given if eq else None
         if len(arg) < 2 or arg[0] != "-":
             return None
-        name, eq, value = arg.partition("=")
-        if eq and name in options:
-            return options[name], name, value
         if arg[1] == "-":  # a unique prefix of a long option
             found = [s for s in options if s.startswith(name)]
-            given = value if eq else None
+            given = given if eq else None
         else:  # -oVALUE
-            found = [s for s in options if s == arg[:2]]
-            given = arg[2:]
+            found, given = [s for s in options if s == arg[:2]], arg[2:]
         if len(found) > 1:
             self.fail(f"ambiguous option: {name} could match {', '.join(found)}")
         if found:
             return options[found[0]], found[0], given
-        if _NEGATIVE.match(arg) or " " in arg:
+        # argparse's test for a number, or a value with a space in it
+        if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
             return None
         return None, arg, None
 
     def value(self, option: Any, given: str | None) -> Any:
         """The option's value, converted: ``given`` or else the next token,
         which may not be an option."""
-        flags, convert, _ = option
+        name = "/".join(option[0])
         if given is None:
-            arg = self.args[self.i] if self.i < len(self.args) else None
-            if arg is None or arg == "--" or self.read(arg) is not None:
-                self.fail(f"argument {'/'.join(flags)}: expected one argument")
+            if self.i == len(self.args) or self.args[self.i] == "--" or self.read(self.args[self.i]):
+                self.fail(f"argument {name}: expected one argument")
+            given = self.args[self.i]
             self.i += 1
-            given = arg
-        return self.convert("/".join(flags), convert, given)
+        return self.convert(name, option[1], given)
 
     def convert(self, name: str, convert: Any, arg: str) -> Any:
-        if type(convert) is tuple:
-            if arg not in convert:
-                names = ", ".join(map(repr, convert))
-                self.fail(f"argument {name}: invalid choice: {arg!r} (choose from {names})")
-            return arg
+        """``convert(arg)``, or ``arg`` when it is one of a tuple of choices."""
         try:
-            return convert(arg)
+            if type(convert) is not tuple:
+                return convert(arg)
+            if arg in convert:
+                return arg
         except ValueError:
-            self.fail(f"argument {name}: invalid {convert.__name__} value: {arg!r}")
+            pass
+        self.fail(f"argument {name}: invalid value: {arg!r}")
 
     def help(self, spelling: str, given: str | None) -> NoReturn:
         """Print help and exit 0.  As in argparse, ``-hX`` is ``-h`` and then
-        ``-X``; an option there must still get its value."""
+        ``-X``, and an option there must still get its value."""
         while given is not None:
             option = self.options.get("-" + given[:1])
             if spelling[1] == "-" or option is None:
@@ -400,45 +379,17 @@ class _Reader:
             if option is not _HELP:
                 self.value(option, given)
                 break
-        about, positionals, options = self.spec
-        rows = [(", ".join(_spelt(option)), option[2]) for option in (_HELP, *options)]
-        if type(positionals) is dict:
-            items = [(name, spec[0]) for name, spec in positionals.items()]
-        else:
-            items = [(name.rstrip("."), text) for name, _, text in positionals]
-        width = max(len(left) for left, _ in rows + items) + 2
-        lines = [self.usage(), "", about, "", "positional arguments:"]
-        lines += [f"  {left:<{width}}{text}" for left, text in items]
-        lines += ["", "options:"] + [f"  {left:<{width}}{text}" for left, text in rows]
-        if self.spec is _TOP:
-            lines += ["", _EPILOG]
-        print("\n".join(lines))
+        from . import cli_help  # only help and usage errors print text
+
+        print(cli_help.help_text(self.prog, self.spec, _HELP))
         raise SystemExit(0)
 
-    def usage(self) -> str:
-        _, positionals, options = self.spec
-        words = [self.prog, "[-h]"] + [f"[{_spelt(option)[0]}]" for option in options]
-        if type(positionals) is dict:
-            words.append("{" + ",".join(positionals) + "} ...")
-        else:
-            for name, _, _ in positionals:
-                plain = name.rstrip(".")
-                words.append(name if plain == name else f"{plain} [{plain} ...]")
-        return "usage: " + " ".join(words)
-
     def fail(self, message: str) -> NoReturn:
-        print(self.usage(), file=sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        from . import cli_help
+
+        usage = cli_help.usage(self.prog, self.spec)
+        print(usage, f"{self.prog}: error: {message}", sep="\n", file=sys.stderr)
         raise SystemExit(2)
-
-
-def _spelt(option: Any) -> list[str]:
-    """Each spelling of an option with its value's placeholder."""
-    flags, convert, _ = option
-    if convert is None:
-        return list(flags)
-    meta = "{" + ",".join(convert) + "}" if type(convert) is tuple else flags[-1][2:].upper()
-    return [f"{s} {meta}" for s in flags]
 
 
 def main(argv: list[str] | None = None) -> int:

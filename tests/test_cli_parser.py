@@ -205,7 +205,6 @@ def test_parser_agrees_with_argparse(argv):
         ["product", "a", "b", "--help=x"],
         ["product", "a", "--help=o", "x"],
         ["product", "a", "-ho", "x"],
-        ["product", "a", "-hx"],
         ["product", "a", "-hh"],
         ["product", "-", "a b"],
         ["product", "a", "b", "--=x"],
