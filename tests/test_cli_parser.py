@@ -229,3 +229,21 @@ def test_a_double_dash_before_a_command_name_is_refused():
     # in Python 3.10 and 3.11, the "--" is read as the command's name
     for argv in (["--", "chi", "a.json"], ["colour", "--", "knm", "3", "4"]):
         assert _outcome(cli.parse_args, argv) == ("exit", 2)
+
+
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (["--help"], [*cli.COMMANDS, "exit codes:"]),
+        (["colour", "-h"], list(cli.COMMANDS["colour"][1])),
+        (["chi", "--he"], ["--nodes NODES", "--seconds SECONDS", "graphs [graphs ...]"]),
+        (["colour", "knm", "-h"], ["-o OUTPUT, --output OUTPUT", "--format {json,dot}", " n ", " m "]),
+    ],
+)
+def test_help_lists_what_the_table_holds(argv, words, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(argv)
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out.startswith(f"usage: totalcolour {' '.join(argv[:-1])}".rstrip() + " [-h]")
+    assert all(word in out for word in words), out
