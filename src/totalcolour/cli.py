@@ -11,10 +11,11 @@ attribute of the package, which imports it on first use: ``colour`` loads
 ``constructions``, ``products`` and ``edge_colouring``, ``chi`` loads
 ``oracle`` and ``edge_colouring``, ``product`` loads ``products``, and
 ``verify`` and ``export-dot`` load nothing more.  With no bytecode cache,
-``import totalcolour.cli`` takes about 55 % of the time that importing every
+``import totalcolour.cli`` takes about half the time that importing every
 submodule takes (README, "Start-up").  The command line is read from one
 table, :data:`COMMANDS`, with no ``argparse``, which would load ``gettext``
-and ``locale``.
+and ``locale``; only ``--help`` and a usage error load ``cli_help``, which
+renders their text from the same table.
 """
 
 from __future__ import annotations
@@ -241,6 +242,8 @@ COMMANDS: dict[str, Any] = {
     ),
 }
 _TOP = ("Total colourings of direct product graphs.", COMMANDS, [])
+
+
 def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
     """Read ``argv`` (default ``sys.argv[1:]``) against :data:`COMMANDS`.
 
