@@ -6,9 +6,11 @@ tuple of canonical ``(u, v)`` pairs, so checking that it covers a graph is
 one tuple comparison with ``Graph.edges``, or an identity test when it
 shares that tuple.  An edge colouring is a list of colours aligned with its
 graph's ``edges``, as the edge-colouring primitives return.  Both verifiers
-share one edge-conflict routine over ``Graph.incidence()``, and a report
-lists each conflict as two elements, ``("v", i)`` or ``("e", u, v)``, and
-the colour they share.
+share one edge-conflict routine over each vertex's edge ids, which
+:func:`verify_total` builds in its one loop over the edges and
+:func:`verify_edge` takes from ``Graph.incidence()``; a report lists each
+conflict as two elements, ``("v", i)`` or ``("e", u, v)``, and the colour
+they share.
 
 Colours are 0-based non-negative integers.  Palettes need not be contiguous;
 ``colours_used`` always counts distinct values and :func:`normalize_total`
@@ -133,30 +135,34 @@ def _reject_negative(edges: Sequence[Pair], colours: Sequence[int]) -> None:
 
 
 def _edge_conflicts(
-    g: Graph, colours: Sequence[int]
+    edges: Sequence[Pair], colours: Sequence[int], incidence: list[list[int]]
 ) -> list[tuple[Element, Element, int]]:
-    """Every pair of equal-coloured edges of g that share an endpoint.
+    """Every pair of equal-coloured edges that share an endpoint.
 
-    ``colours[i]`` colours ``g.edges[i]``.  The edge ids of ``g.incidence()``
-    are bucketed by colour at each vertex, so only the conflicting pairs are
-    ever formed.  Two distinct edges of a simple graph share at most one
-    endpoint, so each pair is reported exactly once: by shared vertex, then
-    by its (i, j) edge ids, which is its order in that vertex's incidence list.
-    Each edge's ``("e", u, v)`` element is built once, at the first conflict,
-    and shared by every pair it is in.
+    ``colours[i]`` colours ``edges[i]`` and ``incidence[w]`` lists the ids of
+    the edges at vertex w, ascending, as ``Graph.incidence()`` does.  At a
+    vertex whose colours are not all distinct, only the edges of a colour that
+    repeats there are paired.  Two distinct edges of a simple graph share at
+    most one endpoint, so each pair is reported exactly once: by shared
+    vertex, then by its (i, j) edge ids.  Each edge's ``("e", u, v)`` element
+    is built once, at the first conflict, and shared by every pair it is in.
     """
     violations: list[tuple[Element, Element, int]] = []
     elements: list[Element] = []
-    for ids in g.incidence():
+    for ids in incidence:
         if len(set(map(colours.__getitem__, ids))) == len(ids):
             continue
         if not elements:
-            elements = [("e", u, v) for u, v in g.edges]
-        buckets: dict[int, list[int]] = {}
-        for i in ids:
-            buckets.setdefault(colours[i], []).append(i)
-        for i, j in sorted(p for b in buckets.values() for p in combinations(b, 2)):
-            violations.append((elements[i], elements[j], colours[i]))
+            elements = [("e", u, v) for u, v in edges]
+        here = [colours[i] for i in ids]
+        seen: set[int] = set()
+        # seen.add returns None, so a colour is kept from its second sighting
+        repeats = {c for c in here if c in seen or seen.add(c)}
+        pairs: list[tuple[int, int]] = []
+        for r in repeats:
+            pairs += combinations([i for i, c in zip(ids, here) if c == r], 2)
+        pairs.sort()
+        violations += [(elements[i], elements[j], colours[i]) for i, j in pairs]
     return violations
 
 
@@ -167,16 +173,33 @@ def verify_total(g: Graph, tc: TotalColouring) -> VerificationReport:
     edges sharing an endpoint, or an edge and one of its endpoints.  A colouring
     that misses (or invents) elements raises IncompleteColouringError instead,
     which is distinct from being invalid.
+
+    One loop over the edges builds each vertex's edge ids and records the
+    edges whose two ends, or an end and the edge, share a colour; the report
+    lists the vertex pairs, then the edge pairs, then the vertex-edge pairs,
+    each in sorted-edge order.
     """
     check_cover(g, tc)
     vc, edges, ec = tc.vertex_colours, tc.edges, tc.edge_colours
-    violations: list[tuple[Element, Element, int]] = [
-        (("v", u), ("v", v), vc[u]) for u, v in edges if vc[u] == vc[v]
-    ]
-    violations += _edge_conflicts(g, ec)
+    incidence: list[list[int]] = [[] for _ in range(g.n)]
+    clashes: list[int] = []
+    i = 0
     for (u, v), c in zip(edges, ec):
-        if vc[u] == c or vc[v] == c:
-            violations += [(("v", w), ("e", u, v), c) for w in (u, v) if vc[w] == c]
+        incidence[u].append(i)
+        incidence[v].append(i)
+        a, b = vc[u], vc[v]
+        if a == b or a == c or b == c:
+            clashes.append(i)
+        i += 1
+    violations: list[tuple[Element, Element, int]] = []
+    for i in clashes:
+        u, v = edges[i]
+        if vc[u] == vc[v]:
+            violations.append((("v", u), ("v", v), vc[u]))
+    violations += _edge_conflicts(edges, ec, incidence)
+    for i in clashes:
+        (u, v), c = edges[i], ec[i]
+        violations += [(("v", w), ("e", u, v), c) for w in (u, v) if vc[w] == c]
     return VerificationReport(not violations, violations, tc.palette_size)
 
 
@@ -191,7 +214,7 @@ def verify_edge(g: Graph, colours: Sequence[int]) -> VerificationReport:
             f"edge colouring has {len(colours)} colours for {len(g.edges)} edges"
         )
     _reject_negative(g.edges, colours)
-    violations = _edge_conflicts(g, colours)
+    violations = _edge_conflicts(g.edges, colours, g.incidence())
     return VerificationReport(not violations, violations, len(set(colours)))
 
 

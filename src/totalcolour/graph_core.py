@@ -151,33 +151,62 @@ def make_graph(
 ) -> Graph:
     """Build a graph, deduplicating and canonicalizing the edge list.
 
-    Raises GraphConstructionError for self-loops or out-of-range endpoints.
-    A list of canonical pairs in strictly ascending order, the form of
-    ``Graph.edges`` and of every graph document this package writes, becomes
-    ``edges`` after one linear check; any other list is sorted and
-    deduplicated, which gives the same graph.
+    Raises GraphConstructionError for a vertex count or an endpoint whose
+    type is not exactly ``int`` (so a bool or a float is refused), a negative
+    vertex count, a self-loop or an out-of-range endpoint.  Each pair is
+    checked and canonicalised in one loop; :func:`graph_from_pairs` then
+    builds the graph.
     """
+    if type(vertex_count) is not int:
+        raise GraphConstructionError(f"vertex count {vertex_count!r} is not an int")
     if vertex_count < 0:
         raise GraphConstructionError(f"negative vertex count {vertex_count}")
     pairs: list[Pair] = []
     for u, v in edge_list:
-        if u == v:
-            raise GraphConstructionError(f"self-loop on vertex {u}")
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+        if not type(u) is type(v) is int:
             raise GraphConstructionError(
-                f"edge ({u},{v}) has an endpoint outside [0,{vertex_count})"
+                f"edge ({u!r},{v!r}) has an endpoint that is not an int"
             )
-        pairs.append((u, v) if u < v else (v, u))
+        if u < v:
+            if u < 0 or v >= vertex_count:
+                raise edge_error(u, v, vertex_count)
+            pairs.append((u, v))
+        elif v < u:
+            if v < 0 or u >= vertex_count:
+                raise edge_error(u, v, vertex_count)
+            pairs.append((v, u))
+        else:
+            raise edge_error(u, v, vertex_count)
+    return graph_from_pairs(vertex_count, pairs, labels)
+
+
+def edge_error(u: int, v: int, n: int) -> GraphConstructionError:
+    """The error for an edge (u, v), as listed, that is a self-loop or has an
+    end outside [0, n)."""
+    if u == v:
+        return GraphConstructionError(f"self-loop on vertex {u}")
+    return GraphConstructionError(f"edge ({u},{v}) has an endpoint outside [0,{n})")
+
+
+def graph_from_pairs(
+    n: int, pairs: list[Pair], labels: Iterable[str] | None = None
+) -> Graph:
+    """The graph on n vertices whose edges are ``pairs``, canonical pairs of
+    vertices in [0, n) listed in any order and maybe more than once.
+
+    An ascending list, the form of ``Graph.edges`` and of every graph
+    document this package writes, becomes ``edges`` after one linear check;
+    any other list is sorted and deduplicated, which gives the same graph.
+    Raises GraphConstructionError when the labels do not number n.
+    """
     label_tuple: tuple[str, ...] | None = None
     if labels is not None:
         label_tuple = tuple(str(s) for s in labels)
-        if len(label_tuple) != vertex_count:
-            raise GraphConstructionError(
-                f"{len(label_tuple)} labels for {vertex_count} vertices"
-            )
+        if len(label_tuple) != n:
+            raise GraphConstructionError(f"{len(label_tuple)} labels for {n} vertices")
     if all(map(operator.lt, pairs, islice(pairs, 1, None))):
-        return Graph(vertex_count, tuple(pairs), label_tuple)
-    return Graph(vertex_count, tuple(dict.fromkeys(sorted(pairs))), label_tuple)
+        return Graph(n, tuple(pairs), label_tuple)
+    return Graph(n, tuple(dict.fromkeys(sorted(pairs))), label_tuple)
 
 
 def complete_graph(n: int) -> Graph:

@@ -19,8 +19,8 @@ from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from .colouring import TotalColouring, VerificationReport, check_cover
-from .errors import ParseError, TotalColourError
-from .graph_core import Graph, Pair, make_graph
+from .errors import GraphConstructionError, ParseError, TotalColourError
+from .graph_core import Graph, Pair, edge_error, graph_from_pairs
 
 if TYPE_CHECKING:  # annotations only: decoding a bundle must not load the oracle
     from pathlib import Path
@@ -114,19 +114,10 @@ def graph_to_obj(g: Graph) -> dict[str, Any]:
     return obj
 
 
-def _pairs(edges: list[Any]) -> Iterator[list[int]]:
-    """Each ``[u, v]`` entry as it stands, once it holds two ints."""
-    for item in edges:
-        # type() rather than isinstance(): a bool is an int but not a vertex
-        if type(item) is not list or len(item) != 2:
-            raise ParseError(f"bad edge entry {item!r}")
-        u, v = item
-        if not type(u) is type(v) is int:
-            raise ParseError(f"bad edge entry {item!r}")
-        yield item
-
-
 def graph_from_obj(obj: Any) -> Graph:
+    """Decode a graph document, checking and canonicalising each ``[u, v]``
+    entry in one loop, so the first bad entry in list order is the one named;
+    :func:`graph_from_pairs` then builds the graph, as for ``make_graph``."""
     if not isinstance(obj, dict):
         raise ParseError("graph document must be a JSON object")
     n = obj.get("n")
@@ -139,11 +130,30 @@ def graph_from_obj(obj: Any) -> Graph:
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
             raise ParseError('graph field "labels" must be a list of strings')
+    pairs: list[Pair] = []
     try:
-        return make_graph(n, _pairs(edges), labels)
-    except ParseError:
-        raise
-    except TotalColourError as exc:
+        for item in edges:
+            if type(item) is not list:
+                raise ParseError(f"bad edge entry {item!r}")
+            try:
+                u, v = item
+            except ValueError:
+                raise ParseError(f"bad edge entry {item!r}") from None
+            # type() rather than isinstance(): a bool is an int but not a vertex
+            if not type(u) is type(v) is int:
+                raise ParseError(f"bad edge entry {item!r}")
+            if u < v:
+                if u < 0 or v >= n:
+                    raise edge_error(u, v, n)
+                pairs.append((u, v))
+            elif v < u:
+                if v < 0 or u >= n:
+                    raise edge_error(u, v, n)
+                pairs.append((v, u))
+            else:
+                raise edge_error(u, v, n)
+        return graph_from_pairs(n, pairs, labels)
+    except GraphConstructionError as exc:
         raise ParseError(f"invalid graph: {exc}")
 
 

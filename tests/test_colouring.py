@@ -438,6 +438,35 @@ def test_listing_matches_naive_order_with_merged_classes(n, m):
         assert sum(k > 1 for k in touched.values()) > g.n // 2
 
 
+def test_listing_of_sparse_colours_is_the_shifted_listing():
+    """Colours are sparse ints: adding 10**12 to each colour of a merged-class
+    K8 x K7 colouring shifts the colour of every reported pair and leaves the
+    pairs and ``colours_used`` as they were, so no listing may size a buffer
+    by the largest colour."""
+    g, _ = direct_product(complete_graph(8), complete_graph(7))
+    base = knm_total_colouring(8, 7)
+    classes = random.Random(87).sample(sorted(base.colours), 10)
+    merge = {c: classes[0] for c in classes}
+    tc = TotalColouring(
+        [merge.get(c, c) for c in base.vertex_colours],
+        base.edges,
+        [merge.get(c, c) for c in base.edge_colours],
+    )
+    shift = 10**12
+    far = TotalColouring(
+        [c + shift for c in tc.vertex_colours],
+        tc.edges,
+        [c + shift for c in tc.edge_colours],
+    )
+    for near_rep, far_rep in [
+        (verify_total(g, tc), verify_total(g, far)),
+        (verify_edge(g, tc.edge_colours), verify_edge(g, far.edge_colours)),
+    ]:
+        assert not near_rep.valid and not far_rep.valid
+        assert far_rep.colours_used == near_rep.colours_used
+        assert far_rep.violations == [(a, b, c + shift) for a, b, c in near_rep.violations]
+
+
 def _conflicts(g, a, b):
     from totalcolour import incidence_conflicts
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from totalcolour import (
     DomainError,
     GraphConstructionError,
+    ParseError,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -63,6 +64,31 @@ def test_make_graph_rejects_self_loop():
 def test_make_graph_rejects_out_of_range():
     with pytest.raises(GraphConstructionError):
         make_graph(3, [(0, 3)])
+
+
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (3, [(0, 1.5)], "edge (0,1.5) has an endpoint that is not an int"),
+        (3, [(0, True)], "edge (0,True) has an endpoint that is not an int"),
+        (2.0, [(0, 1)], "vertex count 2.0 is not an int"),
+    ],
+    ids=["float-end", "bool-end", "float-count"],
+)
+def test_make_graph_rejects_non_integers(n, edges, message):
+    """A float or bool would otherwise be stored as a vertex, or fail later
+    with a raw TypeError; the JSON decoder's messages for the same entries
+    stay its own."""
+    with pytest.raises(GraphConstructionError) as info:
+        make_graph(n, edges)
+    assert str(info.value) == message
+    doc = {"n": n, "edges": [list(e) for e in edges]}
+    with pytest.raises(ParseError) as info:
+        jsonio.graph_from_obj(doc)
+    if type(n) is int:
+        assert str(info.value) == f"bad edge entry {list(edges[0])!r}"
+    else:
+        assert str(info.value) == 'graph field "n" must be a non-negative integer'
 
 
 def test_complete_graph_sizes():
@@ -134,7 +160,7 @@ def test_edges_are_one_sorted_canonical_tuple(case, rng):
     rng.shuffle(variant)
     other = make_graph(n, variant)
     assert g == other and hash(g) == hash(other)
-    # the JSON decoder hands its [u, v] lists to make_graph as they stand
+    # the JSON decoder reads the same [u, v] lists to the same graph
     decoded = jsonio.graph_from_obj({"n": n, "edges": [list(e) for e in variant]})
     assert decoded == g
     assert all(a < b for a, b in zip(g.edges, g.edges[1:]))

@@ -1,8 +1,11 @@
+import itertools
 import json
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from totalcolour import (
     IncompleteColouringError,
@@ -21,6 +24,7 @@ from totalcolour import (
 from totalcolour import jsonio
 from totalcolour.colouring import check_cover
 
+import graph_decode_reference
 from conftest import random_graph
 
 
@@ -47,6 +51,76 @@ def test_graph_from_obj_rejects_malformed():
     ):
         with pytest.raises(ParseError):
             jsonio.graph_from_obj(bad)
+
+
+ENTRY_DEFECTS = (
+    "exact-repeat", "reversed-repeat", "self-loop", "below-0", "at-or-above-n",
+    "bool", "float", "str", "length-1", "length-3", "not-a-list",
+)
+
+
+def _bad_entry(draw, kind, n, entries):
+    """One ``[u, v]`` entry with the given defect, for an n-vertex graph whose
+    good entries are ``entries``."""
+    end = st.integers(0, max(n - 1, 0))
+    if kind.endswith("repeat"):
+        u, v = draw(st.sampled_from(entries)) if entries else [0, 1]
+        return [u, v] if kind == "exact-repeat" else [v, u]
+    u, v = draw(end), draw(end)
+    if kind == "self-loop":
+        return [u, u]
+    if kind == "below-0":
+        return draw(st.permutations([u, draw(st.integers(-3, -1))]))
+    if kind == "at-or-above-n":
+        return draw(st.permutations([u, draw(st.integers(n, n + 2))]))
+    if kind in ("bool", "float", "str"):
+        odd = {"bool": st.booleans(), "float": st.floats(-1, n + 1), "str": st.text(max_size=2)}
+        return draw(st.permutations([u, draw(odd[kind])]))
+    if kind == "length-1":
+        return [u]
+    if kind == "length-3":
+        return [u, v, draw(end)]
+    return draw(st.sampled_from([None, u, "0 1", {"u": u, "v": v}, (u, v)]))
+
+
+@st.composite
+def _graph_documents(draw):
+    """A graph document: its edges sorted and canonical, shuffled, or flipped,
+    with up to three bad entries planted anywhere, and labels of any count."""
+    n = draw(st.integers(0, 6))
+    pairs = [list(p) for p in itertools.combinations(range(n), 2)]
+    entries = draw(st.lists(st.sampled_from(pairs), unique_by=tuple)) if pairs else []
+    order = draw(st.sampled_from(["sorted", "shuffled", "flipped"]))
+    if order == "sorted":
+        entries.sort()
+    else:
+        entries = draw(st.permutations(entries))
+    if order == "flipped":
+        entries = [[v, u] if draw(st.booleans()) else [u, v] for u, v in entries]
+    good = list(entries)
+    for kind in draw(st.lists(st.sampled_from(ENTRY_DEFECTS), max_size=3)):
+        entry = _bad_entry(draw, kind, n, good)
+        entries.insert(draw(st.integers(0, len(entries))), entry)
+    doc = {"n": n, "edges": entries}
+    if draw(st.booleans()):
+        doc["labels"] = draw(st.lists(st.text(max_size=2), min_size=max(n - 1, 0), max_size=n + 1))
+    return doc
+
+
+def _decoded_graph(decode, doc):
+    try:
+        return decode(doc)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_graph_documents())
+def test_graph_decoder_matches_the_two_loop_reference(doc):
+    """The one-loop decoder gives the graph the reference gives, or the
+    ParseError it raises, with the same message."""
+    expected = _decoded_graph(graph_decode_reference.graph_from_obj, doc)
+    assert _decoded_graph(jsonio.graph_from_obj, doc) == expected
 
 
 def test_colouring_round_trip():
