@@ -167,16 +167,9 @@ def make_graph(
             raise GraphConstructionError(
                 f"edge ({u!r},{v!r}) has an endpoint that is not an int"
             )
-        if u < v:
-            if u < 0 or v >= vertex_count:
-                raise edge_error(u, v, vertex_count)
-            pairs.append((u, v))
-        elif v < u:
-            if v < 0 or u >= vertex_count:
-                raise edge_error(u, v, vertex_count)
-            pairs.append((v, u))
-        else:
+        if u == v or not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise edge_error(u, v, vertex_count)
+        pairs.append((u, v) if u < v else (v, u))
     return graph_from_pairs(vertex_count, pairs, labels)
 
 

@@ -142,6 +142,7 @@ def graph_from_obj(obj: Any) -> Graph:
             # type() rather than isinstance(): a bool is an int but not a vertex
             if not type(u) is type(v) is int:
                 raise ParseError(f"bad edge entry {item!r}")
+            # ordered first, so the range test takes two comparisons, not four
             if u < v:
                 if u < 0 or v >= n:
                     raise edge_error(u, v, n)
