@@ -10,7 +10,6 @@ import random
 
 from totalcolour import (
     bipartite_delta_edge_colouring,
-    colour_class,
     complete_bipartite,
     complete_graph,
     crown_edge_colouring,
@@ -36,7 +35,7 @@ print(f"random bipartite graph: {len(h.edges)} edges, max degree {h.max_degree}"
 print(f"  colours used: {sorted(set(ec))} (exactly max degree)")
 print(f"  proper: {verify_edge(h, ec).valid}")
 for c in sorted(set(ec)):
-    print(f"  class {c}: {sorted(colour_class(h, ec, c))}")
+    print(f"  class {c}: {sorted(e for e, col in zip(h.edges, ec) if col == c)}")
 print()
 
 # ----------------------------------------------------------------------
@@ -49,7 +48,7 @@ kn = complete_graph(n)
 ec = one_factorization(n)
 print(f"one factorization of K_{n} (think: {n - 1} rounds of a tournament)")
 for r in range(n - 1):
-    matches = sorted(colour_class(kn, ec, r))
+    matches = sorted(e for e, col in zip(kn.edges, ec) if col == r)
     print(f"  round {r}: " + "  ".join(f"{u}-{v}" for u, v in matches))
 print(f"  proper: {verify_edge(kn, ec).valid}")
 print()

@@ -9,7 +9,6 @@ Run with:  python3 demos/03_total_colouring_constructions.py
 """
 
 from totalcolour import (
-    classify,
     complete_graph,
     crown_graph,
     crown_total_colouring,
@@ -34,7 +33,7 @@ print(f"crown on {2 * m} vertices: valid={rep.valid}, "
       f"colours={rep.colours_used} = max_degree + 1 = {g.max_degree + 1}")
 print(f"  vertex colours by pair: {tuple(crown.colouring.vertex_colours[:m])} "
       "(x_k and y_k share a colour; all pairs distinct)")
-print(f"  type: {classify(g, rep.colours_used).name}")
+print(f"  type: {'TYPE_I' if rep.colours_used == g.max_degree + 1 else 'TYPE_II'}")
 print()
 
 # ----------------------------------------------------------------------
@@ -53,7 +52,7 @@ print(f"K{n} x K{m}: {prod.n} vertices, {len(prod.edges)} edges, "
       f"max degree {prod.max_degree}")
 print(f"  valid={rep.valid}, colours={rep.colours_used} "
       f"= (n-1)(m-1)+1 = {(n - 1) * (m - 1) + 1}")
-print(f"  type: {classify(prod, rep.colours_used).name}")
+print(f"  type: {'TYPE_I' if rep.colours_used == prod.max_degree + 1 else 'TYPE_II'}")
 print()
 
 try:

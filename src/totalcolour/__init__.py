@@ -21,27 +21,25 @@ __version__ = "0.1.0"
 # each submodule with the public names it defines
 _EXPORTS = {
     "colouring": (
-        "TotalColouring", "TypeClass", "VerificationReport", "classify",
-        "normalize_total", "verify_edge", "verify_total",
+        "TotalColouring", "VerificationReport", "normalize_total", "verify_edge",
+        "verify_total",
     ),
     "constructions": (
         "CrownTotalColouring", "crown_total_colouring", "kn_k2_total_colouring",
         "kn_times_bipartite", "knm_total_colouring", "lift_bipartite",
     ),
     "edge_colouring": (
-        "bipartite_delta_edge_colouring", "colour_class", "crown_edge_colouring",
-        "find_bipartition", "one_factorization", "rainbow_kmm",
+        "bipartite_delta_edge_colouring", "crown_edge_colouring", "find_bipartition",
+        "one_factorization", "rainbow_kmm",
     ),
     "errors": (
         "DomainError", "GraphConstructionError", "IncompleteColouringError",
-        "NoRainbowError", "NotBipartiteError", "OpenProblemError",
-        "OutOfConjectureRangeError", "ParseError", "PreconditionError",
-        "TotalColourError",
+        "NoRainbowError", "NotBipartiteError", "OpenProblemError", "ParseError",
+        "PreconditionError", "TotalColourError",
     ),
     "graph_core": (
         "Element", "Graph", "complete_bipartite", "complete_graph", "cycle_graph",
         "edgeless_graph", "incidence_conflicts", "make_graph", "path_graph",
-        "star_graph",
     ),
     "oracle": (
         "CertificationStatus", "CertificationVerdict", "OracleResult", "OracleStatus",

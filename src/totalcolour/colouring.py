@@ -1,4 +1,4 @@
-"""Total and edge colourings, the properness verifiers, and type classification.
+"""Total and edge colourings and the properness verifiers.
 
 A total colouring is read only as two flat lists: ``vertex_colours[i]``
 colours vertex i and ``edge_colours[i]`` colours ``edges[i]``, the sorted
@@ -19,16 +19,10 @@ compacts a palette when a contiguous one is wanted for output.
 
 from __future__ import annotations
 
-from enum import Enum
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import (
-    DomainError,
-    GraphConstructionError,
-    IncompleteColouringError,
-    OutOfConjectureRangeError,
-)
+from .errors import DomainError, GraphConstructionError, IncompleteColouringError
 from .graph_core import Element, Graph, Pair, Record
 
 
@@ -61,9 +55,20 @@ class TotalColouring(Record):
         cls, vertex_colours: Sequence[int], triples: Iterable[Sequence[int]]
     ) -> "TotalColouring":
         """Build one from ``(u, v, colour)`` triples in any order and orientation,
-        refusing a self-loop or a pair given twice, repeated or reversed."""
+        refusing a self-loop, a pair given twice, repeated or reversed, and an
+        endpoint or colour whose type is not exactly ``int`` (so a bool or a
+        float is refused)."""
+        for i, c in enumerate(vertex_colours):
+            if type(c) is not int:
+                raise DomainError(f"colour {c!r} on vertex {i} is not an int")
         fixed: dict[Pair, int] = {}
         for u, v, c in triples:
+            if not type(u) is type(v) is int:
+                raise GraphConstructionError(
+                    f"edge ({u!r},{v!r}) has an endpoint that is not an int"
+                )
+            if type(c) is not int:
+                raise DomainError(f"colour {c!r} on edge ({u},{v}) is not an int")
             if u == v:
                 raise GraphConstructionError(f"self-loop on vertex {u}")
             pair = (u, v) if u < v else (v, u)
@@ -83,29 +88,17 @@ class TotalColouring(Record):
 
 
 class VerificationReport(Record):
-    """A verifier's verdict: each conflict as two elements and their colour.
-    Unlike the other records it is mutable, and so unhashable."""
+    """A verifier's verdict: each conflict as two elements and their colour."""
 
     valid: bool
     violations: list[tuple[Element, Element, int]]
     colours_used: int
     _fields = ("valid", "violations", "colours_used")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(
-        self,
-        valid: bool,
-        violations: list[tuple[Element, Element, int]] | None = None,
-        colours_used: int = 0,
+        self, valid: bool, violations: list[tuple[Element, Element, int]], colours_used: int
     ) -> None:
-        self._init(valid, [] if violations is None else violations, colours_used)
-
-
-class TypeClass(Enum):
-    TYPE_I = 1
-    TYPE_II = 2
+        self._init(valid, violations, colours_used)
 
 
 def check_cover(g: Graph, tc: TotalColouring) -> None:
@@ -177,10 +170,11 @@ def verify_total(g: Graph, tc: TotalColouring) -> VerificationReport:
     One loop over the edges builds each vertex's edge ids and records the
     edges whose two ends, or an end and the edge, share a colour; the report
     lists the vertex pairs, then the edge pairs, then the vertex-edge pairs,
-    each in sorted-edge order.
+    each in sorted-edge order.  The endpoints are read from ``g.edges``, which
+    the cover check has shown equal to ``tc.edges``.
     """
     check_cover(g, tc)
-    vc, edges, ec = tc.vertex_colours, tc.edges, tc.edge_colours
+    vc, edges, ec = tc.vertex_colours, g.edges, tc.edge_colours
     incidence: list[list[int]] = [[] for _ in range(g.n)]
     clashes: list[int] = []
     i = 0
@@ -216,24 +210,6 @@ def verify_edge(g: Graph, colours: Sequence[int]) -> VerificationReport:
     _reject_negative(g.edges, colours)
     violations = _edge_conflicts(g.edges, colours, g.incidence())
     return VerificationReport(not violations, violations, len(set(colours)))
-
-
-def classify(g: Graph, chi_total: int) -> TypeClass:
-    """Type I when chi_total = max_degree + 1, type II when it is max_degree + 2.
-
-    Anything outside that range would contradict the total colouring
-    conjecture's bounds (or the trivial lower bound) and is surfaced loudly
-    rather than clamped.
-    """
-    delta = g.max_degree
-    if chi_total == delta + 1:
-        return TypeClass.TYPE_I
-    if chi_total == delta + 2:
-        return TypeClass.TYPE_II
-    raise OutOfConjectureRangeError(
-        f"chi_total={chi_total} outside [{delta + 1}, {delta + 2}] "
-        f"for max degree {delta}"
-    )
 
 
 def normalize_total(tc: TotalColouring) -> TotalColouring:

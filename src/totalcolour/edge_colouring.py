@@ -15,10 +15,8 @@ deterministic.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .errors import DomainError, NoRainbowError, NotBipartiteError
-from .graph_core import Graph, Pair
+from .graph_core import Graph
 
 
 def find_bipartition(g: Graph) -> list[bool]:
@@ -96,12 +94,6 @@ def _konig_insertion(h: Graph) -> list[int]:
         at[v][a] = (u, i)
         colours[i] = a
     return colours
-
-
-def colour_class(g: Graph, colours: Sequence[int], c: int) -> set[Pair]:
-    """All edges of g that ``colours`` (aligned with ``g.edges``) gives
-    colour c; empty (not an error) if c is unused."""
-    return {e for e, col in zip(g.edges, colours) if col == c}
 
 
 def one_factorization(n: int) -> list[int]:

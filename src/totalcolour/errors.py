@@ -37,9 +37,5 @@ class IncompleteColouringError(TotalColourError):
     """A colouring misses elements of the target graph, or colours unknown ones."""
 
 
-class OutOfConjectureRangeError(TotalColourError):
-    """A claimed total chromatic number lies outside [max_degree+1, max_degree+2]."""
-
-
 class ParseError(TotalColourError):
     """A JSON document does not match the expected schema."""

@@ -230,13 +230,6 @@ def cycle_graph(n: int) -> Graph:
     return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def star_graph(leaves: int) -> Graph:
-    """K_{1,leaves}: centre 0 joined to each of the given number of leaves."""
-    if leaves < 1:
-        raise GraphConstructionError("star needs at least one leaf")
-    return make_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
 def edgeless_graph(n: int) -> Graph:
     if n < 0:
         raise GraphConstructionError(f"negative vertex count {n}")

@@ -35,7 +35,6 @@ from totalcolour import (
     make_graph,
     path_graph,
     rainbow_kmm,
-    star_graph,
     verify_edge,
     verify_total,
 )
@@ -110,7 +109,7 @@ def test_criterion_5_lift_reproduction():
             path_graph(4),
             cycle_graph(6),
             complete_bipartite(3, 3),
-            star_graph(5),
+            complete_bipartite(1, 5),
         ]
         from totalcolour import kn_k2_total_colouring
 

@@ -13,22 +13,16 @@ from totalcolour import (
     DomainError,
     GraphConstructionError,
     IncompleteColouringError,
-    OutOfConjectureRangeError,
     TotalColouring,
-    TypeClass,
-    classify,
     complete_bipartite,
     complete_graph,
-    cycle_graph,
     direct_product,
-    edgeless_graph,
     incidence_conflicts,
     jsonio,
     knm_total_colouring,
     make_graph,
     normalize_total,
     path_graph,
-    star_graph,
     verify_edge,
     verify_total,
 )
@@ -158,6 +152,30 @@ def test_edge_coloured_in_both_orientations_is_rejected():
         TotalColouring.from_parts([0, 1], [(1, 0, 2), (1, 0, 2)])
 
 
+def test_from_parts_refuses_what_is_not_an_int():
+    # (0, 1.0) == (0, 1), so a float endpoint would pass the cover check
+    with pytest.raises(GraphConstructionError, match=r"edge \(0,1\.0\) has an endpoint"):
+        TotalColouring.from_parts([0, 0, 2], [(0, 1.0, 1), (1, 2, 1)])
+    # True == 1, but a report would list it as True and JSON write it as true
+    with pytest.raises(DomainError, match=r"colour True on edge \(0,1\) is not an int"):
+        TotalColouring.from_parts([0, 1], [(0, 1, True)])
+    with pytest.raises(DomainError, match=r"colour True on vertex 1 is not an int"):
+        TotalColouring.from_parts([0, True], [(0, 1, 2)])
+
+
+def test_verify_total_reads_endpoints_from_the_graph():
+    # the constructor does not type-check, so the endpoints it holds may be
+    # floats equal to the graph's; the report names the graph's int pairs
+    p3 = path_graph(3)
+    tc = TotalColouring([0, 0, 2], ((0, 1.0), (1, 2)), [1, 1])
+    rep = verify_total(p3, tc)
+    assert rep.violations == [
+        (("v", 0), ("v", 1), 0),
+        (("e", 0, 1), ("e", 1, 2), 1),
+    ]
+    assert all(type(x) is int for a, b, _ in rep.violations for x in a[1:] + b[1:])
+
+
 def test_verify_total_matches_naive_scan_on_knm_output():
     g, _ = direct_product(complete_graph(4), complete_graph(3))
     tc = knm_total_colouring(4, 3)
@@ -198,7 +216,7 @@ def test_verify_total_report_order_is_pinned():
         (v1, e12, 0), (v2, e12, 0),
     ]
     # Interleaved colour classes at the centre still come out in (i, j) order.
-    star = star_graph(5)
+    star = complete_bipartite(1, 5)
     tc = TotalColouring.from_parts(
         [0, 3, 0, 1, 4, 5], [(0, 1, 1), (0, 2, 2), (0, 3, 1), (0, 4, 2), (0, 5, 1)]
     )
@@ -298,15 +316,14 @@ def test_total_colouring_rejects_a_negative_edge_colour():
 EXPORTED = """
     CertificationStatus CertificationVerdict CrownTotalColouring DomainError Element
     Graph GraphConstructionError IncompleteColouringError NoRainbowError
-    NotBipartiteError OpenProblemError OracleResult OracleStatus
-    OutOfConjectureRangeError ParseError PreconditionError ProductVertexMap
-    SearchBudget TotalColourError TotalColouring TypeClass VerificationReport
-    bipartite_delta_edge_colouring certify_construction chi_total_bruteforce classify
-    colour_class complete_bipartite complete_graph crown_edge_colouring crown_graph
-    crown_total_colouring cycle_graph direct_product edgeless_graph exact_chi_total
-    find_bipartition incidence_conflicts kn_k2_total_colouring kn_times_bipartite
-    knm_total_colouring lift_bipartite make_graph normalize_total one_factorization
-    path_graph rainbow_kmm star_graph total_graph verify_edge verify_total
+    NotBipartiteError OpenProblemError OracleResult OracleStatus ParseError
+    PreconditionError ProductVertexMap SearchBudget TotalColourError TotalColouring
+    VerificationReport bipartite_delta_edge_colouring certify_construction
+    chi_total_bruteforce complete_bipartite complete_graph crown_edge_colouring
+    crown_graph crown_total_colouring cycle_graph direct_product edgeless_graph
+    exact_chi_total find_bipartition incidence_conflicts kn_k2_total_colouring
+    kn_times_bipartite knm_total_colouring lift_bipartite make_graph normalize_total
+    one_factorization path_graph rainbow_kmm total_graph verify_edge verify_total
 """.split()
 SUBMODULES = [
     "colouring", "constructions", "edge_colouring", "errors", "graph_core", "oracle",
@@ -332,22 +349,6 @@ def test_every_exported_name_resolves():
         [sys.executable, "-c", code % SUBMODULES], capture_output=True, text=True, check=True
     )
     assert proc.stdout.split() == [f"totalcolour.{m}" for m in SUBMODULES]
-
-
-def test_classify():
-    two_k2, _ = direct_product(complete_graph(2), complete_graph(2))
-    assert classify(two_k2, 3) is TypeClass.TYPE_II  # max degree 1
-    c6, _ = direct_product(complete_graph(3), complete_graph(2))
-    assert classify(c6, 3) is TypeClass.TYPE_I  # max degree 2
-    assert classify(edgeless_graph(5), 1) is TypeClass.TYPE_I
-
-
-def test_classify_out_of_range_is_loud():
-    c6 = cycle_graph(6)
-    with pytest.raises(OutOfConjectureRangeError):
-        classify(c6, 5)
-    with pytest.raises(OutOfConjectureRangeError):
-        classify(c6, 2)
 
 
 def test_normalize_total_compacts_order_preserving():

@@ -24,7 +24,6 @@ from totalcolour import (
     one_factorization,
     path_graph,
     rainbow_kmm,
-    star_graph,
     verify_total,
 )
 
@@ -107,7 +106,7 @@ def test_lift_over_k2_reproduces_the_input():
         (3, lambda: cycle_graph(6), 5),  # 2*2+1
         (4, lambda: complete_bipartite(3, 3), 10),  # 3*3+1
         (4, lambda: path_graph(4), 7),  # 3*2+1
-        (3, lambda: star_graph(5), 11),  # 2*5+1
+        (3, lambda: complete_bipartite(1, 5), 11),  # 2*5+1
         (6, lambda: complete_bipartite(20, 20), 101),  # 5*20+1
     ],
 )

@@ -8,7 +8,6 @@ from totalcolour import (
     NoRainbowError,
     NotBipartiteError,
     bipartite_delta_edge_colouring,
-    colour_class,
     complete_bipartite,
     complete_graph,
     crown_edge_colouring,
@@ -42,7 +41,7 @@ def test_delta_colouring_c6_alternates():
     ec = bipartite_delta_edge_colouring(c6)
     assert verify_edge(c6, ec).valid
     assert set(ec) == {0, 1}
-    cls = colour_class(c6, ec, 0)
+    cls = {e for e, col in zip(c6.edges, ec) if col == 0}
     assert len(cls) == 3 and {v for e in cls for v in e} == set(range(6))
 
 
@@ -52,7 +51,7 @@ def test_delta_colouring_crown4_classes_are_perfect_matchings():
     assert verify_edge(crown, ec).valid
     assert set(ec) == {0, 1, 2}
     for c in range(3):
-        cls = colour_class(crown, ec, c)
+        cls = {e for e, col in zip(crown.edges, ec) if col == c}
         assert len(cls) == 4
         assert {v for e in cls for v in e} == set(range(8))
 
@@ -88,19 +87,14 @@ def test_delta_exactness_random_sweep(rng):
                 assert seen == list(range(delta))
 
 
-def test_colour_class_unused_colour_is_empty():
-    m = make_graph(4, [(0, 2), (1, 3)])
-    ec = bipartite_delta_edge_colouring(m)
-    assert colour_class(m, ec, 1) == set()
-
-
 def test_one_factorization_k2():
     assert one_factorization(2) == [0]
 
 
 def test_one_factorization_k4_gives_the_three_perfect_matchings():
     ec = one_factorization(4)
-    classes = [colour_class(complete_graph(4), ec, c) for c in range(3)]
+    k4 = complete_graph(4)
+    classes = [{e for e, col in zip(k4.edges, ec) if col == c} for c in range(3)]
     # K4 has exactly three perfect matchings; derived by enumeration
     assert sorted(map(sorted, classes)) == [
         [(0, 1), (2, 3)],
@@ -117,7 +111,7 @@ def test_one_factorization_is_proper_with_perfect_classes(n):
     assert verify_edge(kn, ec).valid
     assert set(ec) == set(range(n - 1))
     for c in range(n - 1):
-        cls = colour_class(kn, ec, c)
+        cls = {e for e, col in zip(kn.edges, ec) if col == c}
         assert len(cls) == n // 2
         assert {v for e in cls for v in e} == set(range(n))
 
@@ -212,7 +206,7 @@ def test_crown_edge_colouring_exact(m):
     assert verify_edge(crown, ec).valid
     assert set(ec) == set(range(m - 1))
     for c in range(m - 1):
-        cls = colour_class(crown, ec, c)
+        cls = {e for e, col in zip(crown.edges, ec) if col == c}
         assert len(cls) == m
         assert {v for e in cls for v in e} == set(range(2 * m))
 

@@ -16,7 +16,6 @@ from totalcolour import (
     jsonio,
     make_graph,
     path_graph,
-    star_graph,
 )
 
 
@@ -108,8 +107,6 @@ def test_complete_graph_rejects_zero():
 def test_builders():
     assert len(path_graph(4).edges) == 3
     assert cycle_graph(6).degrees == (2,) * 6
-    s = star_graph(5)
-    assert s.degrees[0] == 5 and s.n == 6
     k33 = complete_bipartite(3, 3)
     assert len(k33.edges) == 9 and k33.max_degree == 3
     assert edgeless_graph(4).max_degree == 0
