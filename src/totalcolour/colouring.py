@@ -12,9 +12,10 @@ share one edge-conflict routine over each vertex's edge ids, which
 conflict as two elements, ``("v", i)`` or ``("e", u, v)``, and the colour
 they share.
 
-Colours are 0-based non-negative integers.  Palettes need not be contiguous;
-``colours_used`` always counts distinct values and :func:`normalize_total`
-compacts a palette when a contiguous one is wanted for output.
+A colour is a non-negative ``int``, never a bool or a float: one helper
+checks every :class:`TotalColouring` and every :func:`verify_edge` list.
+Palettes need not be contiguous; ``colours_used`` always counts distinct
+values and :func:`normalize_total` compacts a palette for output.
 """
 
 from __future__ import annotations
@@ -44,10 +45,8 @@ class TotalColouring(Record):
     ) -> None:
         if len(edge_colours) != len(edges):
             raise DomainError("edge_colours and edges differ in length")
-        for i, c in enumerate(vertex_colours):
-            if c < 0:
-                raise DomainError(f"negative colour {c} on vertex {i}")
-        _reject_negative(edges, edge_colours)
+        _check_colours(vertex_colours)
+        _check_colours(edge_colours, edges)
         self._init(vertex_colours, edges, edge_colours)
 
     @classmethod
@@ -55,20 +54,15 @@ class TotalColouring(Record):
         cls, vertex_colours: Sequence[int], triples: Iterable[Sequence[int]]
     ) -> "TotalColouring":
         """Build one from ``(u, v, colour)`` triples in any order and orientation,
-        refusing a self-loop, a pair given twice, repeated or reversed, and an
-        endpoint or colour whose type is not exactly ``int`` (so a bool or a
-        float is refused)."""
-        for i, c in enumerate(vertex_colours):
-            if type(c) is not int:
-                raise DomainError(f"colour {c!r} on vertex {i} is not an int")
+        refusing, in the order given, a self-loop, a pair given twice, repeated
+        or reversed, and an endpoint whose type is not exactly ``int``; the
+        constructor then checks the colours."""
         fixed: dict[Pair, int] = {}
         for u, v, c in triples:
             if not type(u) is type(v) is int:
                 raise GraphConstructionError(
                     f"edge ({u!r},{v!r}) has an endpoint that is not an int"
                 )
-            if type(c) is not int:
-                raise DomainError(f"colour {c!r} on edge ({u},{v}) is not an int")
             if u == v:
                 raise GraphConstructionError(f"self-loop on vertex {u}")
             pair = (u, v) if u < v else (v, u)
@@ -120,11 +114,18 @@ def check_cover(g: Graph, tc: TotalColouring) -> None:
     )
 
 
-def _reject_negative(edges: Sequence[Pair], colours: Sequence[int]) -> None:
-    """Raise DomainError naming the lowest colour below 0, if there is one."""
-    if min(colours, default=0) < 0:
-        c, (u, v) = min(zip(colours, edges))
-        raise DomainError(f"negative colour {c} on edge ({u},{v})")
+def _check_colours(colours: Sequence[int], edges: Sequence[Pair] | None = None) -> None:
+    """Raise DomainError naming the first colour, by index, whose type is not
+    exactly ``int`` or that is below 0; ``colours[i]`` colours vertex i, or
+    ``edges[i]`` when ``edges`` is given."""
+    if set(map(type, colours)) <= {int} and min(colours, default=0) >= 0:
+        return
+    for i, c in enumerate(colours):
+        if type(c) is not int or c < 0:
+            at = f"vertex {i}" if edges is None else "edge (%s,%s)" % tuple(edges[i])
+            if type(c) is not int:
+                raise DomainError(f"colour {c!r} on {at} is not an int")
+            raise DomainError(f"negative colour {c} on {at}")
 
 
 def _edge_conflicts(
@@ -200,14 +201,15 @@ def verify_total(g: Graph, tc: TotalColouring) -> VerificationReport:
 def verify_edge(g: Graph, colours: Sequence[int]) -> VerificationReport:
     """Certify a proper edge colouring: no two edges sharing an endpoint agree.
 
-    ``colours[i]`` colours ``g.edges[i]``; a list of another length
-    raises IncompleteColouringError, and a negative colour DomainError.
+    ``colours[i]`` colours ``g.edges[i]``; a list of another length raises
+    IncompleteColouringError, and a colour that is not a non-negative int
+    DomainError.
     """
     if len(colours) != len(g.edges):
         raise IncompleteColouringError(
             f"edge colouring has {len(colours)} colours for {len(g.edges)} edges"
         )
-    _reject_negative(g.edges, colours)
+    _check_colours(colours, g.edges)
     violations = _edge_conflicts(g.edges, colours, g.incidence())
     return VerificationReport(not violations, violations, len(set(colours)))
 

@@ -86,8 +86,8 @@ The branch and bound keeps its frames, one mask each, on an explicit stack,
 so its depth (|T(G)|) is not limited by Python's recursion limit.
 
 ``chi_total_bruteforce`` is the deliberately dumber second oracle: plain
-enumeration of colourings directly over the elements, with the conflict
-relation recomputed from first principles rather than through T(G).
+enumeration of colourings of ``Graph.elements()`` under the verifier's naive
+cross-check ``incidence_conflicts``, never through T(G).
 
 Nothing here assumes the conjectured upper bound max_degree + 2; the solver
 reports whatever it proves, and a lower bound of max_degree + 2 comes only
@@ -106,7 +106,7 @@ from typing import NamedTuple
 from .colouring import TotalColouring, normalize_total, verify_total
 from .edge_colouring import find_bipartition
 from .errors import DomainError, NotBipartiteError, PreconditionError
-from .graph_core import Graph, Record, make_graph
+from .graph_core import Graph, Record, incidence_conflicts, make_graph
 
 _RNG_SEED = 0x5EEDC01
 _PARITY_CAP = 2000  # placements of the counting search, which ticks no nodes
@@ -204,14 +204,6 @@ class _Clock:
         if self.max_nodes is not None and self.nodes >= self.max_nodes:
             return True
         return self.deadline is not None and time.monotonic() > self.deadline
-
-
-def _adjacency_masks(t: Graph) -> list[int]:
-    masks = [0] * t.n
-    for u, v in t.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
 
 
 def _clique(g: Graph) -> list[int]:
@@ -504,7 +496,7 @@ def _conformable(g: Graph, clock: _Clock) -> bool | None:
     (read at each placement) run out first: one started late proves nothing.
     """
     n, k = g.n, g.max_degree + 1
-    masks = _adjacency_masks(g)
+    masks = [sum(1 << w for w in nbrs) for nbrs in g.adjacency]
     try:
         right, odd = find_bipartition(g), False
     except NotBipartiteError:
@@ -723,32 +715,21 @@ def exact_chi_total(g: Graph, budget: SearchBudget | None = None) -> OracleResul
 def chi_total_bruteforce(g: Graph, max_elements: int = 16) -> int:
     """Second oracle: enumerate element colourings directly, smallest k first.
 
-    Conflicts are recomputed from the definitions (adjacent vertices, edges
-    sharing an endpoint, edge-endpoint incidence) without going through the
-    total graph, so this path shares nothing with the main solver.  Intended
-    for cross-validation on graphs with at most ~a dozen elements.
+    The elements are ``g.elements()`` and :func:`incidence_conflicts` says
+    which pairs conflict, so this path shares nothing with T(G) or the main
+    solver.  Intended for cross-validation on graphs with at most ~a dozen
+    elements.
     """
-    elements: list[tuple[str, int, int]] = [("v", i, -1) for i in range(g.n)]
-    elements += [("e", u, v) for u, v in g.edges]
+    elements = list(g.elements())
     ne = len(elements)
     if ne == 0:
         return 0
     if ne > max_elements:
         raise DomainError(f"{ne} elements exceeds the brute-force cap {max_elements}")
-
-    def conflicts(a: tuple[str, int, int], b: tuple[str, int, int]) -> bool:
-        if a[0] == "v" and b[0] == "v":
-            return g.has_edge(a[1], b[1])
-        if a[0] == "e" and b[0] == "e":
-            return bool({a[1], a[2]} & {b[1], b[2]})
-        v, e = (a, b) if a[0] == "v" else (b, a)
-        return v[1] in (e[1], e[2])
-
-    conflict_sets: list[list[int]] = [[] for _ in range(ne)]
-    for i in range(ne):
-        for j in range(i):
-            if conflicts(elements[i], elements[j]):
-                conflict_sets[i].append(j)
+    conflict_sets = [
+        [j for j in range(i) if incidence_conflicts(g, elements[i], elements[j])]
+        for i in range(ne)
+    ]
 
     assign = [-1] * ne
 

@@ -164,7 +164,7 @@ def test_from_parts_refuses_what_is_not_an_int():
 
 
 def test_verify_total_reads_endpoints_from_the_graph():
-    # the constructor does not type-check, so the endpoints it holds may be
+    # the constructor checks colours, not endpoints, so the ones it holds may be
     # floats equal to the graph's; the report names the graph's int pairs
     p3 = path_graph(3)
     tc = TotalColouring([0, 0, 2], ((0, 1.0), (1, 2)), [1, 1])
@@ -303,6 +303,42 @@ def test_verify_edge_incomplete():
 def test_verify_edge_rejects_a_negative_colour():
     with pytest.raises(DomainError, match=r"negative colour -1 on edge \(1,2\)"):
         verify_edge(path_graph(3), [0, -1])
+
+
+def test_verify_edge_rejects_what_is_not_an_int():
+    # True == 1 and 0.0 == 0, so either would pass for a colour it equals
+    with pytest.raises(DomainError, match=r"colour True on edge \(0,1\) is not an int"):
+        verify_edge(complete_graph(2), [True])
+    with pytest.raises(DomainError, match=r"colour 0\.0 on edge \(0,1\) is not an int"):
+        verify_edge(complete_graph(3), [0.0, 0, 1])
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["bool", "float", "negative"]))
+def test_one_bad_colour_is_named_wherever_it_is(seed, defect):
+    """One bool, float or negative colour planted at a random position of a
+    random int colouring: the record, and for an edge verify_edge, refuse it
+    and name that element."""
+    r = random.Random(seed)
+    g = random_graph(r, max_n=7, p=r.random())
+    vcs = [r.randrange(4) for _ in range(g.n)]
+    ecs = [r.randrange(4) for _ in g.edges]
+    on_edge = bool(ecs) and r.random() < 0.5
+    target = ecs if on_edge else vcs
+    i = r.randrange(len(target))
+    bad = {"bool": True, "float": float(target[i]), "negative": -1}[defect]
+    target[i] = bad
+    at = "edge (%d,%d)" % g.edges[i] if on_edge else f"vertex {i}"
+    if defect == "negative":
+        message = f"negative colour -1 on {at}"
+    else:
+        message = f"colour {bad!r} on {at} is not an int"
+    with pytest.raises(DomainError) as info:
+        TotalColouring(vcs, g.edges, ecs)
+    assert str(info.value) == message
+    if on_edge:
+        with pytest.raises(DomainError) as info:
+            verify_edge(g, ecs)
+        assert str(info.value) == message
 
 
 def test_total_colouring_rejects_a_negative_edge_colour():

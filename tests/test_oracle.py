@@ -32,7 +32,6 @@ from totalcolour import (
 )
 from totalcolour import oracle
 from totalcolour.oracle import (
-    _adjacency_masks,
     _branch_and_bound,
     _clique,
     _Clock,
@@ -469,6 +468,12 @@ def test_no_local_search_run_is_repeated(n, m, max_nodes, runs):
     assert [(k, names.get(start, "cut"), hit) for k, start, hit in calls] == runs
 
 
+def adjacency_masks(g):
+    """Each vertex's neighbours as a bit mask, read from ``Graph.adjacency``
+    as the counting certificate reads them."""
+    return [sum(1 << w for w in nbrs) for nbrs in g.adjacency]
+
+
 def relabel(masks):
     """Relabel a graph by scanning its masks: degree descending, then index.
     Returns the new label of each vertex and the masks over the new labels."""
@@ -490,7 +495,7 @@ def test_relabelled_total_matches_the_total_graph(n, isolated, seed):
     edges = [e for e in itertools.combinations(range(n), 2) if r.random() < p]
     g = make_graph(n + isolated, edges)
     pos, adj, nbrs = _relabelled_total(g)
-    want_pos, want_adj = relabel(_adjacency_masks(total_graph(g)))
+    want_pos, want_adj = relabel(adjacency_masks(total_graph(g)))
     assert (pos, adj) == (want_pos, want_adj)
     assert [sorted(vs) for vs in nbrs] == [
         [u for u in range(len(adj)) if m >> u & 1] for m in want_adj
@@ -547,7 +552,7 @@ def naive_dsatur(masks):
 def test_dsatur_greedy_matches_naive_rescan(seed):
     r = random.Random(seed)
     g = random_graph(r, max_n=12, p=r.random())
-    _, adj = relabel(_adjacency_masks(g))
+    _, adj = relabel(adjacency_masks(g))
     assert _dsatur_greedy(adj, _no_deadline()) == naive_dsatur(adj)
 
 
@@ -576,7 +581,7 @@ def test_closed_form_clique_is_maximum(seed):
     g = random_graph(r, max_n=8, p=r.random())
     while g.max_degree < 2:
         g = random_graph(r, max_n=8, p=r.random())
-    masks = _adjacency_masks(total_graph(g))
+    masks = adjacency_masks(total_graph(g))
     clique = _clique(g)
     assert len(set(clique)) == len(clique)
     assert all(masks[u] >> v & 1 for u, v in itertools.combinations(clique, 2))

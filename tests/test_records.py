@@ -100,9 +100,11 @@ def test_records_keep_value_semantics(name):
         lambda: SearchBudget(max_seconds=math.inf),
         lambda: TotalColouring([0, 1], ((0, 1),), []),
         lambda: TotalColouring([0, -1], ((0, 1),), [2]),
+        lambda: TotalColouring([True, 0.5], ((0, 1),), [2]),
+        lambda: TotalColouring([0, 1], ((0, 1),), [2.0]),
     ],
     ids=["no-limit", "negative-nodes", "negative-seconds", "infinite-seconds",
-         "lengths-differ", "negative-colour"],
+         "lengths-differ", "negative-colour", "bool-vertex-colour", "float-edge-colour"],
 )
 def test_records_validate(build):
     with pytest.raises(DomainError):
