@@ -49,13 +49,6 @@ EXIT_TIMEOUT = 5
 EXIT_INTERNAL = 6
 
 
-def _emit(obj: Any, output: str | None) -> None:
-    if output:
-        jsonio.save_json(output, obj)
-    else:
-        print(json.dumps(obj, indent=2))
-
-
 def _write_text(text: str, output: str | None) -> None:
     if output:
         jsonio.save_text(output, [text])
@@ -86,8 +79,10 @@ def cmd_product(args: SimpleNamespace) -> int:
     stats = f"|V|={prod.n} |E|={len(prod.edges)} max_degree={prod.max_degree}"
     if args.format == "dot":
         _write_text(jsonio.to_dot(prod), args.output)
+    elif args.output:
+        jsonio.save_graph(args.output, prod)
     else:
-        _emit(jsonio.graph_to_obj(prod), args.output)
+        print(json.dumps(jsonio.graph_to_obj(prod), indent=2))
     print(stats, file=sys.stdout if args.output else sys.stderr)
     return EXIT_OK
 
@@ -126,8 +121,10 @@ def cmd_colour(args: SimpleNamespace) -> int:
     meta["max_degree"] = g.max_degree
     if args.format == "dot":
         _write_text(jsonio.to_dot(g, tc), args.output)
+    elif args.output:
+        jsonio.save_bundle(args.output, g, tc, report, meta)
     else:
-        _emit(jsonio.bundle_to_obj(g, tc, report, meta), args.output)
+        print(json.dumps(jsonio.bundle_to_obj(g, tc, report, meta), indent=2))
     status = "valid" if report.valid else "INVALID"
     print(
         f"{meta['construction']}: {status}, {report.colours_used} colours, "

@@ -9,6 +9,10 @@ Schemas (all canonical, so serialize-parse round-trips are identity):
 * bundle:     {"graph": ..., "colouring": ..., "report": ..., "meta": {...}?}
 * oracle run: {"graph": ..., "chi_total": int|null, "lower": int, "upper": int,
                "nodes": int, "status": str}
+
+``colour -o`` and ``product -o`` write the text of compact ``json.dumps``
+straight from the records (:func:`save_bundle`, :func:`save_graph`), a slice
+of ``_SLICE`` rows at a time, with no per-edge list.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from itertools import chain
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from .colouring import TotalColouring, VerificationReport, check_cover
 from .errors import GraphConstructionError, ParseError, TotalColourError
@@ -66,14 +70,9 @@ _decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
 
 
 def save_json(path: str | Path, obj: Any) -> None:
-    """Write ``json.dumps(obj, separators=(",", ":"))`` and a newline.
-
-    Lists longer than ``_SLICE`` go through the C encoder a slice at a time,
-    so memory stays bounded by the text of one slice.  ``obj`` must be
-    acyclic, as every ``*_to_obj`` tree is: the encoder skips the
-    circular-reference check.
-    """
-    save_text(path, chain(_json_pieces(obj), ["\n"]))
+    """Write ``json.dumps(obj, separators=(",", ":"))`` and a newline.  ``obj``
+    must be acyclic: the encoder skips the circular-reference check."""
+    save_text(path, [_compact(obj), "\n"])
 
 
 def save_text(path: str | Path, pieces: Iterable[str]) -> None:
@@ -90,18 +89,48 @@ _SLICE = 2048
 _compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
-def _json_pieces(obj: Any) -> Iterator[str]:
-    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
-        for i, (key, value) in enumerate(obj.items()):
-            yield ("," if i else "{") + _compact(key) + ":"
-            yield from _json_pieces(value)
-        yield "}"
-    elif isinstance(obj, list) and len(obj) > _SLICE:
-        for i in range(0, len(obj), _SLICE):
-            yield ("," if i else "[") + _compact(obj[i : i + _SLICE])[1:-1]
-        yield "]"
-    else:
-        yield _compact(obj)
+def _rows(count: int, text: Callable[[slice], str]) -> Iterator[str]:
+    """A JSON array of ``count`` rows, one piece per ``_SLICE`` of them:
+    ``text(s)`` joins the rows in slice ``s`` with commas."""
+    yield "["
+    for i in range(0, count, _SLICE):
+        yield ("," if i else "") + text(slice(i, i + _SLICE))
+    yield "]"
+
+
+def _graph_text(g: Graph, names: list[str]) -> Iterator[str]:
+    edges, labels = g.edges, g.labels
+    yield f'{{"n":{g.n},"edges":'
+    yield from _rows(len(edges), lambda s: "[" + "],[".join(
+        [f"{names[u]},{names[v]}" for u, v in edges[s]]) + "]")
+    if labels is not None:
+        yield ',"labels":'
+        yield from _rows(len(labels), lambda s: _compact(labels[s])[1:-1])
+    yield "}"
+
+
+def save_graph(path: str | Path, g: Graph) -> None:
+    """Write the bytes of ``save_json(path, graph_to_obj(g))``, with no per-edge list."""
+    save_text(path, chain(_graph_text(g, list(map(str, range(g.n)))), ["\n"]))
+
+
+def save_bundle(
+    path: str | Path, g: Graph, tc: TotalColouring, report: VerificationReport,
+    meta: dict[str, Any] | None = None,
+) -> None:
+    """Write the bytes of ``save_json(path, bundle_to_obj(g, tc, report, meta))``
+    for a ``tc`` that colours ``g``, with no per-edge list: each vertex is read
+    from a list of ``str(i)``, each colour from a dict over the palette."""
+    names, colours = list(map(str, range(g.n))), {c: str(c) for c in tc.colours}
+    vcs, edges, ecs = tc.vertex_colours, tc.edges, tc.edge_colours
+    save_text(path, chain(
+        ['{"graph":'], _graph_text(g, names), [',"colouring":{"vertex_colours":'],
+        _rows(len(vcs), lambda s: ",".join(map(colours.__getitem__, vcs[s]))), [',"edge_colours":'],
+        _rows(len(ecs), lambda s: "[" + "],[".join(
+            [f"{names[u]},{names[v]},{colours[c]}" for (u, v), c in zip(edges[s], ecs[s])]) + "]"),
+        ['},"report":', _compact(report_to_obj(report)), ',"meta":' + _compact(meta) if meta else "",
+         "}\n"],
+    ))
 
 
 def graph_to_obj(g: Graph) -> dict[str, Any]:

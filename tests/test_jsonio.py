@@ -2,15 +2,17 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from totalcolour import (
     IncompleteColouringError,
     ParseError,
     SearchBudget,
+    TotalColouring,
     complete_graph,
     crown_graph,
     crown_total_colouring,
@@ -392,3 +394,74 @@ def test_save_json_slices_are_byte_identical(tmp_path, count):
     for doc in docs:
         jsonio.save_json(path, doc)
         assert path.read_bytes() == (json.dumps(doc, separators=(",", ":")) + "\n").encode()
+
+
+# a quote, a backslash, a control character, non-ASCII and an astral character
+ESCAPED = st.text(st.sampled_from('a"\\/\té☃\U0001f600'), max_size=3)
+
+
+@st.composite
+def _records(draw, count):
+    """A graph with ``count`` edges and up to three isolated vertices placed
+    anywhere; a colouring of it from a palette with gaps that holds 10**6,
+    with conflicts planted at random; its report; and meta."""
+    r = random.Random(draw(st.integers(0, 2**32)))
+    k = next(k for k in itertools.count() if k * (k - 1) // 2 >= count)
+    n = k + draw(st.integers(0, 3))
+    place = r.sample(range(n), n)
+    pairs = r.sample(list(itertools.combinations(range(k), 2)), count)
+    labels = draw(st.none() | st.lists(ESCAPED, min_size=n, max_size=n))
+    g = make_graph(n, [(place[u], place[v]) for u, v in pairs], labels)
+    step = draw(st.sampled_from([1, 3, 997]))
+    colours = [step * i for i in range(n + count)]
+    if colours:
+        colours[r.randrange(n + count)] = 10**6
+        for _ in range(draw(st.integers(0, 3))):
+            colours[r.randrange(n + count)] = r.choice(colours)
+    if count and draw(st.booleans()):  # vertex u takes the colour of edge uv
+        e = r.randrange(count)
+        colours[g.edges[e][0]] = colours[n + e]
+    tc = TotalColouring(colours[:n], g.edges, colours[n:])
+    meta = draw(st.sampled_from([None, {}]) | st.fixed_dictionaries(
+        {"construction": st.just("lift"), "params": st.lists(ESCAPED, max_size=3)}
+    ))
+    return g, tc, verify_total(g, tc), meta
+
+
+def _dumped(obj):
+    return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "count",
+    [0, jsonio._SLICE - 1, jsonio._SLICE, jsonio._SLICE + 1, 2 * jsonio._SLICE + 1],
+)
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_record_writers_give_the_bytes_of_json_dumps(tmp_path, count, data):
+    """``colour -o`` and ``product -o`` files, written from the records a slice
+    at a time, are the compact json.dumps of ``bundle_to_obj`` and ``graph_to_obj``."""
+    g, tc, report, meta = data.draw(_records(count))
+    path = tmp_path / "out.json"
+    jsonio.save_bundle(path, g, tc, report, meta)
+    assert path.read_bytes() == _dumped(jsonio.bundle_to_obj(g, tc, report, meta))
+    jsonio.save_graph(path, g)
+    assert path.read_bytes() == _dumped(jsonio.graph_to_obj(g))
+
+
+def test_bundle_write_needs_no_memory_per_edge(tmp_path):
+    """The K20 x K19 bundle, 1.47 MB of text, is written with an allocation
+    peak under 1 MB: per-edge lists, or the whole text as one string, would
+    take more (save_json of bundle_to_obj peaks at about 11 MB)."""
+    tc = knm_total_colouring(20, 19)
+    g, _ = direct_product(complete_graph(20), complete_graph(19))
+    report = verify_total(g, tc)
+    path = tmp_path / "k20.json"
+    tracemalloc.start()
+    try:
+        jsonio.save_bundle(path, g, tc, report, {"construction": "knm", "params": [20, 19]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 1_400_000
+    assert peak < 1_000_000
