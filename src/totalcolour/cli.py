@@ -82,7 +82,8 @@ def cmd_product(args: SimpleNamespace) -> int:
     elif args.output:
         jsonio.save_graph(args.output, prod)
     else:
-        print(json.dumps(jsonio.graph_to_obj(prod), indent=2))
+        sys.stdout.writelines(jsonio.graph_text(prod, indent=True))
+        print()
     print(stats, file=sys.stdout if args.output else sys.stderr)
     return EXIT_OK
 
@@ -124,7 +125,8 @@ def cmd_colour(args: SimpleNamespace) -> int:
     elif args.output:
         jsonio.save_bundle(args.output, g, tc, report, meta)
     else:
-        print(json.dumps(jsonio.bundle_to_obj(g, tc, report, meta), indent=2))
+        sys.stdout.writelines(jsonio.bundle_text(g, tc, report, meta, indent=True))
+        print()
     status = "valid" if report.valid else "INVALID"
     print(
         f"{meta['construction']}: {status}, {report.colours_used} colours, "

@@ -15,8 +15,12 @@ deterministic.
 
 from __future__ import annotations
 
+from typing import Callable, overload
+
 from .errors import DomainError, NoRainbowError, NotBipartiteError
 from .graph_core import Graph
+
+_STOP_EDGES = 256  # insertions of the Kőnig colouring between reads of ``stop``
 
 
 def find_bipartition(g: Graph) -> list[bool]:
@@ -55,10 +59,16 @@ def bipartite_delta_edge_colouring(h: Graph) -> list[int]:
     return _konig_insertion(h)
 
 
-def _konig_insertion(h: Graph) -> list[int]:
+@overload
+def _konig_insertion(h: Graph) -> list[int]: ...
+@overload
+def _konig_insertion(h: Graph, stop: Callable[[], bool]) -> list[int] | None: ...
+def _konig_insertion(h: Graph, stop: Callable[[], bool] | None = None) -> list[int] | None:
     """:func:`bipartite_delta_edge_colouring` without the bipartite check,
     for an h known to be bipartite: on an odd cycle a flipped path can reach
-    u, and the colouring it returns need not be proper."""
+    u, and the colouring it returns need not be proper.  With ``stop``, it
+    asks ``stop()`` every ``_STOP_EDGES`` insertions and returns None once
+    that is true; without, it never returns None."""
     colours = [0] * len(h.edges)
     # at[v][c] = (neighbour, edge id) of the c-coloured edge at v
     at: list[dict[int, tuple[int, int]]] = [{} for _ in range(h.n)]
@@ -87,6 +97,8 @@ def _konig_insertion(h: Graph) -> list[int]:
             colours[i] = nc
 
     for i, (u, v) in enumerate(h.edges):
+        if stop is not None and not (i + 1) % _STOP_EDGES and stop():
+            return None
         a = first_free(u)
         if a in at[v]:
             flip_path(v, a, first_free(v))

@@ -10,9 +10,10 @@ Schemas (all canonical, so serialize-parse round-trips are identity):
 * oracle run: {"graph": ..., "chi_total": int|null, "lower": int, "upper": int,
                "nodes": int, "status": str}
 
-``colour -o`` and ``product -o`` write the text of compact ``json.dumps``
-straight from the records (:func:`save_bundle`, :func:`save_graph`), a slice
-of ``_SLICE`` rows at a time, with no per-edge list.
+``colour`` and ``product`` write the text of ``json.dumps`` straight from
+the records (:func:`bundle_text`, :func:`graph_text`), a slice of ``_SLICE``
+rows at a time, with no per-edge list: compact to a file with ``-o``
+(:func:`save_bundle`, :func:`save_graph`), and with ``indent=2`` to stdout.
 """
 
 from __future__ import annotations
@@ -88,30 +89,108 @@ _SLICE = 2048
 # json.dumps(obj, separators=(",", ":")) without the circular-reference check
 _compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
+# The record writers give the text of json.dumps(obj, separators=(",", ":"))
+# when ``pad`` is "", and of json.dumps(obj, indent=2) when ``pad`` is a
+# newline and the indent of the value's last line: a value's items then sit
+# on lines of their own, two spaces deeper.
 
-def _rows(count: int, text: Callable[[slice], str]) -> Iterator[str]:
+
+def _inner(pad: str) -> str:
+    return pad and pad + "  "
+
+
+def _dumps(obj: Any, pad: str) -> str:
+    """json.dumps of ``obj`` at ``pad``: JSON strings hold no raw newline, so
+    every newline of the indented text starts one of its lines."""
+    return json.dumps(obj, indent=2).replace("\n", pad) if pad else _compact(obj)
+
+
+def _object(pad: str, fields: list[tuple[str, Iterable[str]]]) -> Iterator[str]:
+    """A JSON object of one or more ``(key, pieces of its value)`` fields."""
+    inner, colon = _inner(pad), ": " if pad else ":"
+    for i, (key, value) in enumerate(fields):
+        yield f'{"," if i else "{"}{inner}"{key}"{colon}'
+        yield from value
+    yield pad + "}"
+
+
+def _rows(count: int, text: Callable[[slice, str], str], pad: str) -> Iterator[str]:
     """A JSON array of ``count`` rows, one piece per ``_SLICE`` of them:
-    ``text(s)`` joins the rows in slice ``s`` with commas."""
-    yield "["
+    ``text(s, p)`` gives the rows in slice ``s`` at the rows' pad ``p``,
+    joined by ``"," + p``."""
+    if not count:
+        yield "[]"
+        return
+    inner = _inner(pad)
+    yield "[" + inner
     for i in range(0, count, _SLICE):
-        yield ("," if i else "") + text(slice(i, i + _SLICE))
-    yield "]"
+        yield ("," + inner if i else "") + text(slice(i, i + _SLICE), inner)
+    yield pad + "]"
 
 
-def _graph_text(g: Graph, names: list[str]) -> Iterator[str]:
+def _arrays(items: list[str], pad: str) -> str:
+    """Arrays at ``pad`` joined by ``"," + pad``, each given as its items
+    joined by ``"," + _inner(pad)``."""
+    inner = _inner(pad)
+    return "[" + inner + (pad + "]," + pad + "[" + inner).join(items) + pad + "]"
+
+
+def _graph_text(g: Graph, names: list[str], pad: str) -> Iterator[str]:
     edges, labels = g.edges, g.labels
-    yield f'{{"n":{g.n},"edges":'
-    yield from _rows(len(edges), lambda s: "[" + "],[".join(
-        [f"{names[u]},{names[v]}" for u, v in edges[s]]) + "]")
+
+    def pairs(s: slice, p: str) -> str:
+        c = "," + _inner(p)
+        return _arrays([f"{names[u]}{c}{names[v]}" for u, v in edges[s]], p)
+
+    fields = [("n", [str(g.n)]), ("edges", _rows(len(edges), pairs, _inner(pad)))]
     if labels is not None:
-        yield ',"labels":'
-        yield from _rows(len(labels), lambda s: _compact(labels[s])[1:-1])
-    yield "}"
+        fields.append(("labels", _rows(
+            len(labels), lambda s, p: ("," + p).join(map(_compact, labels[s])), _inner(pad))))
+    return _object(pad, fields)
+
+
+def graph_text(g: Graph, indent: bool = False) -> Iterator[str]:
+    """The text of ``json.dumps(graph_to_obj(g))``, compact or with
+    ``indent=2``, in pieces, with no per-edge list."""
+    return _graph_text(g, list(map(str, range(g.n))), "\n" if indent else "")
 
 
 def save_graph(path: str | Path, g: Graph) -> None:
     """Write the bytes of ``save_json(path, graph_to_obj(g))``, with no per-edge list."""
-    save_text(path, chain(_graph_text(g, list(map(str, range(g.n)))), ["\n"]))
+    save_text(path, chain(graph_text(g), ["\n"]))
+
+
+def bundle_text(
+    g: Graph, tc: TotalColouring, report: VerificationReport,
+    meta: dict[str, Any] | None = None, indent: bool = False,
+) -> Iterator[str]:
+    """The text of ``json.dumps(bundle_to_obj(g, tc, report, meta))``, compact
+    or with ``indent=2``, in pieces, for a ``tc`` that colours ``g``, with no
+    per-edge list: each vertex is read from a list of ``str(i)``, each colour
+    from a dict over the palette."""
+    names, colours = list(map(str, range(g.n))), {c: str(c) for c in tc.colours}
+    vcs, edges, ecs = tc.vertex_colours, tc.edges, tc.edge_colours
+
+    def triples(s: slice, p: str) -> str:
+        c = "," + _inner(p)
+        return _arrays([
+            f"{names[u]}{c}{names[v]}{c}{colours[k]}" for (u, v), k in zip(edges[s], ecs[s])
+        ], p)
+
+    pad = "\n" if indent else ""
+    top, mid = _inner(pad), _inner(_inner(pad))  # the pads of the fields and of theirs
+    fields = [
+        ("graph", _graph_text(g, names, top)),
+        ("colouring", _object(top, [
+            ("vertex_colours", _rows(
+                len(vcs), lambda s, p: ("," + p).join(map(colours.__getitem__, vcs[s])), mid)),
+            ("edge_colours", _rows(len(ecs), triples, mid)),
+        ])),
+        ("report", [_dumps(report_to_obj(report), top)]),
+    ]
+    if meta:
+        fields.append(("meta", [_dumps(meta, top)]))
+    return _object(pad, fields)
 
 
 def save_bundle(
@@ -119,18 +198,8 @@ def save_bundle(
     meta: dict[str, Any] | None = None,
 ) -> None:
     """Write the bytes of ``save_json(path, bundle_to_obj(g, tc, report, meta))``
-    for a ``tc`` that colours ``g``, with no per-edge list: each vertex is read
-    from a list of ``str(i)``, each colour from a dict over the palette."""
-    names, colours = list(map(str, range(g.n))), {c: str(c) for c in tc.colours}
-    vcs, edges, ecs = tc.vertex_colours, tc.edges, tc.edge_colours
-    save_text(path, chain(
-        ['{"graph":'], _graph_text(g, names), [',"colouring":{"vertex_colours":'],
-        _rows(len(vcs), lambda s: ",".join(map(colours.__getitem__, vcs[s]))), [',"edge_colours":'],
-        _rows(len(ecs), lambda s: "[" + "],[".join(
-            [f"{names[u]},{names[v]},{colours[c]}" for (u, v), c in zip(edges[s], ecs[s])]) + "]"),
-        ['},"report":', _compact(report_to_obj(report)), ',"meta":' + _compact(meta) if meta else "",
-         "}\n"],
-    ))
+    for a ``tc`` that colours ``g``, with no per-edge list."""
+    save_text(path, chain(bundle_text(g, tc, report, meta), ["\n"]))
 
 
 def graph_to_obj(g: Graph) -> dict[str, Any]:

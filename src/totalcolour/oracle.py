@@ -7,6 +7,12 @@ runs a DSATUR-ordered branch and bound on T(G).  A solve, in order:
 * closed form: a graph with Δ <= 2 is a disjoint union of paths and
   cycles, and its χ'' and an optimal colouring come with no T(G), bound or
   search node (:func:`_paths_and_cycles`); every later step sees Δ >= 3;
+* closed form for K_n and bipartite graphs: :func:`_closed_form` colours
+  them with Δ+1 or Δ+2 colours, and that colouring is a seed (below) when
+  its palette is smaller than the given one.  A seed of Δ+2 colours asks
+  the counting certificate here, before T(G): when it rules out Δ+1, the
+  seed is optimal.  So K_n, K_{a,b} and every bipartite graph with, in
+  each component, a side of degrees below Δ are answered with no T(G);
 * T(G): built once, straight from ``g.edges`` and relabelled by degree in
   closed form (:func:`_relabelled_total`); the greedy and the search share
   its adjacency masks, every local-search run its neighbour lists;
@@ -39,9 +45,10 @@ runs a DSATUR-ordered branch and bound on T(G).  A solve, in order:
 Two certificates can close the gap between the bounds before the search:
 
 * a seed colouring: ``certify_construction`` hands the colouring it checks
-  to the solver, and its palette becomes the first upper bound (and the
-  local search starts from it) when it is smaller than the greedy one.  A
-  palette equal to Δ+1 is optimal with no search at all;
+  to the solver, the closed form above may give a smaller one, and its
+  palette becomes the first upper bound (and the local search starts from
+  it) when it is smaller than the greedy one.  A palette equal to Δ+1 is
+  optimal with no search at all;
 * a counting lower bound.  In a (Δ+1)-total colouring each vertex v
   misses exactly Δ - deg(v) colours, and every colour c splits V into the
   vertices coloured c, the endpoints of the matching of edges coloured c,
@@ -66,15 +73,17 @@ Two certificates can close the gap between the bounds before the search:
   K_{a,a} type II for every a, and C_4 and C_8, though these pass the
   parity bound when a is even (the closed form answers the cycles before
   the certificate is asked).  :func:`_conformable` searches for such a
-  colouring of G; when it proves there is none, the lower bound is Δ+2, no
-  probe runs, and the local search that follows aims at Δ+2.
+  colouring of G, at most once per solve; when it proves there is none, the
+  lower bound is Δ+2, no probe runs, and the local search that follows aims
+  at Δ+2.
 
 Every search reads the solve's one clock: the branch and bound at each node
 (the wall clock every 512th), the local search before its set-up and each
-move, the counting certificate at each placement, and the DSATUR greedy
-every ``_GREEDY_STEPS`` steps; the T(G) build never does.  A greedy that
-runs out of time leaves the seed, when there is one, as the upper bound,
-and otherwise the trivial bounds.
+move, the counting certificate at each placement, the DSATUR greedy every
+``_GREEDY_STEPS`` steps, and the Kőnig insertion of the closed form every
+256 edges; the T(G) build never does.  A greedy or an insertion that runs
+out of time leaves the seed, when there is one, as the upper bound, and
+otherwise the trivial bounds.
 
 The DSATUR greedy and the search share one bit-parallel core.  T(G) is
 labelled by degree descending, then index, so the DSATUR choice is the
@@ -104,7 +113,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .colouring import TotalColouring, normalize_total, verify_total
-from .edge_colouring import find_bipartition
+from .edge_colouring import _konig_insertion, find_bipartition
 from .errors import DomainError, NotBipartiteError, PreconditionError
 from .graph_core import Graph, Record, incidence_conflicts, make_graph
 
@@ -614,6 +623,63 @@ def _paths_and_cycles(g: Graph) -> list[int]:
     return colours
 
 
+def _closed_form(g: Graph, clock: _Clock) -> list[int] | None:
+    """A total colouring of a complete or bipartite g with Δ >= 3, in closed
+    form, or None: in element order (vertices, then ``g.edges``), with Δ+1
+    or Δ+2 colours.
+
+    * K_n: with m = n | 1, vertex i takes 2i mod m and edge uv takes
+      (u + v) mod m.  As m is odd, 2i mod m tells the vertices apart; the
+      edges at u differ in v; and u + v ≡ 2u would need v ≡ u.  That is
+      Δ+1 = n colours for odd n, and Δ+2 = n+1 for even n, which no fewer
+      colours do (Behzad, Chartrand and Cooper, J. London Math. Soc. 42,
+      1967; the parity rule proves it again).
+    * Bipartite g: the edges take the Δ colours 0..Δ-1 of the Kőnig
+      insertion, read from ``clock`` every few hundred edges (None once it
+      is spent).  Then, on each component, if one side has every degree
+      below Δ, each vertex of that side takes the smallest colour missing
+      at it, which is below Δ, and the other side takes Δ.  This is a
+      (Δ+1)-total colouring: a side is independent, so its vertices of
+      colour Δ meet only edges below Δ and vertices of the other side,
+      whose colours are below Δ; a vertex with a missing colour meets
+      neither an edge of that colour nor a vertex of its own side.  The
+      side is chosen per component, since a component of max degree below
+      Δ, or a star, may have its low side on either side of
+      :func:`find_bipartition`.  When some component has a vertex of
+      degree Δ on each side, the left side takes Δ and the right Δ+1.
+    """
+    n, edges, delta = g.n, g.edges, g.max_degree
+    if 2 * len(edges) == n * (n - 1):
+        m = n | 1
+        return [2 * i % m for i in range(n)] + [(u + v) % m for u, v in edges]
+    try:
+        right = find_bipartition(g)
+    except NotBipartiteError:
+        return None
+    phi = _konig_insertion(g, clock.exhausted)
+    if phi is None:
+        return None
+    nbrs, degs, at = g.adjacency, g.degrees, g.incidence()
+    colours, seen = [delta] * n + phi, [False] * n
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        component = [s]
+        for u in component:  # the loop reaches every vertex appended to it
+            for w in nbrs[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    component.append(w)
+        full = {right[v] for v in component if degs[v] == delta}
+        if len(full) == 2:
+            return [delta + r for r in right] + phi
+        for v in component:  # the left side, unless it holds a degree-Δ vertex
+            if right[v] == (False in full):
+                colours[v] = min(set(range(degs[v] + 1)) - {phi[i] for i in at[v]})
+    return colours
+
+
 def _trivial_bounds(g: Graph) -> OracleResult:
     """What a budget spent before T(G) has a colouring gives: [Δ+1, |V|+|E|]."""
     lower, upper = g.max_degree + 1, g.element_count()
@@ -638,13 +704,21 @@ def _solve(
     clock = _Clock(budget)
     if clock.exhausted():
         return _trivial_bounds(g), None
-    if seed is not None and max(seed) + 1 == trivial_lower:
-        k = trivial_lower
-        return OracleResult(OracleStatus.EXACT, k, k, k, 0), seed
-    if g.max_degree <= 2:
-        colouring = _paths_and_cycles(g)
-        k = max(colouring) + 1
-        return OracleResult(OracleStatus.EXACT, k, k, k, 0), colouring
+    if seed is None or max(seed) + 1 > trivial_lower:
+        if g.max_degree <= 2:
+            colouring = _paths_and_cycles(g)
+            k = max(colouring) + 1
+            return OracleResult(OracleStatus.EXACT, k, k, k, 0), colouring
+        closed = _closed_form(g, clock)
+        if closed is None and seed is None and clock.exhausted():
+            return _trivial_bounds(g), None
+        if closed is not None and (seed is None or max(closed) < max(seed)):
+            seed = closed
+    refuted = None  # the counting certificate's answer, asked once per solve
+    if seed is not None and (k := max(seed) + 1) <= trivial_lower + 1:
+        # Δ+1 colours are optimal; Δ+2 are when the certificate rules out Δ+1
+        if k == trivial_lower or (refuted := _conformable(g, clock) is False):
+            return OracleResult(OracleStatus.EXACT, k, k, k, 0), seed
 
     pos, adj, nbrs = _relabelled_total(g)
     clique = [pos[v] for v in _clique(g)]
@@ -658,7 +732,9 @@ def _solve(
             start[pos[v]] = c
     ub = max(start) + 1
     completed, missed = False, None
-    if lb < ub and _conformable(g, clock) is False:
+    if refuted is None and lb < ub:
+        refuted = _conformable(g, clock) is False
+    if lb < ub and refuted:
         lb += 1  # counting certificate: no (Δ+1)-total colouring
     elif lb < ub and (found := _tabucol(nbrs, start, lb, clock)) is not None:
         start, ub = found, lb
@@ -699,15 +775,18 @@ def exact_chi_total(g: Graph, budget: SearchBudget | None = None) -> OracleResul
 
     Returns Exact when the lower and upper bounds meet (or the search space
     is exhausted), TimedOut with the best bounds otherwise.  The clock is
-    first read before T(G) is built, and then by the DSATUR greedy, so a
-    budget spent before the greedy colouring is complete (``max_nodes=0``,
-    or a wall-clock limit that the T(G) build and the greedy outrun) yields
+    first read before any colouring is built, then by the Kőnig insertion
+    of a bipartite graph, and by the DSATUR greedy, so a budget spent before
+    the first colouring is complete (``max_nodes=0``, or a wall-clock limit
+    that the insertion, or the T(G) build and the greedy, outrun) yields
     LowerBoundOnly, with the trivial bounds [Δ+1, |V|+|E|].  Any other
-    budget gets at least the greedy colouring's upper bound; a node budget
-    always does, since no node is counted before the greedy ends.  A graph
-    with Δ <= 2 gets its exact value in closed form, with 0 nodes.  The
-    counting certificate reads the same clock, so one that starts past a
-    wall-clock deadline proves no Δ+2.
+    budget gets at least the upper bound of a closed-form or greedy
+    colouring; a node budget always does, since no node is counted before
+    the greedy ends.  A graph with Δ <= 2 gets its exact value in closed
+    form, with 0 nodes; so do K_n, K_{a,b} and every bipartite graph with,
+    in each component, a side of degrees below Δ.  The counting certificate
+    reads the same clock, so one that starts past a wall-clock deadline
+    proves no Δ+2.
     """
     return _solve(g, budget, None)[0]
 

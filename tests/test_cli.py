@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import os
 import subprocess
@@ -59,6 +60,47 @@ def test_product_to_stdout(k2_file, capsys):
     obj = json.loads(captured.out)
     assert obj["n"] == 4
     assert "|V|=4" in captured.err  # stats go to stderr in stdout mode
+
+
+def _labelled_complete(n):
+    """K_n with labels holding a quote, a backslash, non-ASCII and an astral
+    character, as CI's labelled product factors hold."""
+    return make_graph(n, list(itertools.combinations(range(n), 2)),
+                      [f'"\\\u00e9\U0001f600{i}' for i in range(n)])
+
+
+def test_stdout_is_json_dumps_with_indent_2(tmp_path, capsys):
+    """``colour`` and ``product`` without ``-o`` print the bytes of
+    ``json.dumps(obj, indent=2)``: here the K20 x K19 bundle, a product whose
+    labels need escapes, and an edgeless product and its bundle, whose empty
+    lists print as ``[]``."""
+
+    def printed(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    def bundle(g, tc, meta):
+        obj = jsonio.bundle_to_obj(g, tc, verify_total(g, tc), meta)
+        return json.dumps(obj, indent=2) + "\n"
+
+    k20, _ = direct_product(complete_graph(20), complete_graph(19))
+    meta = {"construction": "knm", "params": [20, 19], "colours_used": 343, "max_degree": 342}
+    want = bundle(k20, totalcolour.knm_total_colouring(20, 19), meta)
+    assert printed(["colour", "knm", "20", "19"]) == want
+    factors = {"lk12": _labelled_complete(12), "lk7": _labelled_complete(7), "e2": edgeless_graph(2)}
+    paths = {name: str(tmp_path / f"{name}.json") for name in factors}
+    for name, g in factors.items():
+        jsonio.save_graph(paths[name], g)
+    for g, h in [("lk12", "lk7"), ("e2", "e2")]:
+        prod, _ = direct_product(factors[g], factors[h])
+        want = json.dumps(jsonio.graph_to_obj(prod), indent=2) + "\n"
+        assert printed(["product", paths[g], paths[h]]) == want
+    e6, _ = direct_product(complete_graph(3), factors["e2"])
+    meta = {"construction": "kn-bipartite", "params": [3, paths["e2"]],
+            "colours_used": 1, "max_degree": 0}
+    want = bundle(e6, totalcolour.kn_times_bipartite(3, factors["e2"]), meta)
+    assert '"edges": [],' in want and '"edge_colours": []' in want
+    assert printed(["colour", "kn-bipartite", "3", paths["e2"]]) == want
 
 
 def test_product_malformed_file_exits_2(tmp_path):

@@ -440,13 +440,19 @@ def _dumped(obj):
 @given(data=st.data())
 def test_record_writers_give_the_bytes_of_json_dumps(tmp_path, count, data):
     """``colour -o`` and ``product -o`` files, written from the records a slice
-    at a time, are the compact json.dumps of ``bundle_to_obj`` and ``graph_to_obj``."""
+    at a time, are the compact json.dumps of ``bundle_to_obj`` and
+    ``graph_to_obj``, and what they print without ``-o`` is its text with
+    ``indent=2``."""
     g, tc, report, meta = data.draw(_records(count))
     path = tmp_path / "out.json"
     jsonio.save_bundle(path, g, tc, report, meta)
     assert path.read_bytes() == _dumped(jsonio.bundle_to_obj(g, tc, report, meta))
     jsonio.save_graph(path, g)
     assert path.read_bytes() == _dumped(jsonio.graph_to_obj(g))
+    indented = "".join(jsonio.bundle_text(g, tc, report, meta, indent=True))
+    assert indented == json.dumps(jsonio.bundle_to_obj(g, tc, report, meta), indent=2)
+    indented = "".join(jsonio.graph_text(g, indent=True))
+    assert indented == json.dumps(jsonio.graph_to_obj(g), indent=2)
 
 
 def test_bundle_write_needs_no_memory_per_edge(tmp_path):

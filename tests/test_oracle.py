@@ -35,6 +35,7 @@ from totalcolour.oracle import (
     _branch_and_bound,
     _clique,
     _Clock,
+    _closed_form,
     _conformable,
     _count,
     _dsatur_greedy,
@@ -144,14 +145,16 @@ def _knm(n, m):
 
 
 def test_deterministic_given_fixed_budget():
-    # (status, chi_total, lower, upper, nodes): where no certificate settles
-    # the graph, a local-search run from the greedy colouring comes first.
-    # On K_{2,3}, K_{4,5}, K6×K3 and K5×K4 it finds Δ+1 colours, so the
-    # probe of 2|T(G)| nodes never runs and no node is counted.  On K_4 ∪ K_1
-    # (type II, and the certificate sees the whole graph) that run misses,
-    # and the probe then proves Δ+2 in 16 nodes.  Paths and cycles are
-    # answered in closed form with no node, even on a budget far too small
-    # for any search
+    # (status, chi_total, lower, upper, nodes): K_{2,3} and K_{4,5} take
+    # Δ+1 colours in closed form, and K_{4,4}, K_{8,8} and K_8 take Δ+2 that
+    # the counting certificate proves optimal before T(G) is built.  Where
+    # no certificate settles the graph, a local-search run from the greedy
+    # colouring comes first.  On K6×K3 and K5×K4 it finds Δ+1 colours, so
+    # the probe of 2|T(G)| nodes never runs and no node is counted.  On
+    # K_4 ∪ K_1 (type II, and the certificate sees the whole graph) that run
+    # misses, and the probe then proves Δ+2 in 16 nodes.  Paths and cycles
+    # are answered in closed form with no node, even on a budget far too
+    # small for any search
     pinned = [
         (_knm(4, 3), 10_000, ("exact", 7, 7, 7, 0)),  # greedy palette Δ+1
         (complete_bipartite(2, 3), 150_000, ("exact", 4, 4, 4, 0)),
@@ -914,3 +917,109 @@ def test_oracle_never_beats_a_verified_colouring(rng):
         res = exact_chi_total(g, SearchBudget(max_seconds=120.0))
         assert res.status is OracleStatus.EXACT
         assert g.max_degree + 1 <= res.chi_total <= tc.palette_size
+
+
+def _closed_form_case(r):
+    """K_n for 4 <= n <= 40, or a bipartite graph with Δ >= 3: one random
+    bipartite graph, a disjoint union of two, or the direct product of two,
+    with its vertices shuffled so that either side may come first."""
+    kind = r.randrange(4)
+    if kind == 0:
+        return complete_graph(r.randint(4, 40))
+    while True:
+        p, part = r.random(), r.choice((3, 6))
+        g = random_bipartite(r, max_part=part, p=p)[0]
+        if kind == 1:
+            h = random_bipartite(r, max_part=part, p=p)[0]
+            g = make_graph(g.n + h.n, g.edges + tuple((u + g.n, v + g.n) for u, v in h.edges))
+        elif kind == 2:
+            g = direct_product(g, random_bipartite(r, max_part=3, p=p)[0])[0]
+        if g.max_degree >= 3:
+            break
+    label = r.sample(range(g.n), g.n)
+    return make_graph(g.n, [(label[u], label[v]) for u, v in g.edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_closed_form_colourings_verify(seed):
+    # the closed form's colouring passes verify_total with Δ+1 or Δ+2
+    # colours; _solve answers from it, and from the certificate or a search
+    # when it has Δ+2; and a vertex that takes a colour present at it, not a
+    # missing one, is caught
+    g = _closed_form_case(random.Random(seed))
+    delta = g.max_degree
+    colours = _closed_form(g, _no_deadline())
+    report = verify_total(g, _colouring_of(g, colours))
+    assert report.valid and report.colours_used == max(colours) + 1
+    assert max(colours) in (delta, delta + 1)
+    res, solved = _solve(g, SearchBudget(max_nodes=150_000), None)
+    report = verify_total(g, _colouring_of(g, solved))
+    assert report.valid and report.colours_used == res.upper <= max(colours) + 1
+    if max(colours) == delta:
+        assert res == (OracleStatus.EXACT, delta + 1, delta + 1, delta + 1, 0)
+        assert solved == colours
+        at = g.incidence()
+        v = next(v for v in range(g.n) if colours[v] < delta and at[v])
+        planted = colours[:]
+        planted[v] = colours[g.n + at[v][-1]]
+        assert not verify_total(g, _colouring_of(g, planted)).valid
+    if g.element_count() <= 16:
+        assert (res.status, res.chi_total) == (OracleStatus.EXACT, chi_total_bruteforce(g))
+
+
+def test_closed_form_picks_the_low_side_per_component():
+    # the first star's centre is on the left and the second's on the right,
+    # so no one side has every degree below Δ = 3, but each star has one
+    g = make_graph(8, [(0, 1), (0, 2), (0, 3), (4, 7), (5, 7), (6, 7)])
+    assert find_bipartition(g) == [False, True, True, True, False, False, False, True]
+    colours = _closed_form(g, _no_deadline())
+    assert colours[:8] == [3, 1, 0, 0, 0, 0, 1, 3]
+    report = verify_total(g, _colouring_of(g, colours))
+    assert report.valid and report.colours_used == 4
+    res = exact_chi_total(g, SearchBudget(max_nodes=150_000))
+    assert res == (OracleStatus.EXACT, 4, 4, 4, 0)
+
+
+def test_complete_and_complete_bipartite_graphs_need_no_search():
+    # K_{a,b} (a < b) is type I and K_n is type I for odd n; K_{a,a} and
+    # K_n for even n get Δ+2 that the counting certificate proves optimal
+    budget = SearchBudget(max_nodes=150_000)
+    for a, b in itertools.combinations(range(1, 41), 2):
+        res = exact_chi_total(complete_bipartite(a, b), budget)
+        assert res == (OracleStatus.EXACT, b + 1, b + 1, b + 1, 0)
+    for n in range(4, 41):
+        chi = n | 1
+        assert exact_chi_total(complete_graph(n), budget) == (OracleStatus.EXACT, chi, chi, chi, 0)
+    # a budget spent before any colouring still gives the trivial bounds
+    res = exact_chi_total(complete_bipartite(20, 21), SearchBudget(max_nodes=0))
+    assert res == (OracleStatus.LOWER_BOUND_ONLY, None, 22, 41 + 420, 0)
+
+
+def test_konig_insertion_reads_the_clock():
+    # K_{120,121} has 14,520 edges, so a spent clock stops the insertion at
+    # its first read, before T(G) (29,041 elements) is built
+    g = complete_bipartite(120, 121)
+    spent = _Clock(SearchBudget(max_seconds=1e-9))
+    while not spent.exhausted():
+        pass
+    assert _closed_form(g, spent) is None
+    res = exact_chi_total(g, SearchBudget(max_seconds=1e-9))
+    assert res == (OracleStatus.LOWER_BOUND_ONLY, None, 122, 241 + 14_520, 0)
+
+
+@pytest.mark.parametrize(
+    "g, chi",
+    [
+        # regular and bipartite: the closed form has Δ+2 colours, the
+        # certificate finds a conforming colouring, the local search Δ+1
+        (_knm(5, 2), 5),
+        # the certificate spends its placement cap and proves nothing
+        (make_graph(18, [(i, 9 + j) for i in range(9) for j in range(9) if i != j or i >= 5]), 10),
+    ],
+)
+def test_counting_certificate_runs_once_per_solve(g, chi):
+    with mock.patch.object(oracle, "_conformable", wraps=_conformable) as conformable:
+        res = exact_chi_total(g, SearchBudget(max_nodes=150_000))
+    assert conformable.call_count == 1
+    assert (res.status, res.chi_total, res.nodes) == (OracleStatus.EXACT, chi, 0)
