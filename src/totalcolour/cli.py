@@ -9,10 +9,11 @@ Importing this module loads only what every command runs: ``jsonio``,
 ``colouring``, ``graph_core`` and ``errors``.  A handler reads the rest as an
 attribute of the package, which imports it on first use: ``colour`` loads
 ``constructions``, ``products`` and ``edge_colouring``, ``chi`` loads
-``oracle`` and ``edge_colouring``, ``product`` loads ``products``, and
-``verify`` and ``export-dot`` load nothing more.  With no bytecode cache,
-``import totalcolour.cli`` takes about half the time that importing every
-submodule takes (README, "Start-up").  The command line is read from one
+``oracle`` and ``edge_colouring`` (and ``constructions`` and ``products``
+on a product of two complete graphs with an even factor), ``product``
+loads ``products``, and ``verify`` and ``export-dot`` load nothing more.
+With no bytecode cache, ``import totalcolour.cli`` takes about half the
+time that importing every submodule takes (README, "Start-up").  The command line is read from one
 table, :data:`COMMANDS`, with no ``argparse``, which would load ``gettext``
 and ``locale``; only ``--help`` and a usage error load ``cli_help``, which
 renders their text from the same table.

@@ -7,12 +7,16 @@ runs a DSATUR-ordered branch and bound on T(G).  A solve, in order:
 * closed form: a graph with Δ <= 2 is a disjoint union of paths and
   cycles, and its χ'' and an optimal colouring come with no T(G), bound or
   search node (:func:`_paths_and_cycles`); every later step sees Δ >= 3;
-* closed form for K_n and bipartite graphs: :func:`_closed_form` colours
-  them with Δ+1 or Δ+2 colours, and that colouring is a seed (below) when
-  its palette is smaller than the given one.  A seed of Δ+2 colours asks
-  the counting certificate here, before T(G): when it rules out Δ+1, the
-  seed is optimal.  So K_n, K_{a,b} and every bipartite graph with, in
-  each component, a side of degrees below Δ are answered with no T(G);
+* closed form for K_n, K_n × K_m with an even factor, and bipartite
+  graphs: :func:`_closed_form` colours them with Δ+1 or Δ+2 colours, and
+  that colouring is a seed (below) when its palette is smaller than the
+  given one.  It recognises K_n × K_m in any vertex labelling and reads
+  the paper's construction (``knm_total_colouring``, or the crown when a
+  factor is K_2) at each vertex's place, importing ``constructions`` only
+  then.  A seed of Δ+2 colours asks the counting certificate here, before
+  T(G): when it rules out Δ+1, the seed is optimal.  So K_n, K_n × K_m with
+  an even factor, K_{a,b} and every bipartite graph with, in each
+  component, a side of degrees below Δ are answered with no T(G);
 * T(G): built once, straight from ``g.edges`` and relabelled by degree in
   closed form (:func:`_relabelled_total`); the greedy and the search share
   its adjacency masks, every local-search run its neighbour lists;
@@ -23,8 +27,9 @@ runs a DSATUR-ordered branch and bound on T(G).  A solve, in order:
   the lower bound, a seeded, move-capped TabuCol run (:func:`_tabucol`)
   for exactly lb colours from the best colouring so far (the greedy one,
   or the seed when that is smaller).  When it finds them the solve ends
-  with no probe and no node: the greedy start settles K6×K3, K8×K7 and
-  K10×K5, where a run from the probe's cut colouring misses;
+  with no probe and no node.  On T(K8×K7) and T(K10×K5) the greedy start
+  finds Δ+1 colours where a run from the probe's cut colouring misses,
+  though the closed form now answers both before T(G);
 * probe: only when that run misses, the branch and bound runs with a cap
   of ``_PROBE_NODES`` nodes per vertex of T(G), when that cap fits
   strictly inside the node budget left.  A completed probe is exact; it
@@ -80,10 +85,11 @@ Two certificates can close the gap between the bounds before the search:
 Every search reads the solve's one clock: the branch and bound at each node
 (the wall clock every 512th), the local search before its set-up and each
 move, the counting certificate at each placement, the DSATUR greedy every
-``_GREEDY_STEPS`` steps, and the Kőnig insertion of the closed form every
-256 edges; the T(G) build never does.  A greedy or an insertion that runs
-out of time leaves the seed, when there is one, as the upper bound, and
-otherwise the trivial bounds.
+``_GREEDY_STEPS`` steps, the closed form once after its O(|E|) set-up and
+before it builds a colouring, and its Kőnig insertion every 256 edges; the
+T(G) build never does.  A greedy or a closed form that runs out of time
+leaves the seed, when there is one, as the upper bound, and otherwise the
+trivial bounds.
 
 The DSATUR greedy and the search share one bit-parallel core.  T(G) is
 labelled by degree descending, then index, so the DSATUR choice is the
@@ -623,10 +629,65 @@ def _paths_and_cycles(g: Graph) -> list[int]:
     return colours
 
 
+def _clique_product(g: Graph) -> tuple[int, int, list[int]] | None:
+    """(n, m, where) when g is K_n × K_m with n >= m and an even factor, and
+    where[v] = i·m + j is the vertex (i, j) of ``direct_product(K_n, K_m)``
+    that v maps to; else None.  g has Δ >= 3.  :func:`_closed_form` states
+    why the checks recognise the product."""
+    size, d = g.n, g.max_degree
+    if g.degrees.count(d) != size:
+        return None
+    s = size - d + 1  # n + m
+    disc = s * s - 4 * size  # (n - m)²
+    r = math.isqrt(disc) if disc >= 0 else -1
+    if r * r != disc or (s + r) % 2:
+        return None
+    n, m = (s + r) // 2, (s - r) // 2
+    if n % 2 and m % 2:
+        return None
+    nbrs = [set(a) for a in g.adjacency]
+    # vertex 0 is (0, 0): its non-neighbours split into its row and column
+    far = [v for v in range(1, size) if v not in nbrs[0]]
+    row = [far[0]] + [v for v in far[1:] if v not in nbrs[far[0]]]
+    column = [v for v in far[1:] if v in nbrs[far[0]]]
+    if len(row) != m - 1:
+        row, column = column, row
+    if (len(row), len(column)) != (m - 1, n - 1):
+        return None
+    where = [-1] * size
+    where[0] = 0
+    for j, v in enumerate(row, 1):
+        where[v] = j
+    for i, v in enumerate(column, 1):
+        where[v] = i * m
+    for w in range(size):
+        if where[w] < 0:
+            js = [j for j, v in enumerate(row, 1) if v not in nbrs[w]]
+            ids = [i for i, v in enumerate(column, 1) if v not in nbrs[w]]
+            if len(js) != 1 or len(ids) != 1:
+                return None
+            where[w] = ids[0] * m + js[0]
+    grid = [-1] * size
+    for v, p in enumerate(where):
+        grid[p] = v
+    if -1 in grid:  # two vertices at one place
+        return None
+    for v, p in enumerate(where):
+        first, j = p - p % m, p % m  # where v's row starts, and its column
+        if not (nbrs[v].isdisjoint(grid[first : first + m]) and nbrs[v].isdisjoint(grid[j::m])):
+            return None
+    return n, m, where
+
+
 def _closed_form(g: Graph, clock: _Clock) -> list[int] | None:
-    """A total colouring of a complete or bipartite g with Δ >= 3, in closed
-    form, or None: in element order (vertices, then ``g.edges``), with Δ+1
-    or Δ+2 colours.
+    """A total colouring of g with Δ >= 3 when g is complete, a product of
+    two complete graphs with an even factor, or bipartite, in closed form,
+    or None: in element order (vertices, then ``g.edges``), with Δ+1 or Δ+2
+    colours.
+
+    The clock is read once, after the set-up that tells these cases apart
+    (the degrees, the adjacency, the recognition below and the bipartition,
+    each O(|E|)) and before any colouring is built: None once it is spent.
 
     * K_n: with m = n | 1, vertex i takes 2i mod m and edge uv takes
       (u + v) mod m.  As m is odd, 2i mod m tells the vertices apart; the
@@ -634,6 +695,24 @@ def _closed_form(g: Graph, clock: _Clock) -> list[int] | None:
       Δ+1 = n colours for odd n, and Δ+2 = n+1 for even n, which no fewer
       colours do (Behzad, Chartrand and Cooper, J. London Math. Soc. 42,
       1967; the parity rule proves it again).
+    * K_n × K_m, 2 <= m <= n, in any labelling (:func:`_clique_product`).
+      The product is d-regular with d = (n-1)(m-1) on nm vertices, so
+      n + m = |V| - d + 1 and nm = |V|, and n, m are the roots of
+      x² - (n + m)x + nm.  Vertex (i, j) is adjacent to (i', j') iff i ≠ i'
+      and j ≠ j', so the non-neighbours of vertex 0, put at (0, 0), are its
+      row (0, j) and its column (i, 0): two sets of m-1 and n-1 vertices,
+      each independent, every row vertex adjacent to every column vertex.
+      So a first non-neighbour x with the non-neighbours of x among them is
+      one of the two and the rest is the other, told apart by their sizes
+      (either will do when n = m).  Any other vertex (i, j) misses
+      exactly (0, j) in the row and (i, 0) in the column, which give its
+      coordinates.  When these are a bijection onto n × m and no vertex is
+      adjacent to another of its own row or column, the d neighbours of
+      each vertex are its d places of the product, so g is K_n × K_m.
+      With an even factor, the colouring is ``knm_total_colouring(n, m)``
+      (``kn_k2_total_colouring(n)``, the crown, when m = 2), read at each
+      vertex's place: Δ+1 colours.  With both factors odd the recognition
+      stops at n and m and gives None, and T(G) is built.
     * Bipartite g: the edges take the Δ colours 0..Δ-1 of the Kőnig
       insertion, read from ``clock`` every few hundred edges (None once it
       is spent).  Then, on each component, if one side has every degree
@@ -649,13 +728,30 @@ def _closed_form(g: Graph, clock: _Clock) -> list[int] | None:
       degree Δ on each side, the left side takes Δ and the right Δ+1.
     """
     n, edges, delta = g.n, g.edges, g.max_degree
-    if 2 * len(edges) == n * (n - 1):
-        m = n | 1
-        return [2 * i % m for i in range(n)] + [(u + v) % m for u, v in edges]
+    complete = 2 * len(edges) == n * (n - 1)
+    product = None if complete else _clique_product(g)
     try:
-        right = find_bipartition(g)
+        right = [] if complete or product else find_bipartition(g)
     except NotBipartiteError:
         return None
+    if clock.exhausted():
+        return None
+    if complete:
+        m = n | 1
+        return [2 * i % m for i in range(n)] + [(u + v) % m for u, v in edges]
+    if product is not None:
+        from . import constructions  # only a product of cliques loads it
+
+        pn, pm, where = product
+        if pm == 2:
+            tc = constructions.kn_k2_total_colouring(pn)
+        else:
+            tc = constructions.knm_total_colouring(pn, pm)
+        colour_of = dict(zip(tc.edges, tc.edge_colours))
+        ends = ((where[u], where[v]) for u, v in edges)
+        return [tc.vertex_colours[p] for p in where] + [
+            colour_of[(p, q) if p < q else (q, p)] for p, q in ends
+        ]
     phi = _konig_insertion(g, clock.exhausted)
     if phi is None:
         return None
@@ -775,18 +871,20 @@ def exact_chi_total(g: Graph, budget: SearchBudget | None = None) -> OracleResul
 
     Returns Exact when the lower and upper bounds meet (or the search space
     is exhausted), TimedOut with the best bounds otherwise.  The clock is
-    first read before any colouring is built, then by the Kőnig insertion
-    of a bipartite graph, and by the DSATUR greedy, so a budget spent before
-    the first colouring is complete (``max_nodes=0``, or a wall-clock limit
-    that the insertion, or the T(G) build and the greedy, outrun) yields
-    LowerBoundOnly, with the trivial bounds [Δ+1, |V|+|E|].  Any other
-    budget gets at least the upper bound of a closed-form or greedy
+    first read before any colouring is built, then by the closed form
+    after its set-up, by the Kőnig insertion of a bipartite graph, and by
+    the DSATUR greedy, so a budget spent before the first colouring is
+    complete (``max_nodes=0``, or a wall-clock limit that the closed form's
+    set-up or its insertion, or the T(G) build and the greedy, outrun)
+    yields LowerBoundOnly, with the trivial bounds [Δ+1, |V|+|E|].  Any
+    other budget gets at least the upper bound of a closed-form or greedy
     colouring; a node budget always does, since no node is counted before
     the greedy ends.  A graph with Δ <= 2 gets its exact value in closed
-    form, with 0 nodes; so do K_n, K_{a,b} and every bipartite graph with,
-    in each component, a side of degrees below Δ.  The counting certificate
-    reads the same clock, so one that starts past a wall-clock deadline
-    proves no Δ+2.
+    form, with 0 nodes; so do K_n, K_{a,b}, every bipartite graph with, in
+    each component, a side of degrees below Δ, and K_n × K_m with an even
+    factor in any vertex labelling, which the paper's construction colours
+    with Δ+1.  The counting certificate reads the same clock, so one that
+    starts past a wall-clock deadline proves no Δ+2.
     """
     return _solve(g, budget, None)[0]
 

@@ -462,9 +462,12 @@ def test_cli_import_starts_no_process_pool():
         (["verify", "{graph}", "{colouring}"], []),
         (["export-dot", "{bundle}", "-o", "{out}"], []),
         (["chi", "{k3}", "--nodes", "1000"], ["edge_colouring", "oracle"]),
+        # {graph} is K4 x K3, which the oracle colours by the construction
+        (["chi", "{graph}", "--nodes", "1000"],
+         ["constructions", "edge_colouring", "oracle", "products"]),
         (["product", "{k3}", "{k3}", "-o", "{out}"], ["products"]),
     ],
-    ids=["colour", "verify-bundle", "verify-pair", "export-dot", "chi", "product"],
+    ids=["colour", "verify-bundle", "verify-pair", "export-dot", "chi", "chi-product", "product"],
 )
 def test_each_command_loads_only_the_modules_it_runs(argv, more, k3_file, tmp_path):
     paths = {name: tmp_path / f"{name}.json" for name in ("out", "bundle", "graph", "colouring")}

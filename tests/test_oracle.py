@@ -34,6 +34,7 @@ from totalcolour import oracle
 from totalcolour.oracle import (
     _branch_and_bound,
     _clique,
+    _clique_product,
     _Clock,
     _closed_form,
     _conformable,
@@ -147,16 +148,16 @@ def _knm(n, m):
 def test_deterministic_given_fixed_budget():
     # (status, chi_total, lower, upper, nodes): K_{2,3} and K_{4,5} take
     # Δ+1 colours in closed form, and K_{4,4}, K_{8,8} and K_8 take Δ+2 that
-    # the counting certificate proves optimal before T(G) is built.  Where
-    # no certificate settles the graph, a local-search run from the greedy
-    # colouring comes first.  On K6×K3 and K5×K4 it finds Δ+1 colours, so
-    # the probe of 2|T(G)| nodes never runs and no node is counted.  On
+    # the counting certificate proves optimal before T(G) is built.  K4×K3,
+    # K6×K3 and K5×K4 have an even factor and take Δ+1 colours from the
+    # construction, also before T(G).  Where no closed form settles the
+    # graph, a local-search run from the greedy colouring comes first.  On
     # K_4 ∪ K_1 (type II, and the certificate sees the whole graph) that run
     # misses, and the probe then proves Δ+2 in 16 nodes.  Paths and cycles
     # are answered in closed form with no node, even on a budget far too
     # small for any search
     pinned = [
-        (_knm(4, 3), 10_000, ("exact", 7, 7, 7, 0)),  # greedy palette Δ+1
+        (_knm(4, 3), 10_000, ("exact", 7, 7, 7, 0)),
         (complete_bipartite(2, 3), 150_000, ("exact", 4, 4, 4, 0)),
         (complete_bipartite(4, 5), 150_000, ("exact", 6, 6, 6, 0)),
         # type II, and the side-count certificate proves it with no search;
@@ -310,28 +311,30 @@ def test_dsatur_greedy_reads_the_clock():
 
 
 def test_a_clock_spent_in_the_greedy_leaves_the_trivial_bounds():
-    # building T(K12×K11) alone (7,392 elements) takes far longer than a
-    # millisecond, so the greedy finds the clock spent at its 256th step
-    g = _knm(12, 11)
+    # both factors odd, so no closed form: building T(K13×K11) alone (8,723
+    # elements) takes far longer than a millisecond, so the greedy finds the
+    # clock spent at its 256th step
+    g = _knm(13, 11)
     res = exact_chi_total(g, SearchBudget(max_seconds=1e-3))
-    assert res == (OracleStatus.LOWER_BOUND_ONLY, None, 111, 7392, 0)
+    assert res == (OracleStatus.LOWER_BOUND_ONLY, None, 121, 8723, 0)
 
 
 def test_a_greedy_stopped_by_the_clock_leaves_the_seed_as_the_start(monkeypatch):
-    # vertex 0 of a 7-colouring of K4×K3 moved to an 8th colour is the seed;
-    # with no greedy colouring the solve starts from it and still finds 7,
-    # and without a seed it has no colouring at all
-    g = _knm(4, 3)
-    tc = knm_total_colouring(4, 3)
-    seed = list(tc.vertex_colours) + list(tc.edge_colours)
-    seed[0] = 7
+    # both factors odd, so no closed form: vertex 0 of the oracle's
+    # 9-colouring of K5×K3 moved to a 10th colour is the seed; with no greedy
+    # colouring the solve starts from it and still finds 9, and without a
+    # seed it has no colouring at all
+    g = _knm(5, 3)
+    res, seed = _solve(g, SearchBudget(max_nodes=150_000), None)
+    assert res.chi_total == 9 and max(seed) == 8
+    seed[0] = 9
     monkeypatch.setattr(oracle, "_dsatur_greedy", lambda adj, clock: None)
     res, colours = _solve(g, SearchBudget(max_nodes=150_000), seed)
-    assert (res.status, res.chi_total, res.nodes) == (OracleStatus.EXACT, 7, 0)
+    assert (res.status, res.chi_total, res.nodes) == (OracleStatus.EXACT, 9, 0)
     report = verify_total(g, _colouring_of(g, colours))
-    assert report.valid and report.colours_used == 7
+    assert report.valid and report.colours_used == 9
     res, colours = _solve(g, SearchBudget(max_nodes=150_000), None)
-    assert (res, colours) == ((OracleStatus.LOWER_BOUND_ONLY, None, 7, 48, 0), None)
+    assert (res, colours) == ((OracleStatus.LOWER_BOUND_ONLY, None, 9, 75, 0), None)
 
 
 def test_counting_search_reads_the_clock():
@@ -422,16 +425,17 @@ def test_odd_products_are_type_i(n, m, chi):
 
 @pytest.mark.parametrize("n, m, chi", [(8, 7, 43), (10, 5, 37)])
 def test_local_search_from_the_greedy_colouring_settles_type_i(n, m, chi):
-    # one even factor, so the construction gives Δ+1 colours.  The run from
-    # the greedy colouring finds them in 577 and 337 moves, before the
-    # probe; from the probe's cut colouring it would need 2,951 and 2,819,
-    # over the 1,000-move cap, and the branch and bound would not close the
-    # gap within 150,000 nodes
+    # one even factor, so the oracle answers these from the construction
+    # before T(G); here the local search runs on T(G) on its own.  From the
+    # greedy colouring it finds Δ+1 colours in 577 and 337 moves, within
+    # the 1,000-move cap; from the probe's cut colouring it would need 2,951
+    # and 2,819
     g = _knm(n, m)
-    res, colours = _solve(g, SearchBudget(max_nodes=150_000), None)
+    pos, adj, nbrs = _relabelled_total(g)
+    found = _tabucol(nbrs, _dsatur_greedy(adj, _no_deadline()), chi, _no_deadline())
     assert chi == g.max_degree + 1
-    assert res == (OracleStatus.EXACT, chi, chi, chi, 0)
-    report = verify_total(g, _colouring_of(g, colours))
+    assert found is not None
+    report = verify_total(g, _colouring_of(g, [found[p] for p in pos]))
     assert report.valid and report.colours_used == chi
 
 
@@ -762,17 +766,19 @@ def test_certify_palette_is_the_first_upper_bound():
     assert verdict.status is CertificationStatus.VALID_BUT_UNPROVEN
     assert verdict.colours_used == 5
     assert (verdict.oracle.lower, verdict.oracle.upper) == (4, 5)
-    # K8 x K5: started from the greedy colouring and restarted from a
-    # random one, the local search misses Δ+1 = 29; started from the seed
-    # (a 29-colouring with one vertex moved to a 30th colour), it finds 29
-    # at once
-    g = _knm(8, 5)
+    # K9 x K3, both factors odd, so no closed form: started from the greedy
+    # colouring and restarted from a random one, the local search misses
+    # Δ+1 = 17; started from the seed (the oracle's 17-colouring with one
+    # vertex moved to an 18th colour), it finds 17 at once
+    g = _knm(9, 3)
     res = exact_chi_total(g, SearchBudget(max_nodes=1))
-    assert (res.status, res.lower, res.upper) == (OracleStatus.TIMED_OUT, 29, 30)
-    tc = _with_fresh_colour(knm_total_colouring(8, 5))
+    assert (res.status, res.lower, res.upper) == (OracleStatus.TIMED_OUT, 17, 18)
+    res, colours = _solve(g, SearchBudget(max_nodes=150_000), None)
+    assert res.chi_total == 17
+    tc = _with_fresh_colour(_colouring_of(g, colours))
     verdict = certify_construction(g, tc, SearchBudget(max_nodes=1))
     assert verdict.status is CertificationStatus.SUBOPTIMAL
-    assert (verdict.colours_used, verdict.oracle.chi_total) == (30, 29)
+    assert (verdict.colours_used, verdict.oracle.chi_total) == (18, 17)
 
 
 def test_parity_certificate_proves_type_ii_closed_forms():
@@ -919,6 +925,12 @@ def test_oracle_never_beats_a_verified_colouring(rng):
         assert g.max_degree + 1 <= res.chi_total <= tc.palette_size
 
 
+def _relabelled(g, r):
+    """g with its vertices shuffled by r."""
+    label = r.sample(range(g.n), g.n)
+    return make_graph(g.n, [(label[u], label[v]) for u, v in g.edges])
+
+
 def _closed_form_case(r):
     """K_n for 4 <= n <= 40, or a bipartite graph with Δ >= 3: one random
     bipartite graph, a disjoint union of two, or the direct product of two,
@@ -936,8 +948,7 @@ def _closed_form_case(r):
             g = direct_product(g, random_bipartite(r, max_part=3, p=p)[0])[0]
         if g.max_degree >= 3:
             break
-    label = r.sample(range(g.n), g.n)
-    return make_graph(g.n, [(label[u], label[v]) for u, v in g.edges])
+    return _relabelled(g, r)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1008,18 +1019,120 @@ def test_konig_insertion_reads_the_clock():
     assert res == (OracleStatus.LOWER_BOUND_ONLY, None, 122, 241 + 14_520, 0)
 
 
+# the 4-cube: vertices 0..15, adjacent when they differ in one bit
+CUBE4 = make_graph(16, [(u, u | 1 << b) for u in range(16) for b in range(4) if not u >> b & 1])
+
+
 @pytest.mark.parametrize(
     "g, chi",
     [
-        # regular and bipartite: the closed form has Δ+2 colours, the
-        # certificate finds a conforming colouring, the local search Δ+1
-        (_knm(5, 2), 5),
+        # the 4-cube, 4-regular and bipartite: the closed form has Δ+2
+        # colours, the certificate finds a conforming colouring, the local
+        # search Δ+1
+        (CUBE4, 5),
         # the certificate spends its placement cap and proves nothing
         (make_graph(18, [(i, 9 + j) for i in range(9) for j in range(9) if i != j or i >= 5]), 10),
     ],
 )
 def test_counting_certificate_runs_once_per_solve(g, chi):
+    # neither is a product of cliques: no K_n × K_m has 16 vertices of
+    # degree 4 (n + m = 13 and nm = 16 have no integer roots), and the other
+    # is not regular
+    assert _clique_product(g) is None
     with mock.patch.object(oracle, "_conformable", wraps=_conformable) as conformable:
         res = exact_chi_total(g, SearchBudget(max_nodes=150_000))
     assert conformable.call_count == 1
     assert (res.status, res.chi_total, res.nodes) == (OracleStatus.EXACT, chi, 0)
+
+
+def _codegrees(g):
+    """The sorted (adjacent, common neighbours) of every pair of vertices:
+    the same for isomorphic graphs."""
+    nbrs = [set(a) for a in g.adjacency]
+    return sorted(
+        (v in nbrs[u], len(nbrs[u] & nbrs[v])) for u, v in itertools.combinations(range(g.n), 2)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 12), st.integers(2, 12), st.integers(0, 2**32 - 1))
+def test_products_of_cliques_are_recognised_in_any_labelling(n, m, seed):
+    # with an even factor the oracle answers a relabelled K_n × K_m from the
+    # construction, Δ+1 with no node; with both factors odd the recognition
+    # gives None.  A degree-preserving swap of two edges keeps every
+    # parameter the recognition reads first, and is caught
+    n, m = max(n, m), min(n, m)
+    r = random.Random(seed)
+    product = _knm(n, m)
+    g = _relabelled(product, r)
+    delta = g.max_degree
+    if delta < 3:  # K_2 × K_2 and K_3 × K_2: paths and cycles
+        return
+    if n % 2 and m % 2:
+        assert _clique_product(g) is None
+        return
+    recognised = _clique_product(g)
+    assert recognised is not None and recognised[:2] == (n, m)
+    where = recognised[2]
+    assert sorted(where) == list(range(g.n))
+    assert sorted(tuple(sorted((where[u], where[v]))) for u, v in g.edges) == list(product.edges)
+    res, colours = _solve(g, SearchBudget(max_nodes=150_000), None)
+    assert res == (OracleStatus.EXACT, delta + 1, delta + 1, delta + 1, 0)
+    report = verify_total(g, _colouring_of(g, colours))
+    assert report.valid and report.colours_used == delta + 1
+    # (a, b) and (c, d) become (a, c) and (b, d), with a = (0, 0), b = (1, 1),
+    # c = (2, 0) and d = (3, 1): both new edges lie in a column (n >= 4 here)
+    a, b, c, d = 0, m + 1, 2 * m, 3 * m + 1
+    assert product.has_edge(a, b) and product.has_edge(c, d)
+    swapped = make_graph(
+        g.n, [e for e in product.edges if e not in ((a, b), (c, d))] + [(a, c), (b, d)]
+    )
+    assert swapped.degrees == product.degrees
+    assert _codegrees(swapped) != _codegrees(product)
+    assert _clique_product(_relabelled(swapped, r)) is None
+
+
+def test_a_bipartite_graph_with_the_parameters_of_a_product_is_not_one():
+    # K_{6,6} is 6-regular on 12 vertices, as K_4 × K_3 is; the oracle
+    # answers it from the bipartite closed form and the counting certificate
+    assert _knm(4, 3).degrees == complete_bipartite(6, 6).degrees
+    assert _clique_product(complete_bipartite(6, 6)) is None
+    res = exact_chi_total(complete_bipartite(6, 6), SearchBudget(max_nodes=150_000))
+    assert res == (OracleStatus.EXACT, 8, 8, 8, 0)
+
+
+class _SpentAtFirstRead:
+    """A clock that is spent from its first read on; it logs each read."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def exhausted(self):
+        self.log.append("clock")
+        return True
+
+
+def test_closed_form_reads_the_clock_once_after_its_set_up():
+    # the set-up tells the cases apart; the one read of the clock comes
+    # after it and before any colouring is built, here none
+    log = []
+
+    def logged(name, f):
+        return lambda *args: log.append(name) or f(*args)
+
+    spent = _SpentAtFirstRead(log)
+    with mock.patch.object(
+        oracle, "_clique_product", side_effect=logged("recognise", _clique_product)
+    ), mock.patch.object(
+        oracle, "find_bipartition", side_effect=logged("bipartition", find_bipartition)
+    ), mock.patch.object(oracle, "_konig_insertion", side_effect=AssertionError), mock.patch(
+        "totalcolour.constructions.knm_total_colouring", side_effect=AssertionError
+    ):
+        for g, reads in [
+            (complete_graph(9), ["clock"]),
+            (_relabelled(_knm(6, 4), random.Random(6)), ["recognise", "clock"]),
+            (complete_bipartite(240, 241), ["recognise", "bipartition", "clock"]),
+        ]:
+            log.clear()
+            assert _closed_form(g, spent) is None
+            assert log == reads
